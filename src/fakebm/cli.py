@@ -3,6 +3,10 @@
 Each subcommand reads a JSON config file (optional) merged with flag
 overrides, runs one experiment, and writes deterministic artifacts to the
 output directory: report.json always, plus plot-ready CSVs where defined.
+Identical inputs give byte-identical artifacts: no report holds a timing or
+the output directory.  A setting comes from its flag, else the config file,
+else (workers only) the FAKEBM_WORKERS environment variable, else the
+default.
 Exit code 0 means the run's check passed, 1 means it ran but failed or was
 inconclusive, 2 means the configuration was invalid.  A seed is mandatory;
 there is no wall-clock fallback.
@@ -179,6 +183,12 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     cfg["seed"] = None
     cfg["output_dir"] = "."
     cfg["workers"] = 1
+    env_workers = os.environ.get("FAKEBM_WORKERS")
+    if env_workers is not None:
+        try:
+            cfg["workers"] = int(env_workers)
+        except ValueError:
+            raise ConfigError("FAKEBM_WORKERS must be an integer")
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -198,18 +208,27 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    env_workers = os.environ.get("FAKEBM_WORKERS")
-    if env_workers is not None:
-        try:
-            cfg["workers"] = int(env_workers)
-        except ValueError:
-            raise ConfigError("FAKEBM_WORKERS must be an integer")
     if cfg.get("seed") is None:
         raise ConfigError("a seed is required (pass --seed or set it in the config)")
     cfg["seed"] = int(cfg["seed"])
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    if "dt" in cfg and _finite_float(cfg["dt"], "--dt") <= 0:
+        raise ConfigError("--dt must be > 0")
+    if cfg.get("fixed_start") is not None:
+        _finite_float(cfg["fixed_start"], "--fixed-start")
     return cfg
+
+
+def _finite_float(value, flag: str) -> float:
+    """value as a finite float, else a ConfigError naming its flag."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{flag} must be a finite number")
+    return x
 
 
 def _resolve_system(cfg: dict) -> IntervalSystem:
@@ -227,8 +246,11 @@ def _resolve_system(cfg: dict) -> IntervalSystem:
 
 
 def _echo(cfg: dict) -> dict:
+    """The run's settings for report.json, minus where its files went."""
     out = {}
     for k, v in cfg.items():
+        if k == "output_dir":
+            continue
         if isinstance(v, tuple):
             v = list(v)
         out[k] = v
@@ -260,6 +282,7 @@ def _cmd_verify_discrete(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     report = run_marginal_certification(lattice, steps, backend=cfg["backend"])
+    del report["elapsed_s"]
     tol = 0.0 if cfg["backend"] == "rational" else FLOAT_DEVIATION_TOL
     report["tolerance"] = tol
     report["passed"] = report["max_abs_deviation"] <= tol

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import LatticeSystem
-from .lazy_walk import pmf as walk_pmf
+from .lazy_walk import _binomial_row, pmf as walk_pmf
 
 __all__ = [
     "Mode",
@@ -162,6 +162,31 @@ def _kernel_rows(lattice: LatticeSystem, backend: str):
     return rows
 
 
+def _integer_kernel_rows(lattice: LatticeSystem):
+    """Exact kernel rows as integer weights over one common scale, cached.
+
+    Returns (busy_rows, jump_rows, scale): each probability p of the
+    rational rows is stored as the integer p * scale, where scale is the
+    least common multiple of the rows' denominators.
+    """
+    key = ("kernel", "integer")
+    rows = lattice._cache.get(key)
+    if rows is None:
+        busy_rows, jump_rows = _kernel_rows(lattice, "rational")
+        every_row = [*busy_rows.values(), *jump_rows.values()]
+        scale = math.lcm(*{p.denominator for row in every_row for _, p in row})
+
+        def scaled(table):
+            return {
+                i: [(dest, p.numerator * (scale // p.denominator)) for dest, p in row]
+                for i, row in table.items()
+            }
+
+        rows = (scaled(busy_rows), scaled(jump_rows), scale)
+        lattice._cache[key] = rows
+    return rows
+
+
 def evolve(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDistribution:
     """One step of the exact evolution of the joint law.
 
@@ -169,13 +194,21 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDis
     which jumps across the gap and is busy from the next step on.  Mass
     pushed beyond the lattice window is dropped (track total_mass to see it;
     a full window never drops any).
-    """
-    backend = joint.backend
-    busy_rows, jump_rows = _kernel_rows(lattice, backend)
-    j_max = lattice.j_max
-    zero = Fraction(0) if backend == "rational" else 0.0
 
-    new_busy: dict = defaultdict(lambda: zero)
+    The rational backend computes the step in integers: the busy masses and
+    the switching masses are written as numerators over their common
+    denominator D, weighted by the kernel rows scaled to integers over their
+    common scale K, summed per site, and turned into one Fraction(sum, D K)
+    per site.  Every sum is the exact numerator of the same rational the
+    Fraction-by-Fraction step gives, so the reduced Fractions are identical.
+    The float backend adds in a fixed order, which fixes its bits.
+    """
+    if joint.backend == "rational":
+        return _evolve_rational(joint, lattice, m)
+    busy_rows, jump_rows = _kernel_rows(lattice, "float")
+    j_max = lattice.j_max
+
+    new_busy: dict = defaultdict(float)
     for i, mass in joint.busy.items():
         for dest, p in busy_rows[i]:
             if -j_max <= dest <= j_max:
@@ -183,18 +216,56 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDis
 
     new_lazy: dict = {}
     for i, mass in joint.lazy.items():
-        h = lazy_hazard(i, joint.step, m)
-        h = _cast(h, backend)
+        h = float(lazy_hazard(i, joint.step, m))
         switching = mass * h
         staying = mass - switching
-        if staying != zero:
+        if staying != 0.0:
             new_lazy[i] = staying
-        if switching != zero:
+        if switching != 0.0:
             for dest, p in jump_rows[i]:
                 new_busy[dest] += switching * p
 
     return JointDistribution(
-        step=joint.step + 1, backend=backend, busy=dict(new_busy), lazy=new_lazy
+        step=joint.step + 1, backend="float", busy=dict(new_busy), lazy=new_lazy
+    )
+
+
+def _evolve_rational(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDistribution:
+    busy_rows, jump_rows, scale = _integer_kernel_rows(lattice)
+    j_max = lattice.j_max
+
+    new_lazy: dict = {}
+    switching: dict = {}
+    for i, mass in joint.lazy.items():
+        moving = mass * lazy_hazard(i, joint.step, m)
+        staying = mass - moving
+        if staying != 0:
+            new_lazy[i] = staying
+        if moving != 0:
+            switching[i] = moving
+
+    dens = {f.denominator for f in joint.busy.values()}
+    dens.update(f.denominator for f in switching.values())
+    den = math.lcm(*dens)
+    lift = {d: den // d for d in dens}
+
+    # same visiting order as the float loop, so the dict keys come out in
+    # the same order
+    sums: dict = {}
+    for i, mass in joint.busy.items():
+        a = mass.numerator * lift[mass.denominator]
+        for dest, w in busy_rows[i]:
+            if -j_max <= dest <= j_max:
+                sums[dest] = sums.get(dest, 0) + a * w
+    for i, mass in switching.items():
+        a = mass.numerator * lift[mass.denominator]
+        for dest, w in jump_rows[i]:
+            sums[dest] = sums.get(dest, 0) + a * w
+
+    den *= scale
+    new_busy = {dest: Fraction(x, den) for dest, x in sums.items()}
+    return JointDistribution(
+        step=joint.step + 1, backend="rational", busy=new_busy, lazy=new_lazy
     )
 
 
@@ -207,13 +278,32 @@ def marginal(joint: JointDistribution) -> dict:
 
 
 def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem, m: int):
-    """Largest |site marginal - walk mass| over the lattice window."""
-    law = walk_pmf(m + joint.step, backend=joint.backend)
+    """Largest |site marginal - walk mass| over the lattice window.
+
+    The walk masses are read off one integer row C(2n, k), n = m + step.
+    Floats compare against c / 4^n, bit-identical to the float pmf.  Exact
+    masses g are tested by g.numerator 4^n == c g.denominator, and a
+    Fraction difference is formed only at a site that deviates.
+    """
+    n = m + joint.step
+    row = _binomial_row(n)
     got = marginal(joint)
-    zero = Fraction(0) if joint.backend == "rational" else 0.0
-    worst = zero
+    if joint.backend == "rational":
+        zero = worst = Fraction(0)
+        shift = 2 * n
+        for j in lattice.sites:
+            g = got.get(j, zero)
+            c = row[j + n] if -n <= j <= n else 0
+            if g.numerator << shift != c * g.denominator:
+                dev = abs(g - Fraction(c, 4**n))
+                if dev > worst:
+                    worst = dev
+        return worst
+    four_n = 4**n
+    worst = 0.0
     for j in lattice.sites:
-        dev = abs(got.get(j, zero) - law.prob(j))
+        law = row[j + n] / four_n if -n <= j <= n else 0.0
+        dev = abs(got.get(j, 0.0) - law)
         if dev > worst:
             worst = dev
     return worst

@@ -77,15 +77,40 @@ def pmf_value(steps: int, j: int) -> Fraction:
     return Fraction(math.comb(2 * steps, steps + j), 4**steps)
 
 
+def _binomial_row(steps: int) -> list[int]:
+    """Row C(2n, k), k = 0..2n, for n = steps: index j + n holds 4^n mass(n, j).
+
+    Built from c_0 = 1 by the recurrence c_{k+1} = c_k (2n - k) // (k + 1),
+    whose divisions are exact, and mirrored about k = n.
+    """
+    two_n = 2 * steps
+    row = [1] * (two_n + 1)
+    c = 1
+    for k in range(steps):
+        c = c * (two_n - k) // (k + 1)
+        row[k + 1] = row[two_n - k - 1] = c
+    return row
+
+
 def pmf(steps: int, backend: str = "rational") -> LazyWalkPmf:
-    """Full law after `steps` steps in the requested backend."""
+    """Full law after `steps` steps in the requested backend.
+
+    Both exact paths divide one integer row C(2n, k) by 4^n.  The rational
+    masses are Fraction(c, 4^n), the same reduced rationals as pmf_value.
+    Up to _EXACT_FLOAT_LIMIT steps the float masses are c / 4^n: Python's
+    int / int division is correctly rounded, and Fraction.__float__ performs
+    that same division on the reduced pair, so every float is bit-identical
+    to float(pmf_value(steps, j)).
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if backend == "rational":
-        mass = tuple(pmf_value(steps, j) for j in range(-steps, steps + 1))
+        den = 4**steps
+        mass = tuple(Fraction(c, den) for c in _binomial_row(steps))
     elif backend == "float":
         if steps <= _EXACT_FLOAT_LIMIT:
-            mass = tuple(float(pmf_value(steps, j)) for j in range(-steps, steps + 1))
+            den = 4**steps
+            mass = tuple(c / den for c in _binomial_row(steps))
         else:
             js = np.arange(-steps, steps + 1)
             logs = (

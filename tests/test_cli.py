@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, artifacts, determinism, config rules."""
 
 import json
+import os
 
 import pytest
 
@@ -98,6 +99,18 @@ def test_verify_discrete_float_within_tolerance(tmp_path):
     assert rep["max_abs_deviation"] <= 1e-12
 
 
+def test_verify_discrete_reports_are_byte_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run("verify-discrete", "--seed", "1", "--m", "8", "--steps", "10",
+                   "--backend", "rational", "--output-dir", str(out)) == 0
+    assert os.listdir(a) == os.listdir(b) == ["report.json"]
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    rep = read_json(a / "report.json")
+    assert "elapsed_s" not in rep
+    assert "output_dir" not in rep["config"]
+
+
 def test_verify_discrete_rejects_coarse_lattice(tmp_path, capsys):
     code = run("verify-discrete", "--seed", "1", "--m", "2", "--steps", "5",
                "--output-dir", str(tmp_path))
@@ -148,6 +161,55 @@ def test_bad_worker_env_rejected(tmp_path, monkeypatch, capsys):
     code = run("simulate", "--seed", "5", "--output-dir", str(tmp_path))
     assert code == 2
     assert "FAKEBM_WORKERS" in capsys.readouterr().err
+
+
+def test_workers_flag_beats_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("FAKEBM_WORKERS", "2")
+    out = tmp_path / "o"
+    assert run("convex-order", "--seed", "4", "--workers", "1",
+               "--output-dir", str(out)) == 0
+    assert read_json(out / "report.json")["config"]["workers"] == 1
+
+
+def test_workers_config_file_beats_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("FAKEBM_WORKERS", "2")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 4, "workers": 3}')
+    out = tmp_path / "o"
+    assert run("convex-order", "--config", str(cfg), "--output-dir", str(out)) == 0
+    assert read_json(out / "report.json")["config"]["workers"] == 3
+
+
+def test_workers_env_beats_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("FAKEBM_WORKERS", "2")
+    out = tmp_path / "o"
+    assert run("convex-order", "--seed", "4", "--output-dir", str(out)) == 0
+    assert read_json(out / "report.json")["config"]["workers"] == 2
+
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+def test_non_positive_or_non_finite_dt_is_a_config_error(tmp_path, capsys, dt):
+    code = run("simulate", "--seed", "1", "--n-paths", "2", f"--dt={dt}",
+               "--output-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--dt" in err
+    assert "math domain" not in err
+
+
+def test_dt_from_config_file_is_validated(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "dt": 0}')
+    code = run("flux", "--config", str(cfg), "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--dt" in capsys.readouterr().err
+
+
+def test_non_finite_fixed_start_is_a_config_error(tmp_path, capsys):
+    code = run("simulate", "--seed", "1", "--n-paths", "2", "--fixed-start", "nan",
+               "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--fixed-start" in capsys.readouterr().err
 
 
 # ---------- marginals ----------

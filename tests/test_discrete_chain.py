@@ -18,7 +18,7 @@ from fakebm.discrete_chain import (
     sample_path,
     switch_jump,
 )
-from fakebm.intervals import build_interval_system, lattice_project
+from fakebm.intervals import build_interval_system, fat_cantor_intervals, lattice_project
 from fakebm.lazy_walk import pmf_value
 
 TWO_GAPS = [(0.1, 0.4), (0.6, 0.9)]
@@ -206,6 +206,64 @@ def test_float_backend_tracks_rational(lat_m8):
     mf = marginal(jf)
     for j, p in mr.items():
         assert mf[j] == pytest.approx(float(p), abs=1e-14)
+
+
+def reference_step(joint, lattice, m):
+    """One Fraction-by-Fraction step of the joint law: the oracle for evolve."""
+    busy, lazy = {}, {}
+    for i, mass in joint.busy.items():
+        for dest, p in busy_transition(lattice, i):
+            if abs(dest) <= lattice.j_max:
+                busy[dest] = busy.get(dest, Fraction(0)) + mass * p
+    for i, mass in joint.lazy.items():
+        moving = mass * lazy_hazard(i, joint.step, m)
+        if mass != moving:
+            lazy[i] = mass - moving
+        if moving != 0:
+            for dest, p in switch_jump(lattice, i):
+                busy[dest] = busy.get(dest, Fraction(0)) + moving * p
+    return busy, lazy
+
+
+@pytest.mark.parametrize(
+    "name, steps",
+    [("lat_m8", 20), ("lat_ragged", 8), ("cantor3_m400", 8), ("truncated_m50", 120)],
+)
+def test_rational_evolve_matches_fraction_reference(request, name, steps):
+    if name == "cantor3_m400":
+        lat = lattice_project(build_interval_system(fat_cantor_intervals(3)), 400)
+    elif name == "truncated_m50":
+        lat = lattice_project(build_interval_system(TWO_GAPS), 50, j_max=60)
+    else:
+        lat = request.getfixturevalue(name)
+    joint = initial_joint(lat, lat.m)
+    for _ in range(steps):
+        nxt = evolve(joint, lat, lat.m)
+        busy, lazy = reference_step(joint, lat, lat.m)
+        assert list(nxt.busy.items()) == list(busy.items())
+        assert list(nxt.lazy.items()) == list(lazy.items())
+        assert all(type(p) is Fraction for p in [*nxt.busy.values(), *nxt.lazy.values()])
+        joint = nxt
+
+
+def test_certification_pins_float_two_gap_values():
+    lat = lattice_project(build_interval_system(TWO_GAPS), 100, j_max=400)
+    report = run_marginal_certification(lat, steps=300, backend="float")
+    assert report["max_abs_deviation"] == 5.204170427930421e-17
+    assert report["mass_deficit"] == 8.881784197001252e-16
+
+
+@pytest.mark.parametrize(
+    "backend, deviation",
+    [("rational", 4.134892097767776e-12), ("float", 4.134892097767777e-12)],
+)
+def test_certification_pins_truncated_window_deviation(backend, deviation):
+    # j_max = 60 < m + steps: mass leaves the window, so the marginal falls
+    # short of the walk law by a small, exactly reproducible amount
+    lat = lattice_project(build_interval_system(TWO_GAPS), 50, j_max=60)
+    report = run_marginal_certification(lat, steps=120, backend=backend)
+    assert report["max_abs_deviation"] == deviation
+    assert report["exactly_zero"] is False
 
 
 def test_certification_report_exact_backend(lat_m8):
