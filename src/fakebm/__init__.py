@@ -54,21 +54,10 @@ from .discrete_chain import (
     switch_jump,
 )
 from .continuous_sim import (
-    BrownianPath,
     ClockExhaustedError,
-    FakeBMPath,
-    OccupationClock,
     SimulationResult,
-    TimeChange,
-    assemble_exp_fake_path,
-    assemble_fake_path,
-    inverse_clock,
     iter_fake_grid_chunks,
-    occupation_clock,
-    sample_brownian_path,
-    sample_switch_time,
     simulate_exp_marginal_samples,
-    simulate_limit_path,
     simulate_marginal_samples,
 )
 from .analysis import (

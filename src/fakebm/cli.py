@@ -8,8 +8,8 @@ the output directory.  A setting comes from its flag, else the config file,
 else (workers only) the FAKEBM_WORKERS environment variable, else the
 default.
 Exit code 0 means the run's check passed, 1 means it ran but failed or was
-inconclusive, 2 means the configuration was invalid.  A seed is mandatory;
-there is no wall-clock fallback.
+inconclusive, 2 means the configuration was invalid, 3 means the run
+crashed.  A seed is mandatory; there is no wall-clock fallback.
 """
 
 from __future__ import annotations
@@ -473,6 +473,8 @@ def _cmd_strong_markov(cfg: dict) -> int:
 
 
 def _cmd_flux(cfg: dict) -> int:
+    if float(cfg["duration"]) < float(cfg["dt"]):
+        raise ConfigError("--duration must be at least --dt")
     system = _resolve_system(cfg)
     try:
         rep = flux_experiment(
@@ -550,7 +552,8 @@ def _cmd_exp_variant(cfg: dict) -> int:
         raise ConfigError("n_paths must be >= 100")
     try:
         result = simulate_exp_marginal_samples(
-            window, intervals, t_queries, n_paths, cfg["seed"], dt=float(cfg["dt"])
+            window, intervals, t_queries, n_paths, cfg["seed"], dt=float(cfg["dt"]),
+            workers=cfg["workers"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -594,38 +597,17 @@ _COMMANDS = {
     "exp-variant": _cmd_exp_variant,
 }
 
-_FLAG_TYPES = {
-    "m": int,
-    "steps": int,
-    "j_max": int,
-    "n_paths": int,
-    "n_pairs": int,
-    "n_bins": int,
-    "gap_index": int,
-    "cantor_depth": int,
-    "min_class": int,
-    "workers": int,
-    "dt": float,
-    "s": float,
-    "t": float,
-    "t_offset": float,
-    "t_horizon": float,
-    "t_start": float,
-    "duration": float,
-    "tolerance": float,
-    "tol": float,
-    "z_max": float,
-    "ks_max": float,
-    "drift": float,
-    "fixed_start": float,
-    "x_min": float,
-    "x_max": float,
-    "x_step": float,
-    "backend": str,
-    "output_dir": str,
-}
+# flag types of the settings whose default is None; every other flag takes
+# the type of its default, and a list default takes a JSON literal
+_NONE_DEFAULT_TYPES = {"cantor_depth": int, "j_max": int, "fixed_start": float}
 
-_LIST_FLAGS = {"t_queries", "t_grid", "window", "intervals"}
+
+def _flag_type(key: str, default):
+    if default is None:
+        return _NONE_DEFAULT_TYPES[key]
+    if isinstance(default, list):
+        return json.loads
+    return type(default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -639,12 +621,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (required here or in config)")
-        for key in _DEFAULTS[name]:
-            flag = "--" + key.replace("_", "-")
-            if key in _LIST_FLAGS:
-                p.add_argument(flag, type=json.loads, help="JSON literal")
-            else:
-                p.add_argument(flag, type=_FLAG_TYPES.get(key, str))
+        for key, default in _DEFAULTS[name].items():
+            kind = _flag_type(key, default)
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                type=kind,
+                help="JSON literal" if kind is json.loads else None,
+            )
         p.add_argument("--output-dir")
         p.add_argument("--workers", type=int)
     return parser
@@ -656,12 +639,13 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.command, args)
         return body(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # a crash is neither a failed check (1) nor a bad configuration (2)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,17 +1,21 @@
 """Grid Monte Carlo for the time-changed construction.
 
-A path of the target process starts at x0 ~ N(0, 1).  If x0 lies in a gap it
-freezes there for a random switch time T drawn from the survival ratio
-p(x0, t) / p(x0, 0); from T on it follows the driving Brownian path run on
-the clock that only ticks while the driver sits in the active set.  The
-result has N(0, 1 + t) marginals at every t and is a martingale, but it is
-not Brownian motion.
+One engine runs both variants, parameterised by a MarginalFamily and a
+freeze time t1.  A path runs the family's driver up to t1: the additive
+variant starts at x0 ~ N(0, 1) with t1 = 0, the exponential variant runs
+exp(B_t - t/2) from 1 and freezes at the window start t1.  If the driver's
+value x1 at t1 lies in a gap, the path freezes there until the switch time
+t1 + s, where s is drawn from the family's survival ratio; from then on it
+follows the driver from t1 on, run on the clock that only ticks while the
+driver sits in the active set.  The additive result has N(0, 1 + t)
+marginals at every t and is a martingale, but it is not Brownian motion.
 
 Everything is simulated on a uniform grid of width dt.  The occupation clock
 uses the left-endpoint rule, and the inverse clock returns the first grid
-time at which the clock exceeds its argument.  Each path consumes one
-dedicated RNG substream derived from (seed, path_index), so results never
-depend on chunking or worker count.
+time at which the clock exceeds its argument.  A path whose clock cannot
+cover the last query time is redrawn from its own substream.  Each path
+consumes one dedicated RNG substream derived from (seed, path_index), so
+results never depend on chunking or worker count.
 """
 
 from __future__ import annotations
@@ -22,27 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (
-    invert_survival_ratio,
-    lognormal_survival_ratio,
-    check_exp_window,
-)
-from .intervals import IntervalSystem, build_interval_system, fat_cantor_intervals
+from .densities import GAUSSIAN, LOGNORMAL, check_exp_window
+from .intervals import IntervalSystem, build_interval_system
 
 __all__ = [
     "ClockExhaustedError",
-    "BrownianPath",
-    "OccupationClock",
-    "TimeChange",
-    "FakeBMPath",
     "path_rng",
-    "sample_brownian_path",
-    "occupation_clock",
-    "inverse_clock",
-    "sample_switch_time",
-    "assemble_fake_path",
-    "simulate_limit_path",
-    "assemble_exp_fake_path",
     "SimulationResult",
     "iter_fake_grid_chunks",
     "simulate_marginal_samples",
@@ -53,69 +42,7 @@ _MAX_RESAMPLE = 8
 
 
 class ClockExhaustedError(RuntimeError):
-    """The occupation clock ran out before the requested time; extend t_max."""
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    """Driving path on a uniform grid: values[k] at time k * dt."""
-
-    dt: float
-    values: np.ndarray
-
-    @property
-    def t_max(self) -> float:
-        return (len(self.values) - 1) * self.dt
-
-
-@dataclass(frozen=True)
-class OccupationClock:
-    """Left-endpoint occupation time of the active set along a driving path.
-
-    values[k] = dt * #{i < k : path value i is active}; increments are 0 or
-    dt, so the clock is non-decreasing and 1-Lipschitz.
-    """
-
-    dt: float
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class TimeChange:
-    """Right-continuous inverse of an occupation clock."""
-
-    clock: OccupationClock
-
-    def index(self, t: float) -> int:
-        """First grid index k with clock[k] > t."""
-        if t >= self.clock.values[-1]:
-            raise ClockExhaustedError(
-                f"clock reaches only {self.clock.values[-1]:.6g}; extend t_max"
-            )
-        return int(np.searchsorted(self.clock.values, t, side="right"))
-
-    def __call__(self, t: float) -> float:
-        return self.index(t) * self.clock.dt
-
-
-@dataclass(frozen=True)
-class FakeBMPath:
-    """Target-process path on its own grid.
-
-    values[k] is the position at k * dt; the path is frozen (constant at its
-    start) strictly before switch_time and follows the time-changed driver
-    afterwards.  busy_start is the first driver value with positive clock,
-    i.e. where the path lands when it unfreezes (nan if the driver never
-    enters the active set).
-    """
-
-    dt: float
-    switch_time: float
-    values: np.ndarray
-    busy_start: float
-
-    def mode_at(self, t: float) -> str:
-        return "lazy" if t < self.switch_time else "busy"
+    """The occupation clock ran out before the requested time; extend t_driver."""
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -123,114 +50,15 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_brownian_path(seed, t_max: float, dt: float, x0=None) -> BrownianPath:
-    """Brownian path from a N(0, 1) start (or a fixed x0) on a dt grid."""
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("need dt > 0 and t_max > 0")
-    rng = _as_rng(seed)
-    n = int(round(t_max / dt))
-    values = np.empty(n + 1)
-    values[0] = float(rng.standard_normal()) if x0 is None else float(x0)
-    np.cumsum(rng.standard_normal(n) * math.sqrt(dt), out=values[1:])
-    values[1:] += values[0]
-    return BrownianPath(dt=dt, values=values)
-
-
-def occupation_clock(path: BrownianPath, system: IntervalSystem) -> OccupationClock:
-    """Occupation time of the active set, left-endpoint rule."""
-    active = system.contains_many(path.values[:-1])
-    values = np.empty(len(path.values))
-    values[0] = 0.0
-    np.cumsum(active, out=values[1:])
-    values[1:] *= path.dt
-    return OccupationClock(dt=path.dt, values=values)
-
-
-def inverse_clock(clock: OccupationClock, t: float) -> float:
-    """First grid time at which the clock exceeds t."""
-    return TimeChange(clock)(t)
-
-
-def sample_switch_time(system: IntervalSystem, x0: float, seed) -> float:
-    """Switch time of a particle starting at x0: 0 in the active set,
-    otherwise the survival-ratio inverse evaluated at a uniform draw."""
-    if system.contains(x0):
-        return 0.0
-    rng = _as_rng(seed)
-    u = float(rng.random())
-    while u == 0.0:
-        u = float(rng.random())
-    return float(invert_survival_ratio(x0, u))
-
-
-def assemble_fake_path(
-    path: BrownianPath, system: IntervalSystem, seed, horizon: float | None = None
-) -> FakeBMPath:
-    """Build the target-process path from a driving path.
-
-    Draws the switch time, then fills values on [0, horizon]: frozen at the
-    start before T, the time-changed driver from T on.  The value at busy
-    time q is the driver at the grid point from which the clock crossed q;
-    the left-endpoint clock rule makes that point lie in the active set, and
-    for an always-active driver the time change is the identity on the grid.
-    Raises ClockExhaustedError when the clock cannot cover horizon - T.
-    """
-    dt = path.dt
-    if horizon is None:
-        horizon = path.t_max / 3.0
-    rng = _as_rng(seed)
-    x0 = float(path.values[0])
-    t_switch = sample_switch_time(system, x0, rng)
-    clock = occupation_clock(path, system)
-    a = clock.values
-
-    n = int(round(horizon / dt))
-    times = np.arange(n + 1) * dt
-    values = np.full(n + 1, x0)
-    busy = times >= t_switch
-    if np.any(busy):
-        q = times[busy] - t_switch
-        if q.max() >= a[-1]:
-            raise ClockExhaustedError(
-                f"clock reaches only {a[-1]:.6g} < {q.max():.6g}; extend t_max"
-            )
-        idx = np.searchsorted(a, q, side="right")
-        values[busy] = path.values[idx - 1]
-    idx0 = int(np.searchsorted(a, 0.0, side="right"))
-    busy_start = float(path.values[idx0 - 1]) if idx0 < len(a) else math.nan
-    return FakeBMPath(dt=dt, switch_time=t_switch, values=values, busy_start=busy_start)
-
-
-def simulate_limit_path(depth: int, t_max: float, dt: float, seed) -> FakeBMPath:
-    """One path of the construction over the depth-d fat Cantor system."""
-    system = build_interval_system(fat_cantor_intervals(depth))
-    rng = _as_rng(seed)
-    for _ in range(_MAX_RESAMPLE):
-        driver = sample_brownian_path(rng, 3.0 * (1.0 + t_max), dt)
-        try:
-            return assemble_fake_path(driver, system, rng, horizon=t_max)
-        except ClockExhaustedError:
-            continue
-    raise ClockExhaustedError("driver kept running out of clock; extend t_max")
-
-
-# ---------- chunked many-path engine ----------
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """Values of many paths at the query times.
 
-    values[i, q] is path i at t_queries[q]; frozen[i, q] marks paths still
-    frozen there.  switch_times, start values and the first busy landing
-    value come along for conditioning; resampled counts paths whose driver
-    had to be redrawn because its clock ran out.
+    values[i, q] is path i at t_queries[q]; frozen[i, q] marks paths frozen
+    there, i.e. t1 <= t_queries[q] < switch_times[i].  switch_times, start
+    values and the first busy landing value come along for conditioning;
+    resampled counts paths whose driver had to be redrawn because its clock
+    ran out.
     """
 
     t_queries: tuple
@@ -242,122 +70,155 @@ class SimulationResult:
     resampled: int
 
 
-def _draw_row(rng, n_steps: int, fixed_start):
-    x0 = float(rng.standard_normal()) if fixed_start is None else float(fixed_start)
+# ---------- one path ----------
+
+
+def _occupation_clock(path: np.ndarray, system: IntervalSystem, dt: float):
+    """Left-endpoint occupation clock of the active set along path.
+
+    clock[k] = dt * #{i < k : path[i] is active}, so the clock is
+    non-decreasing and 1-Lipschitz.  Returns the clock and whether path[0]
+    itself is active.
+    """
+    active = system.contains_many(path)
+    clock = np.empty(len(path))
+    clock[0] = 0.0
+    np.cumsum(active[:-1], out=clock[1:])
+    clock[1:] *= dt
+    return clock, bool(active[0])
+
+
+def _draw(rng, family, system, n_steps: int, k1: int, dt: float, fixed_start=None):
+    """One draw of a path: start, increments, then the switch uniform.
+
+    Returns the driver row on the whole grid, the occupation clock of
+    row[k1:], whether row[k1] is active, and the uniform u in (0, 1).
+    """
+    x0 = family.sample_initial(rng) if fixed_start is None else float(fixed_start)
     incr = rng.standard_normal(n_steps)
     u = float(rng.random())
     while u == 0.0:
         u = float(rng.random())
-    return x0, incr, u
+    row = family.driver(x0, incr, dt)
+    clock, active = _occupation_clock(row[k1:], system, dt)
+    return row, clock, active, u
 
 
-def _row_clock(row: np.ndarray, system: IntervalSystem, dt: float) -> np.ndarray:
-    active = system.contains_many(row[:-1])
-    a = np.empty(len(row))
-    a[0] = 0.0
-    np.cumsum(active, out=a[1:])
-    a[1:] *= dt
-    return a
+def _time_change(tail: np.ndarray, clock: np.ndarray, s: float, rel: np.ndarray):
+    """Values and frozen flags at times rel after the freeze time.
+
+    The path holds tail[0] while rel < s.  At busy time q = rel - s it is
+    the driver at the grid point from which the clock crossed q; the
+    left-endpoint rule makes that point lie in the active set, and for an
+    always-active driver the time change is the identity on the grid.
+    """
+    frozen = rel < s
+    values = np.full(len(rel), tail[0])
+    idx = np.searchsorted(clock, rel[~frozen] - s, side="right")
+    values[~frozen] = tail[idx - 1]
+    return values, frozen
 
 
-def _compute_grid_chunk(
-    system: IntervalSystem,
-    t_grid: np.ndarray,
-    dt: float,
-    t_driver: float,
-    seed: int,
-    fixed_start,
-    start: int,
-    count: int,
+def _covers(clock: np.ndarray, s: float, horizon: float) -> bool:
+    """Whether the clock reaches busy time horizon - s (or nothing is busy)."""
+    need = horizon - s
+    return need < 0 or clock[-1] > need
+
+
+# ---------- chunked many-path engine ----------
+
+
+def _simulate_chunk(
+    family, system, t_grid, t1, t2, dt, t_driver, seed, fixed_start, start, count
 ) -> dict:
     n_steps = int(round(t_driver / dt))
-    sqrt_dt = math.sqrt(dt)
-    t_last = float(t_grid[-1])
+    k1 = int(round(t1 / dt))
+    pre = t_grid < t1
+    pre_idx = np.round(t_grid[pre] / dt).astype(int)
+    rel = t_grid[~pre] - t1
+    horizon = float(t_grid.max()) - t1
+    values = np.empty((count, len(t_grid)))
+    frozen = np.zeros((count, len(t_grid)), dtype=bool)
+    switch_times = np.empty(count)
+    x0 = np.empty(count)
+    busy_start = np.empty(count)
+    resampled = 0
 
-    b = np.empty((count, n_steps + 1))
-    x0s = np.empty(count)
-    us = np.empty(count)
-    rngs = []
+    def finish(r, rng, row, clock, s):
+        nonlocal resampled
+        redraws = 0
+        while not _covers(clock, s, horizon):
+            if redraws == _MAX_RESAMPLE:
+                raise ClockExhaustedError("path kept running out of clock; extend t_driver")
+            redraws += 1
+            row, clock, active, u = _draw(rng, family, system, n_steps, k1, dt, fixed_start)
+            if not active:
+                s = family.switch_times(np.array([row[k1]]), np.array([u]), t1, t2)[0]
+            else:
+                s = 0.0
+        resampled += redraws
+        tail = row[k1:]
+        values[r, pre] = row[pre_idx]
+        values[r, ~pre], frozen[r, ~pre] = _time_change(tail, clock, s, rel)
+        switch_times[r] = t1 + s
+        x0[r] = row[0]
+        idx0 = int(np.searchsorted(clock, 0.0, side="right"))
+        busy_start[r] = tail[idx0 - 1] if idx0 < len(clock) else math.nan
+
+    # an active start is finished at once; gap starts wait for one
+    # vectorised switch-time inversion over the chunk, which costs far less
+    # than one inversion call per path, and only their rows are held
+    waiting = []
     for r in range(count):
         rng = path_rng(seed, start + r)
-        rngs.append(rng)
-        x0, incr, u = _draw_row(rng, n_steps, fixed_start)
-        b[r, 0] = x0
-        np.cumsum(incr, out=b[r, 1:])
-        b[r, 1:] *= sqrt_dt
-        b[r, 1:] += x0
-        x0s[r] = x0
-        us[r] = u
-
-    active_start = system.contains_many(x0s)
-    t_switch = np.zeros(count)
-    if np.any(~active_start):
-        t_switch[~active_start] = invert_survival_ratio(
-            x0s[~active_start], us[~active_start]
-        )
-
-    ind = system.contains_many(b[:, :-1])
-    a = np.empty((count, n_steps + 1))
-    a[:, 0] = 0.0
-    np.cumsum(ind, axis=1, out=a[:, 1:])
-    a[:, 1:] *= dt
-
-    resampled = 0
-    need = t_last - t_switch
-    exhausted = np.flatnonzero((need >= 0) & (a[:, -1] <= need))
-    for r in exhausted:
-        rng = rngs[r]
-        for _ in range(_MAX_RESAMPLE):
-            resampled += 1
-            x0, incr, u = _draw_row(rng, n_steps, fixed_start)
-            row = np.empty(n_steps + 1)
-            row[0] = x0
-            np.cumsum(incr, out=row[1:])
-            row[1:] *= sqrt_dt
-            row[1:] += x0
-            t_sw = 0.0 if system.contains(x0) else float(invert_survival_ratio(x0, u))
-            a_row = _row_clock(row, system, dt)
-            if t_last - t_sw < 0 or a_row[-1] > t_last - t_sw:
-                b[r] = row
-                a[r] = a_row
-                x0s[r] = x0
-                t_switch[r] = t_sw
-                break
+        row, clock, active, u = _draw(rng, family, system, n_steps, k1, dt, fixed_start)
+        if active:
+            finish(r, rng, row, clock, 0.0)
         else:
-            raise ClockExhaustedError("path kept running out of clock; extend t_driver")
-
-    n_q = len(t_grid)
-    values = np.empty((count, n_q))
-    frozen = np.empty((count, n_q), dtype=bool)
-    busy_start = np.empty(count)
-    for r in range(count):
-        lazy_mask = t_grid < t_switch[r]
-        frozen[r] = lazy_mask
-        values[r, lazy_mask] = x0s[r]
-        if not lazy_mask.all():
-            q = t_grid[~lazy_mask] - t_switch[r]
-            # value at busy time q = driver at the grid point from which the
-            # clock crossed q; that point is active by the left-endpoint rule
-            idx = np.searchsorted(a[r], q, side="right")
-            values[r, ~lazy_mask] = b[r, idx - 1]
-        idx0 = int(np.searchsorted(a[r], 0.0, side="right"))
-        busy_start[r] = b[r, idx0 - 1] if idx0 <= n_steps else math.nan
+            waiting.append((r, rng, row, clock, u))
+    if waiting:
+        x1 = np.array([row[k1] for _, _, row, _, _ in waiting])
+        s = family.switch_times(x1, np.array([u for *_, u in waiting]), t1, t2)
+        for (r, rng, row, clock, _), s_r in zip(waiting, s):
+            finish(r, rng, row, clock, s_r)
     return {
         "start": start,
         "values": values,
         "frozen": frozen,
-        "switch_times": t_switch,
-        "x0": x0s,
+        "switch_times": switch_times,
+        "x0": x0,
         "busy_start": busy_start,
         "resampled": resampled,
     }
 
 
-def _chunk_task(payload):
-    (bounded, domain, t_grid, dt, t_driver, seed, fixed_start, start, count) = payload
-    system = IntervalSystem(bounded=bounded, domain=domain)
-    return _compute_grid_chunk(
-        system, np.asarray(t_grid), dt, t_driver, seed, fixed_start, start, count
+def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, t_driver, fixed_start,
+            chunk, workers):
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    payloads = [
+        (family, system, t_grid, t1, t2, dt, t_driver, seed, fixed_start, start,
+         min(chunk, n_paths - start))
+        for start in range(0, n_paths, chunk)
+    ]
+    if workers <= 1:
+        for p in payloads:
+            yield _simulate_chunk(*p)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_simulate_chunk, *zip(*payloads))
+
+
+def _collect(t_queries: tuple, parts) -> SimulationResult:
+    parts = list(parts)
+    return SimulationResult(
+        t_queries=t_queries,
+        values=np.concatenate([p["values"] for p in parts]),
+        frozen=np.concatenate([p["frozen"] for p in parts]),
+        switch_times=np.concatenate([p["switch_times"] for p in parts]),
+        x0=np.concatenate([p["x0"] for p in parts]),
+        busy_start=np.concatenate([p["busy_start"] for p in parts]),
+        resampled=sum(p["resampled"] for p in parts),
     )
 
 
@@ -384,30 +245,12 @@ def iter_fake_grid_chunks(
         raise ValueError("t_grid must be a non-empty ascending 1-d array")
     if t_grid[0] < 0:
         raise ValueError("query times must be non-negative")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if t_driver is None:
         t_driver = 3.0 * (1.0 + float(t_grid[-1]))
-    payloads = [
-        (
-            system.bounded,
-            system.domain,
-            tuple(t_grid),
-            dt,
-            t_driver,
-            seed,
-            fixed_start,
-            start,
-            min(chunk, n_paths - start),
-        )
-        for start in range(0, n_paths, chunk)
-    ]
-    if workers <= 1:
-        for p in payloads:
-            yield _chunk_task(p)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_chunk_task, payloads)
+    yield from _chunks(
+        GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, t_driver,
+        fixed_start, chunk, workers,
+    )
 
 
 def simulate_marginal_samples(
@@ -423,7 +266,8 @@ def simulate_marginal_samples(
 ) -> SimulationResult:
     """Values of n_paths paths of the construction at the query times."""
     t_queries = tuple(float(t) for t in t_queries)
-    parts = list(
+    return _collect(
+        t_queries,
         iter_fake_grid_chunks(
             system,
             np.asarray(t_queries),
@@ -434,113 +278,8 @@ def simulate_marginal_samples(
             fixed_start=fixed_start,
             chunk=chunk,
             workers=workers,
-        )
+        ),
     )
-    return SimulationResult(
-        t_queries=t_queries,
-        values=np.concatenate([p["values"] for p in parts]),
-        frozen=np.concatenate([p["frozen"] for p in parts]),
-        switch_times=np.concatenate([p["switch_times"] for p in parts]),
-        x0=np.concatenate([p["x0"] for p in parts]),
-        busy_start=np.concatenate([p["busy_start"] for p in parts]),
-        resampled=sum(p["resampled"] for p in parts),
-    )
-
-
-# ---------- exponential variant ----------
-
-
-def _exp_switch_time(x: float, t1: float, t2: float, u: float, tol: float = 1e-12) -> float:
-    """Solve p(x, t1 + s) / p(x, t1) = u for s in [0, t2 - t1].
-
-    Returns inf when the particle survives the whole window.  The ratio is
-    strictly decreasing on a valid window, so plain bisection applies.
-    """
-    span = t2 - t1
-    if u >= 1.0:
-        return 0.0
-    if lognormal_survival_ratio(x, t2, t1) > u:
-        return math.inf
-    lo, hi = 0.0, span
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lognormal_survival_ratio(x, t1 + mid, t1) >= u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def assemble_exp_fake_path(
-    window: tuple[float, float, float, float],
-    intervals,
-    t_max: float,
-    dt: float,
-    seed,
-) -> FakeBMPath:
-    """Path of the exponential variant: fake lognormal marginals on a window.
-
-    window is (a, b, t1, t2): inside the value band (a, b) and the time band
-    [t1, t2] the lognormal density is decreasing and x * p(t, x) is concave,
-    so the same freeze/time-change game played on the exponential martingale
-    exp(B_t - t/2) preserves the lognormal(-t/2, t) marginals.  Before t1 the
-    path simply is the exponential martingale; at t1 particles inside a gap
-    freeze.  Requires t1 < t_max <= t2.
-    """
-    a_lo, b_hi, t1, t2 = window
-    if not check_exp_window(a_lo, b_hi, t1, t2):
-        raise ValueError("window fails the density/concavity check")
-    if not (t1 < t_max <= t2):
-        raise ValueError("need t1 < t_max <= t2")
-    system = build_interval_system(intervals, domain=(a_lo, b_hi))
-    rng = _as_rng(seed)
-
-    t_driver = t1 + 3.0 * (1.0 + (t_max - t1))
-    n = int(round(t_driver / dt))
-    k1 = int(round(t1 / dt))
-    for _ in range(_MAX_RESAMPLE):
-        b = np.empty(n + 1)
-        b[0] = 0.0
-        np.cumsum(rng.standard_normal(n) * math.sqrt(dt), out=b[1:])
-        s = np.exp(b - np.arange(n + 1) * dt / 2.0)
-        u = float(rng.random())
-        while u == 0.0:
-            u = float(rng.random())
-
-        x1 = float(s[k1])
-        if system.contains(x1):
-            t_switch = 0.0
-        else:
-            t_switch = _exp_switch_time(x1, t1, t2, u)
-
-        tail = s[k1:]
-        active = system.contains_many(tail[:-1])
-        a = np.empty(len(tail))
-        a[0] = 0.0
-        np.cumsum(active, out=a[1:])
-        a[1:] *= dt
-
-        n_x = int(round(t_max / dt))
-        times = np.arange(n_x + 1) * dt
-        values = np.empty(n_x + 1)
-        values[: k1 + 1] = s[: k1 + 1]
-        rel = times[k1 + 1 :] - t1
-        lazy_mask = rel < t_switch
-        seg = np.full(len(rel), x1)
-        busy_rel = rel[~lazy_mask] - t_switch
-        if len(busy_rel) and busy_rel.max() >= a[-1]:
-            continue  # driver clock ran out; redraw
-        if len(busy_rel):
-            idx = np.searchsorted(a, busy_rel, side="right")
-            seg[~lazy_mask] = tail[idx - 1]
-        values[k1 + 1 :] = seg
-        idx0 = int(np.searchsorted(a, 0.0, side="right"))
-        busy_start = float(tail[idx0 - 1]) if idx0 < len(a) else math.nan
-        switch_abs = t1 + t_switch if math.isfinite(t_switch) else math.inf
-        return FakeBMPath(
-            dt=dt, switch_time=switch_abs, values=values, busy_start=busy_start
-        )
-    raise ClockExhaustedError("driver kept running out of clock; extend t_max")
 
 
 def simulate_exp_marginal_samples(
@@ -550,8 +289,17 @@ def simulate_exp_marginal_samples(
     n_paths: int,
     seed: int,
     dt: float = 2e-4,
+    workers: int = 1,
 ) -> SimulationResult:
-    """Values of many exponential-variant paths at the query times."""
+    """Values of many exponential-variant paths at the query times.
+
+    window is (a, b, t1, t2): inside the value band (a, b) and the time band
+    [t1, t2] the lognormal density is decreasing and x * p(t, x) is concave,
+    so the same freeze/time-change game played on the exponential martingale
+    exp(B_t - t/2) preserves the lognormal(-t/2, t) marginals.  Before t1 a
+    path simply is the exponential martingale; at t1 paths inside a gap of
+    the intervals on the domain (a, b) freeze.
+    """
     a_lo, b_hi, t1, t2 = window
     if not check_exp_window(a_lo, b_hi, t1, t2):
         raise ValueError("window fails the density/concavity check")
@@ -560,67 +308,11 @@ def simulate_exp_marginal_samples(
         raise ValueError("query times must lie in [0, t2]")
     t_max = max(t_queries)
     system = build_interval_system(intervals, domain=(a_lo, b_hi))
-
     t_driver = t1 + 3.0 * (1.0 + max(t_max - t1, 0.0))
-    n = int(round(t_driver / dt))
-    k1 = int(round(t1 / dt))
-    times = np.asarray(t_queries)
-    before = times <= t1 + 1e-15
-
-    values = np.empty((n_paths, len(times)))
-    frozen = np.zeros((n_paths, len(times)), dtype=bool)
-    switch_times = np.empty(n_paths)
-    x0s = np.ones(n_paths)
-    busy_start = np.empty(n_paths)
-    resampled = 0
-    drift = np.arange(n + 1) * dt / 2.0
-    for r in range(n_paths):
-        rng = path_rng(seed, r)
-        for _ in range(_MAX_RESAMPLE):
-            b = np.empty(n + 1)
-            b[0] = 0.0
-            np.cumsum(rng.standard_normal(n) * math.sqrt(dt), out=b[1:])
-            s = np.exp(b - drift)
-            u = float(rng.random())
-            while u == 0.0:
-                u = float(rng.random())
-            x1 = float(s[k1])
-            t_switch = 0.0 if system.contains(x1) else _exp_switch_time(x1, t1, t2, u)
-
-            tail = s[k1:]
-            active = system.contains_many(tail[:-1])
-            a = np.empty(len(tail))
-            a[0] = 0.0
-            np.cumsum(active, out=a[1:])
-            a[1:] *= dt
-
-            rel = times[~before] - t1
-            lazy_mask = rel < t_switch
-            busy_rel = rel[~lazy_mask] - t_switch
-            if len(busy_rel) and busy_rel.max() >= a[-1]:
-                resampled += 1
-                continue
-            row = np.empty(len(times))
-            row[before] = s[np.round(times[before] / dt).astype(int)]
-            seg = np.full(len(rel), x1)
-            if len(busy_rel):
-                idx = np.searchsorted(a, busy_rel, side="right")
-                seg[~lazy_mask] = tail[idx - 1]
-            row[~before] = seg
-            values[r] = row
-            frozen[r, ~before] = lazy_mask
-            switch_times[r] = t1 + t_switch if math.isfinite(t_switch) else math.inf
-            idx0 = int(np.searchsorted(a, 0.0, side="right"))
-            busy_start[r] = float(tail[idx0 - 1]) if idx0 < len(a) else math.nan
-            break
-        else:
-            raise ClockExhaustedError("path kept running out of clock")
-    return SimulationResult(
-        t_queries=t_queries,
-        values=values,
-        frozen=frozen,
-        switch_times=switch_times,
-        x0=x0s,
-        busy_start=busy_start,
-        resampled=resampled,
+    return _collect(
+        t_queries,
+        _chunks(
+            LOGNORMAL, system, np.asarray(t_queries), t1, t2, n_paths, seed, dt,
+            t_driver, None, 256, workers,
+        ),
     )

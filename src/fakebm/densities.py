@@ -5,7 +5,8 @@ N(0, 1 + t).  Everything here is elementary calculus on that family (and on
 the lognormal family used by the exponential variant): densities, cdfs, time
 derivatives, the survival ratio p(x, t) / p(x, 0) that governs how long a
 frozen particle may stay put, and its inverse, which turns a uniform draw
-into a switch time.
+into a switch time.  A MarginalFamily bundles one family with its driving
+path and its switch-time inverse, the two pieces the path engine needs.
 """
 
 from __future__ import annotations
@@ -217,32 +218,101 @@ def check_exp_window(a, b, t1, t2, *, nx=201, nt=101):
     return bool(np.all(ddt < 0.0))
 
 
+def _lognormal_switch_time(x: float, t1: float, t2: float, u: float, tol: float = 1e-12) -> float:
+    """Solve p(x, t1 + s) / p(x, t1) = u for s in [0, t2 - t1].
+
+    Returns inf when the particle survives the whole window.  The ratio is
+    strictly decreasing on a valid window, so plain bisection applies.
+    """
+    span = t2 - t1
+    if u >= 1.0:
+        return 0.0
+    if lognormal_survival_ratio(x, t2, t1) > u:
+        return math.inf
+    lo, hi = 0.0, span
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lognormal_survival_ratio(x, t1 + mid, t1) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # ---------- family bundle ----------
+#
+# The bundle's callables are module-level functions, not lambdas, because
+# the path engine pickles the family into its worker processes.
+
+
+def _standard_normal_start(rng) -> float:
+    return float(rng.standard_normal())
+
+
+def _unit_start(rng) -> float:
+    return 1.0
+
+
+def _gaussian_driver(x0: float, incr: np.ndarray, dt: float) -> np.ndarray:
+    """x0 + B on the dt grid, from N(0, 1) increments."""
+    row = np.empty(len(incr) + 1)
+    row[0] = x0
+    np.cumsum(incr, out=row[1:])
+    row[1:] *= math.sqrt(dt)
+    row[1:] += x0
+    return row
+
+
+def _lognormal_driver(x0: float, incr: np.ndarray, dt: float) -> np.ndarray:
+    """exp(B_t - t/2) on the dt grid; starts at 1, the family's only start."""
+    b = np.empty(len(incr) + 1)
+    b[0] = 0.0
+    np.cumsum(incr * math.sqrt(dt), out=b[1:])
+    return np.exp(b - np.arange(len(b)) * dt / 2.0)
+
+
+def _gaussian_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
+    # the Gaussian family freezes at t1 = 0 and has no window end
+    return invert_survival_ratio(x, u)
+
+
+def _lognormal_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
+    return np.array([_lognormal_switch_time(xi, t1, t2, ui) for xi, ui in zip(x, u)])
 
 
 @dataclass(frozen=True)
 class MarginalFamily:
-    """A marginal law indexed by time, with the pieces the harness needs."""
+    """A marginal law indexed by time, with the pieces the harness needs.
+
+    driver(x0, incr, dt) turns a start and N(0, 1) increments into the
+    driving path on the dt grid, whose time-t law is the family's marginal.
+    switch_times(x, u, t1, t2) turns uniforms u into the times s after t1
+    at which particles frozen at x are released: the survival ratio
+    p(x, t1 + s) / p(x, t1) equals u, and s is inf past the window end t2.
+    """
 
     kind: str
     density: Callable
     cdf: Callable
-    time_derivative: Callable
     sample_initial: Callable
+    driver: Callable
+    switch_times: Callable
 
 
 GAUSSIAN = MarginalFamily(
     kind="gaussian",
     density=gaussian_density,
     cdf=gaussian_cdf,
-    time_derivative=density_time_derivative,
-    sample_initial=lambda rng: float(rng.standard_normal()),
+    sample_initial=_standard_normal_start,
+    driver=_gaussian_driver,
+    switch_times=_gaussian_switch_times,
 )
 
 LOGNORMAL = MarginalFamily(
     kind="lognormal",
     density=lognormal_density,
     cdf=lognormal_cdf,
-    time_derivative=lognormal_time_derivative,
-    sample_initial=lambda rng: 1.0,
+    sample_initial=_unit_start,
+    driver=_lognormal_driver,
+    switch_times=_lognormal_switch_times,
 )

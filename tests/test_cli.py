@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from fakebm import cli
 from fakebm.cli import format_float, main
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -63,6 +64,33 @@ def test_flag_overrides_config_file(tmp_path):
     rep = read_json(out / "report.json")
     assert rep["config"]["n_paths"] == 3
     assert rep["config"]["seed"] == 1
+
+
+def test_flag_types_follow_the_defaults():
+    parser = cli._build_parser()
+    args = parser.parse_args(
+        ["simulate", "--n-paths", "3", "--dt", "0.01", "--t-queries", "[0.5, 1]",
+         "--cantor-depth", "2", "--fixed-start", "0.5"]
+    )
+    assert args.n_paths == 3 and type(args.n_paths) is int
+    assert args.dt == 0.01 and type(args.dt) is float
+    assert args.t_queries == [0.5, 1]
+    assert args.cantor_depth == 2 and type(args.cantor_depth) is int
+    assert args.fixed_start == 0.5 and type(args.fixed_start) is float
+    args = parser.parse_args(["verify-discrete", "--j-max", "60", "--backend", "rational"])
+    assert args.j_max == 60 and type(args.j_max) is int
+    assert args.backend == "rational"
+
+
+def test_crash_exits_3_not_1(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "simulate_marginal_samples", boom)
+    code = run("simulate", "--seed", "1", "--n-paths", "2", "--output-dir", str(tmp_path))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "engine fault" in err
 
 
 def test_reports_have_sorted_keys(tmp_path):
@@ -300,6 +328,14 @@ def test_flux_coarse_dt_fails_honestly(tmp_path):
     )
 
 
+def test_flux_rejects_duration_shorter_than_dt(tmp_path, capsys):
+    code = run("flux", "--seed", "1", "--n-paths", "10", "--dt", "0.5",
+               "--duration", "0.2", "--output-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--duration" in err and "--dt" in err
+
+
 def test_flux_rejects_bad_gap_index(tmp_path, capsys):
     code = run("flux", "--seed", "1", "--gap-index", "3",
                "--output-dir", str(tmp_path))
@@ -340,6 +376,18 @@ def test_exp_variant_small_run(tmp_path):
     assert rep["low_power_warning"] is True
     for t in rep["tests"]:
         assert abs(t["sample_mean"] - 1.0) < 0.5
+
+
+def test_exp_variant_worker_count_does_not_change_output(tmp_path):
+    # 300 paths span two 256-path chunks, so two workers really split the run
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, workers in ((a, "1"), (b, "2")):
+        assert run("exp-variant", "--seed", "3", "--n-paths", "300", "--dt", "2e-3",
+                   "--workers", workers, "--output-dir", str(out)) == 0
+    # the echoed settings hold the worker count; everything else is identical
+    ra = (a / "report.json").read_text()
+    rb = (b / "report.json").read_text()
+    assert rb.replace('"workers": 2', '"workers": 1') == ra
 
 
 def test_exp_variant_rejects_invalid_window(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Continuous-time construction: clocks, time change, switch law, engine.
+"""Continuous-time construction: driver, clock, time change, switch law, engine.
 
 Grid-identity tests use dt = 1/1024 so that every grid time j * dt is an
 exact float and searchsorted comparisons cannot straddle a rounding error.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,24 +12,18 @@ import pytest
 from scipy.stats import kstest
 
 from fakebm.continuous_sim import (
-    BrownianPath,
     ClockExhaustedError,
-    OccupationClock,
-    TimeChange,
-    assemble_exp_fake_path,
-    assemble_fake_path,
-    inverse_clock,
+    _covers,
+    _draw,
+    _occupation_clock,
+    _time_change,
     iter_fake_grid_chunks,
-    occupation_clock,
     path_rng,
-    sample_brownian_path,
-    sample_switch_time,
     simulate_exp_marginal_samples,
-    simulate_limit_path,
     simulate_marginal_samples,
 )
-from fakebm.densities import survival_ratio
-from fakebm.intervals import build_interval_system
+from fakebm.densities import GAUSSIAN, LOGNORMAL, survival_ratio
+from fakebm.intervals import build_interval_system, fat_cantor_intervals
 
 TWO_GAPS = [(0.1, 0.4), (0.6, 0.9)]
 DT = 1.0 / 1024.0
@@ -42,25 +37,101 @@ def sys2():
     return build_interval_system(TWO_GAPS)
 
 
+# ---------- pinned outputs ----------
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+PINNED = {
+    # name: (run, digests of values/frozen/switch_times/x0/busy_start, redraws)
+    "two_gap": (
+        lambda: simulate_marginal_samples(
+            build_interval_system(TWO_GAPS), (0.3, 0.8), 500, seed=41, dt=1e-3
+        ),
+        ("8f08d38422c0f21c", "6f8575e8e0aacf91", "0970f2d6f7fb3ba9",
+         "98350b5dc3efb82a", "9f5168c017c77889"),
+        0,
+    ),
+    "redraws": (
+        lambda: simulate_marginal_samples(
+            build_interval_system(TWO_GAPS), (0.5,), 300, seed=8, dt=1e-3,
+            t_driver=0.2, fixed_start=0.5,
+        ),
+        ("2cdeb26b14ce956e", "5b2a69d80e54601a", "49afa253cc6f31f3",
+         "369a339635b89202", "bfd046c17fd2af16"),
+        47,
+    ),
+    "cantor3": (
+        lambda: simulate_marginal_samples(
+            build_interval_system(fat_cantor_intervals(3)), (0.2, 0.5), 200,
+            seed=5, dt=1e-3,
+        ),
+        ("d979efc9e6c9cf69", "c2d5c14e236c7063", "4591350be2de1900",
+         "6e1d9902f4aeab7c", "5c2fc8f2f5717303"),
+        0,
+    ),
+    "exp": (
+        lambda: simulate_exp_marginal_samples(
+            EXP_WINDOW, EXP_INTERVALS, (0.3, 0.6, 0.9), 800, seed=99, dt=2e-3
+        ),
+        ("e0a202fbdc4a90d8", "c6ed111d85d7afd5", "1425e41d3c5e9d0a",
+         "e6b8b8a54e4eff0e", "8061c24d9f9c224e"),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_engine_outputs_are_pinned(name):
+    # frozen digests of the engine's outputs: any change to the RNG stream
+    # layout or to the arithmetic of the driver, clock or time change shows
+    run, digests, redraws = PINNED[name]
+    res = run()
+    fields = (res.values, res.frozen, res.switch_times, res.x0, res.busy_start)
+    assert tuple(_digest(f) for f in fields) == digests
+    assert res.resampled == redraws
+
+
+@pytest.mark.parametrize(
+    "t1, run",
+    [
+        (0.0, lambda t: simulate_marginal_samples(
+            build_interval_system(TWO_GAPS), t, 200, seed=4, dt=1e-3)),
+        (0.5, lambda t: simulate_exp_marginal_samples(
+            EXP_WINDOW, EXP_INTERVALS, t, 200, seed=4, dt=2e-3)),
+    ],
+    ids=["gaussian", "lognormal"],
+)
+def test_frozen_means_between_freeze_and_switch_time(t1, run):
+    t_queries = np.array([0.0, t1, 0.7]) if t1 else np.array([0.0, 0.7])
+    res = run(t_queries)
+    expect = (t1 <= t_queries) & (t_queries < res.switch_times[:, None])
+    assert np.array_equal(res.frozen, expect)
+    # some paths start the window in a gap, so the query at t1 is frozen
+    assert res.frozen[:, list(t_queries).index(t1)].any()
+
+
 # ---------- driving path ----------
 
 
-def test_brownian_path_shape_and_determinism():
-    a = sample_brownian_path(5, 1.0, 1e-3)
-    b = sample_brownian_path(5, 1.0, 1e-3)
-    assert len(a.values) == 1001
-    assert a.t_max == pytest.approx(1.0)
-    assert np.array_equal(a.values, b.values)
+def test_brownian_path_shape_and_determinism(sys2):
+    row, clock, _, u = _draw(np.random.default_rng(5), GAUSSIAN, sys2, 1000, 0, 1e-3)
+    again = _draw(np.random.default_rng(5), GAUSSIAN, sys2, 1000, 0, 1e-3)
+    assert len(row) == len(clock) == 1001
+    assert np.array_equal(row, again[0])
+    assert 0.0 < u == again[3] < 1.0
 
 
-def test_brownian_path_fixed_start():
-    p = sample_brownian_path(5, 0.5, 1e-3, x0=2.5)
-    assert p.values[0] == 2.5
+def test_brownian_path_fixed_start(sys2):
+    row = _draw(np.random.default_rng(5), GAUSSIAN, sys2, 500, 0, 1e-3, fixed_start=2.5)[0]
+    assert row[0] == 2.5
 
 
-def test_brownian_path_increment_moments():
-    p = sample_brownian_path(11, 2.0, 1e-3)
-    inc = np.diff(p.values)
+def test_brownian_path_increment_moments(sys2):
+    row = _draw(np.random.default_rng(11), GAUSSIAN, sys2, 2000, 0, 1e-3)[0]
+    inc = np.diff(row)
     assert inc.mean() == pytest.approx(0.0, abs=4 * math.sqrt(1e-3 / 2000))
     assert inc.var() == pytest.approx(1e-3, rel=0.15)
 
@@ -78,40 +149,55 @@ def test_path_rng_substreams():
 
 def test_occupation_clock_left_endpoint_rule(sys2):
     # active flags of the first four values: False True False True
-    path = BrownianPath(dt=0.1, values=np.array([0.5, 0.2, 0.45, 0.7, 0.05]))
-    clock = occupation_clock(path, sys2)
-    assert np.allclose(clock.values, [0.0, 0.0, 0.1, 0.1, 0.2])
+    clock, start_active = _occupation_clock(
+        np.array([0.5, 0.2, 0.45, 0.7, 0.05]), sys2, 0.125
+    )
+    assert np.array_equal(clock, [0.0, 0.0, 0.125, 0.125, 0.25])
+    assert not start_active
 
 
-def test_time_change_inverts_clock(sys2):
-    clock = OccupationClock(dt=0.1, values=np.array([0.0, 0.0, 0.1, 0.1, 0.2]))
-    tc = TimeChange(clock)
-    assert tc(0.0) == pytest.approx(0.2)
-    assert tc(0.05) == pytest.approx(0.2)
-    assert tc(0.1) == pytest.approx(0.4)
-    assert inverse_clock(clock, 0.0) == pytest.approx(0.2)
-    with pytest.raises(ClockExhaustedError):
-        tc(0.2)
+def test_time_change_inverts_clock():
+    tail = np.array([0.5, 0.2, 0.45, 0.7, 0.05])
+    clock = np.array([0.0, 0.0, 0.125, 0.125, 0.25])
+    # busy times 0 and 1/16 map to grid time 2/8, i.e. the driver at index 1
+    # where the clock left 0; busy time 1/8 maps to 4/8, the driver at index 3
+    values, frozen = _time_change(tail, clock, 0.0, np.array([0.0, 0.0625, 0.125]))
+    assert values.tolist() == [0.2, 0.2, 0.7]
+    assert not frozen.any()
+    # a switch time of 1/16 holds the start until then and delays the rest
+    values, frozen = _time_change(tail, clock, 0.0625, np.array([0.0, 0.0625, 0.1875]))
+    assert frozen.tolist() == [True, False, False]
+    assert values.tolist() == [0.5, 0.2, 0.7]
+    # the clock reaches 1/4 only: busy time 1/4 is beyond it
+    assert _covers(clock, 0.0, 0.125)
+    assert not _covers(clock, 0.0, 0.25)
+    assert _covers(clock, 0.0625, 0.25)
+    assert _covers(clock, 0.5, 0.25)  # still frozen at the horizon
 
 
 def test_clock_of_always_active_path_is_identity(sys2):
-    path = sample_brownian_path(3, 0.5, DT, x0=7.0)
-    assert path.values.min() > 1.0
-    clock = occupation_clock(path, sys2)
-    assert np.array_equal(clock.values, np.arange(len(path.values)) * DT)
+    row, clock, start_active, _ = _draw(path_rng(3, 0), GAUSSIAN, sys2, 512, 0, DT, 7.0)
+    assert row.min() > 1.0
+    assert start_active
+    assert np.array_equal(clock, np.arange(513) * DT)
 
 
 # ---------- switch time ----------
 
 
 def test_switch_time_zero_in_active_set(sys2):
-    assert sample_switch_time(sys2, 0.25, seed=1) == 0.0
-    assert sample_switch_time(sys2, -3.0, seed=1) == 0.0
+    for x0 in (0.25, -3.0):
+        res = simulate_marginal_samples(
+            sys2, (0.0,), 5, seed=1, dt=1e-3, t_driver=0.1, fixed_start=x0
+        )
+        assert np.all(res.switch_times == 0.0)
 
 
 def test_switch_time_positive_in_gap(sys2):
-    t = sample_switch_time(sys2, 0.5, seed=1)
-    assert t > 0.0
+    res = simulate_marginal_samples(
+        sys2, (0.0,), 5, seed=1, dt=1e-3, t_driver=0.1, fixed_start=0.5
+    )
+    assert np.all(res.switch_times > 0.0)
 
 
 def test_switch_time_law_matches_survival_ratio(sys2):
@@ -123,50 +209,16 @@ def test_switch_time_law_matches_survival_ratio(sys2):
     assert stat <= 1.5 * 1.36 / math.sqrt(4000)
 
 
-# ---------- single-path assembly ----------
-
-
-def test_always_active_path_reproduces_driver_exactly(sys2):
-    driver = sample_brownian_path(3, 0.6, DT, x0=7.0)
-    assert driver.values.min() > 1.0
-    fake = assemble_fake_path(driver, sys2, seed=0, horizon=0.2)
-    n = int(round(0.2 / DT))
-    assert fake.switch_time == 0.0
-    assert np.array_equal(fake.values, driver.values[: n + 1])
-    assert fake.busy_start == driver.values[0]
-
-
 def test_frozen_path_holds_then_moves_into_active_set(sys2):
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        driver = sample_brownian_path(rng, 3.0, 1e-3, x0=0.5)
-        try:
-            fake = assemble_fake_path(driver, sys2, rng, horizon=0.8)
-        except ClockExhaustedError:
-            continue
-        times = np.arange(len(fake.values)) * fake.dt
-        lazy = times < fake.switch_time
-        assert fake.switch_time > 0.0
-        assert np.all(fake.values[lazy] == 0.5)
-        busy_vals = fake.values[~lazy]
-        if busy_vals.size:
-            assert sys2.contains_many(busy_vals).all()
-        assert fake.mode_at(0.0) == "lazy"
-        return
-    pytest.fail("clock ran out on every attempt")
-
-
-def test_assemble_raises_when_clock_cannot_cover_horizon(sys2):
-    driver = sample_brownian_path(3, 0.3, 1e-3, x0=0.25)
-    with pytest.raises(ClockExhaustedError):
-        assemble_fake_path(driver, sys2, seed=0, horizon=0.5)
-
-
-def test_simulate_limit_path_runs_on_cantor_system():
-    fake = simulate_limit_path(depth=3, t_max=0.2, dt=1e-3, seed=5)
-    assert len(fake.values) == 201
-    again = simulate_limit_path(depth=3, t_max=0.2, dt=1e-3, seed=5)
-    assert np.array_equal(fake.values, again.values)
+    t_grid = np.arange(801) * 1e-3
+    res = simulate_marginal_samples(
+        sys2, t_grid, 5, seed=77, dt=1e-3, t_driver=3.0, fixed_start=0.5
+    )
+    assert np.all(res.switch_times > 0.0)
+    assert res.frozen[:, 0].all()
+    assert np.all(res.values[res.frozen] == 0.5)
+    assert (~res.frozen).any()
+    assert sys2.contains_many(res.values[~res.frozen]).all()
 
 
 # ---------- many-path engine ----------
@@ -179,12 +231,16 @@ def test_engine_grid_identity_matches_driver(sys2):
     res = simulate_marginal_samples(
         sys2, t_grid, 1, seed=3, dt=DT, t_driver=0.5, fixed_start=7.0
     )
-    driver = sample_brownian_path(path_rng(3, 0), 0.5, DT, x0=7.0)
-    assert driver.values.min() > 1.0
-    assert res.values[0, 0] == driver.values[0]
-    assert res.values[0, 1] == driver.values[32]
-    assert res.values[0, 2] == driver.values[113]
+    # stream layout with a fixed start: the increments come first
+    incr = path_rng(3, 0).standard_normal(int(round(0.5 / DT)))
+    driver = np.concatenate([[7.0], np.cumsum(incr) * math.sqrt(DT) + 7.0])
+    assert driver.min() > 1.0
+    assert res.values[0, 0] == driver[0]
+    assert res.values[0, 1] == driver[32]
+    assert res.values[0, 2] == driver[113]
     assert not res.frozen.any()
+    assert res.switch_times[0] == 0.0
+    assert res.busy_start[0] == driver[0]
     assert res.resampled == 0
 
 
@@ -272,40 +328,45 @@ def test_iter_chunks_arrive_in_path_order(sys2):
 
 
 def test_exp_path_before_window_is_exponential_martingale():
-    fake = assemble_exp_fake_path(EXP_WINDOW, EXP_INTERVALS, 0.9, 2e-3, seed=10)
-    assert len(fake.values) == 451
-    assert np.all(fake.values > 0)
+    system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
+    # t_max = 0.9 gives the engine a driver of 0.5 + 3 * (1 + 0.4) = 4.7
+    row = _draw(path_rng(10, 0), LOGNORMAL, system, 2350, 250, 2e-3)[0]
+    assert row[0] == 1.0
+    assert np.all(row > 0)
     # log-values before t1 = 0.5 are a drifted random walk with variance dt
-    logs = np.log(fake.values[:251]) + np.arange(251) * 2e-3 / 2.0
-    inc = np.diff(logs)
-    assert inc.var() == pytest.approx(2e-3, rel=0.3)
-    again = assemble_exp_fake_path(EXP_WINDOW, EXP_INTERVALS, 0.9, 2e-3, seed=10)
-    assert np.array_equal(fake.values, again.values)
+    logs = np.log(row[:251]) + np.arange(251) * 2e-3 / 2.0
+    assert np.diff(logs).var() == pytest.approx(2e-3, rel=0.3)
+    # before the window the engine reports that driver itself
+    res = simulate_exp_marginal_samples(
+        EXP_WINDOW, EXP_INTERVALS, (0.1, 0.3, 0.9), 1, seed=10, dt=2e-3
+    )
+    assert res.resampled == 0
+    assert res.values[0, 0] == row[50]
+    assert res.values[0, 1] == row[150]
+    assert not res.frozen[0, :2].any()
 
 
 def test_exp_path_freezes_inside_gap():
     system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
-    k1 = 250
-    for seed in range(60):
-        fake = assemble_exp_fake_path(EXP_WINDOW, EXP_INTERVALS, 0.9, 2e-3, seed=seed)
-        x1 = fake.values[k1]
-        if system.contains(float(x1)):
-            continue
-        times = np.arange(len(fake.values)) * 2e-3
-        lazy = (times > 0.5) & (times < fake.switch_time)
-        assert np.all(fake.values[lazy] == x1)
-        busy = times >= max(fake.switch_time, 0.5 + 2e-3)
-        if busy.any():
-            assert system.contains_many(fake.values[busy]).all()
-        return
-    pytest.fail("no seed froze at the window start")
+    t_queries = (0.5, *(np.arange(251, 451) * 2e-3))
+    res = simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, t_queries, 60, seed=0, dt=2e-3)
+    x1 = res.values[:, 0]
+    in_gap = ~system.contains_many(x1)
+    assert in_gap.any()
+    assert np.array_equal(res.frozen[:, 0], in_gap)
+    # frozen paths hold their gap value from t1; released ones are active
+    held = np.broadcast_to(x1[:, None], res.values.shape)
+    assert np.array_equal(res.values[res.frozen], held[res.frozen])
+    assert system.contains_many(res.values[~res.frozen]).all()
 
 
 def test_exp_path_rejects_bad_window():
     with pytest.raises(ValueError):
-        assemble_exp_fake_path((0.6, 1.1, 0.0, 1.0), EXP_INTERVALS, 0.9, 2e-3, seed=1)
+        simulate_exp_marginal_samples(
+            (0.6, 1.1, 0.0, 1.0), EXP_INTERVALS, (0.9,), 10, seed=1, dt=2e-3
+        )
     with pytest.raises(ValueError):
-        assemble_exp_fake_path(EXP_WINDOW, EXP_INTERVALS, 1.5, 2e-3, seed=1)
+        simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, (1.5,), 10, seed=1, dt=2e-3)
 
 
 def test_exp_samples_keep_unit_mean_and_velocity_structure():
