@@ -6,7 +6,10 @@ output directory: report.json always, plus plot-ready CSVs where defined.
 Identical inputs give byte-identical artifacts: no report holds a timing or
 the output directory.  A setting comes from its flag, else the config file,
 else (workers only) the FAKEBM_WORKERS environment variable, else the
-default.
+default.  Every setting is converted to its type and checked once, a
+config-file value like the text of its flag, and float settings must be
+finite.  A subcommand body returns (report, {csv name: (header, rows)});
+main alone writes the files and turns report["passed"] into exit code 0/1.
 Exit code 0 means the run's check passed, 1 means it ran but failed or was
 inconclusive, 2 means the configuration was invalid, 3 means the run
 crashed.  A seed is mandatory; there is no wall-clock fallback.
@@ -177,12 +180,35 @@ class ConfigError(Exception):
 
 # ---------- config plumbing ----------
 
+# types of the settings whose default is None; every other setting takes the
+# type of its default, and a list setting takes a JSON literal as its flag
+_NONE_DEFAULT_TYPES = {"seed": int, "cantor_depth": int, "j_max": int, "fixed_start": float}
+
+
+def _kind(key: str, default) -> type:
+    return _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+
+
+def _typed(key: str, value, default):
+    """value read as the text of its flag would be; floats must be finite."""
+    kind = _kind(key, default)
+    if value is None and default is None:
+        return None
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = (json.loads if kind is list else kind)(text)
+    except ValueError:
+        value = None
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be of type {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"--{key.replace('_', '-')} must be a finite number")
+    return value
+
 
 def _load_config(command: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[command])
-    cfg["seed"] = None
-    cfg["output_dir"] = "."
-    cfg["workers"] = 1
+    defaults = {**_DEFAULTS[command], "seed": None, "output_dir": ".", "workers": 1}
+    cfg = dict(defaults)
     env_workers = os.environ.get("FAKEBM_WORKERS")
     if env_workers is not None:
         try:
@@ -208,211 +234,164 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if cfg.get("seed") is None:
+    cfg = {key: _typed(key, value, defaults[key]) for key, value in cfg.items()}
+    if cfg["seed"] is None:
         raise ConfigError("a seed is required (pass --seed or set it in the config)")
-    cfg["seed"] = int(cfg["seed"])
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
-    if "dt" in cfg and _finite_float(cfg["dt"], "--dt") <= 0:
+    if "dt" in cfg and cfg["dt"] <= 0:
         raise ConfigError("--dt must be > 0")
-    if cfg.get("fixed_start") is not None:
-        _finite_float(cfg["fixed_start"], "--fixed-start")
     return cfg
 
 
-def _finite_float(value, flag: str) -> float:
-    """value as a finite float, else a ConfigError naming its flag."""
+def _floats(cfg: dict, key: str) -> list:
+    """cfg[key] as a list of finite floats."""
     try:
-        x = float(value)
+        xs = [float(v) for v in cfg[key]]
     except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{flag} must be a finite number")
-    return x
+        xs = [math.nan]
+    if not all(math.isfinite(x) for x in xs):
+        raise ConfigError(f"{key} must be a list of finite numbers")
+    return xs
+
+
+def _t_queries(cfg: dict, positive: bool) -> list:
+    """The sorted query times: each > 0 if positive, else >= 0."""
+    t_queries = sorted(_floats(cfg, "t_queries"))
+    if not t_queries:
+        raise ConfigError("t_queries must not be empty")
+    if t_queries[0] < 0 or positive and t_queries[0] == 0:
+        raise ConfigError("t_queries must be " + ("positive" if positive else "non-negative"))
+    return t_queries
+
+
+def _intervals(cfg: dict) -> list:
+    try:
+        return [(float(a), float(b)) for a, b in cfg["intervals"]]
+    except (TypeError, ValueError):
+        raise ConfigError("intervals must be a list of [a, b] pairs")
 
 
 def _resolve_system(cfg: dict) -> IntervalSystem:
-    depth = cfg.get("cantor_depth")
-    if depth is not None:
-        return build_interval_system(fat_cantor_intervals(int(depth)))
-    raw = cfg.get("intervals")
-    if not raw:
+    if cfg["cantor_depth"] is not None:
+        return build_interval_system(fat_cantor_intervals(cfg["cantor_depth"]))
+    if not cfg["intervals"]:
         raise ConfigError("provide either intervals or cantor_depth")
-    try:
-        pairs = [(float(a), float(b)) for a, b in raw]
-    except (TypeError, ValueError):
-        raise ConfigError("intervals must be a list of [a, b] pairs")
-    return build_interval_system(pairs)
+    return build_interval_system(_intervals(cfg))
 
 
-def _echo(cfg: dict) -> dict:
-    """The run's settings for report.json, minus where its files went."""
-    out = {}
-    for k, v in cfg.items():
-        if k == "output_dir":
-            continue
-        if isinstance(v, tuple):
-            v = list(v)
-        out[k] = v
-    return out
+def _ks_tests(result, t_queries: list, ks_max: float, family):
+    """(q, t, KS report, threshold) per query time; a test passes at or
+    below its threshold, the larger of the 5% critical value and ks_max."""
+    for q, t in enumerate(t_queries):
+        rep = ks_marginal_test(result.values[:, q], t, family=family)
+        yield q, t, rep, max(rep.critical_value_5pct, ks_max)
 
 
-def _prepare_output(cfg: dict) -> str:
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    return out
+# ---------- subcommand bodies: settings -> (report, {csv name: (header, rows)}) ----------
 
 
-# ---------- subcommand bodies (return process exit code) ----------
-
-
-def _cmd_verify_discrete(cfg: dict) -> int:
+def _cmd_verify_discrete(cfg: dict):
     if cfg["backend"] not in ("rational", "float"):
         raise ConfigError("backend must be 'rational' or 'float'")
-    if int(cfg["steps"]) < 1:
+    if cfg["steps"] < 1:
         raise ConfigError("steps must be >= 1")
     system = _resolve_system(cfg)
-    m = int(cfg["m"])
-    steps = int(cfg["steps"])
-    j_max = cfg.get("j_max")
-    if j_max is None:
-        j_max = m + steps
-    try:
-        lattice = lattice_project(system, m, j_max=int(j_max))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    report = run_marginal_certification(lattice, steps, backend=cfg["backend"])
+    j_max = cfg["m"] + cfg["steps"] if cfg["j_max"] is None else cfg["j_max"]
+    lattice = lattice_project(system, cfg["m"], j_max=j_max)
+    report = run_marginal_certification(lattice, cfg["steps"], backend=cfg["backend"])
     del report["elapsed_s"]
     tol = 0.0 if cfg["backend"] == "rational" else FLOAT_DEVIATION_TOL
     report["tolerance"] = tol
     report["passed"] = report["max_abs_deviation"] <= tol
-    report["config"] = _echo(cfg)
-    out = _prepare_output(cfg)
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if report["passed"] else 1
+    return report, {}
 
 
-def _cmd_simulate(cfg: dict) -> int:
+def _cmd_simulate(cfg: dict):
     system = _resolve_system(cfg)
-    t_queries = sorted(float(t) for t in cfg["t_queries"])
-    if not t_queries or t_queries[0] < 0:
-        raise ConfigError("t_queries must be non-negative")
-    n_paths = int(cfg["n_paths"])
+    t_queries = _t_queries(cfg, positive=False)
+    n_paths = cfg["n_paths"]
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    fixed_start = cfg.get("fixed_start")
-    if fixed_start is not None:
-        fixed_start = float(fixed_start)
     result = simulate_marginal_samples(
         system,
         t_queries,
         n_paths,
         cfg["seed"],
-        dt=float(cfg["dt"]),
-        fixed_start=fixed_start,
+        dt=cfg["dt"],
+        fixed_start=cfg["fixed_start"],
         workers=cfg["workers"],
     )
-    out = _prepare_output(cfg)
     rows = []
     for pid in range(n_paths):
         for q, t in enumerate(t_queries):
             mode = "lazy" if result.frozen[pid, q] else "busy"
-            rows.append((pid, float(t), float(result.values[pid, q]), mode))
-    write_csv(
-        os.path.join(out, "paths.csv"),
-        ["path_id", "t_query", "X_value", "mode_at_t"],
-        rows,
-    )
+            rows.append((pid, t, float(result.values[pid, q]), mode))
     report = {
-        "config": _echo(cfg),
         "n_paths": n_paths,
         "t_queries": t_queries,
         "n_resampled": int(result.resampled),
         "share_busy": [float(np.mean(~result.frozen[:, q])) for q in range(len(t_queries))],
         "passed": True,
     }
-    write_report(os.path.join(out, "report.json"), report)
-    return 0
+    return report, {"paths.csv": (["path_id", "t_query", "X_value", "mode_at_t"], rows)}
 
 
-def _cmd_marginals(cfg: dict) -> int:
+def _cmd_marginals(cfg: dict):
     system = _resolve_system(cfg)
-    t_queries = sorted(float(t) for t in cfg["t_queries"])
-    if not t_queries or t_queries[0] <= 0:
-        raise ConfigError("t_queries must be positive")
-    n_paths = int(cfg["n_paths"])
+    t_queries = _t_queries(cfg, positive=True)
+    n_paths = cfg["n_paths"]
     if n_paths < 100:
         raise ConfigError("n_paths must be >= 100")
     result = simulate_marginal_samples(
-        system, t_queries, n_paths, cfg["seed"], dt=float(cfg["dt"]), workers=cfg["workers"]
+        system, t_queries, n_paths, cfg["seed"], dt=cfg["dt"], workers=cfg["workers"]
     )
-    out = _prepare_output(cfg)
-    ks_max = float(cfg["ks_max"])
     tests = []
-    artifacts = []
-    all_ok = True
-    for q, t in enumerate(t_queries):
-        samples = result.values[:, q]
-        rep = ks_marginal_test(samples, t)
-        ok = rep.ks_statistic <= max(rep.critical_value_5pct, ks_max)
-        all_ok = all_ok and ok
+    csvs = {}
+    for q, t, rep, threshold in _ks_tests(result, t_queries, cfg["ks_max"], GAUSSIAN):
         tests.append(
             {
                 "t_query": t,
                 "ks_statistic": rep.ks_statistic,
                 "critical_value_5pct": rep.critical_value_5pct,
-                "threshold": max(rep.critical_value_5pct, ks_max),
-                "passed": ok,
+                "threshold": threshold,
+                "passed": rep.ks_statistic <= threshold,
             }
         )
         name = "empirical_cdf.csv" if q == 0 else f"empirical_cdf_{q}.csv"
-        xs = np.sort(samples)
+        xs = np.sort(result.values[:, q])
         emp = np.arange(1, n_paths + 1) / n_paths
         theo = gaussian_cdf(xs, t)
-        write_csv(
-            os.path.join(out, name),
+        csvs[name] = (
             ["x", "empirical", "theoretical"],
             zip(xs.tolist(), emp.tolist(), theo.tolist()),
         )
-        artifacts.append(name)
     report = {
-        "config": _echo(cfg),
         "n_samples": n_paths,
         "tests": tests,
-        "cdf_files": artifacts,
+        "cdf_files": list(csvs),
         "low_power_warning": n_paths < 1000,
-        "passed": all_ok,
+        "passed": all(test["passed"] for test in tests),
     }
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if all_ok else 1
+    return report, csvs
 
 
-def _cmd_martingale(cfg: dict) -> int:
+def _cmd_martingale(cfg: dict):
     system = _resolve_system(cfg)
-    s, t = float(cfg["s"]), float(cfg["t"])
+    s, t = cfg["s"], cfg["t"]
     if not 0 < s < t:
         raise ConfigError("need 0 < s < t")
-    n_paths = int(cfg["n_paths"])
     result = simulate_marginal_samples(
-        system, [s, t], n_paths, cfg["seed"], dt=float(cfg["dt"]), workers=cfg["workers"]
+        system, [s, t], cfg["n_paths"], cfg["seed"], dt=cfg["dt"], workers=cfg["workers"]
     )
     x_s = result.values[:, 0].copy()
     x_t = result.values[:, 1].copy()
-    drift = float(cfg.get("drift") or 0.0)
+    drift = cfg["drift"]
     if drift:
         x_s += drift * s
         x_t += drift * t
-    rep = martingale_bin_test(
-        x_s, x_t, s, t, n_bins=int(cfg["n_bins"]), z_max=float(cfg["z_max"])
-    )
-    out = _prepare_output(cfg)
-    write_csv(
-        os.path.join(out, "martingale_bins.csv"),
-        ["bin_lo", "bin_hi", "mean_increment", "stderr", "n"],
-        [(b.lo, b.hi, b.mean_increment, b.stderr, b.n) for b in rep.bins],
-    )
+    rep = martingale_bin_test(x_s, x_t, s, t, n_bins=cfg["n_bins"], z_max=cfg["z_max"])
     report = {
-        "config": _echo(cfg),
         "s": s,
         "t": t,
         "n_bins_kept": len(rep.bins),
@@ -421,32 +400,24 @@ def _cmd_martingale(cfg: dict) -> int:
             {"bin_lo": b.lo, "bin_hi": b.hi, "n": b.n} for b in rep.excluded
         ],
         "worst_z": rep.z_max,
-        "z_threshold": float(cfg["z_max"]),
+        "z_threshold": cfg["z_max"],
         "passed": rep.passed,
     }
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if rep.passed else 1
+    header = ["bin_lo", "bin_hi", "mean_increment", "stderr", "n"]
+    rows = [(b.lo, b.hi, b.mean_increment, b.stderr, b.n) for b in rep.bins]
+    return report, {"martingale_bins.csv": (header, rows)}
 
 
-def _cmd_strong_markov(cfg: dict) -> int:
+def _cmd_strong_markov(cfg: dict):
     rep = coupling_experiment(
-        int(cfg["cantor_depth"]),
-        float(cfg["t_offset"]),
-        int(cfg["n_pairs"]),
+        cfg["cantor_depth"],
+        cfg["t_offset"],
+        cfg["n_pairs"],
         cfg["seed"],
-        dt=float(cfg["dt"]),
-        t_horizon=float(cfg["t_horizon"]),
-        min_class=int(cfg["min_class"]),
+        dt=cfg["dt"],
+        t_horizon=cfg["t_horizon"],
+        min_class=cfg["min_class"],
         workers=cfg["workers"],
-    )
-    out = _prepare_output(cfg)
-    write_csv(
-        os.path.join(out, "coupling.csv"),
-        ["class", "n", "p_hat", "ci_lo", "ci_hi"],
-        [
-            ("A", rep.n_class_a, rep.p_hat_a, rep.ci_a[0], rep.ci_a[1]),
-            ("B", rep.n_class_b, rep.p_hat_b, rep.ci_b[0], rep.ci_b[1]),
-        ],
     )
     separated = (
         rep.status == "ok"
@@ -454,7 +425,6 @@ def _cmd_strong_markov(cfg: dict) -> int:
         and rep.ci_a[1] < rep.ci_b[0]
     )
     report = {
-        "config": _echo(cfg),
         "status": rep.status,
         "n_meetings": rep.n_meetings,
         "n_class_a": rep.n_class_a,
@@ -468,31 +438,29 @@ def _cmd_strong_markov(cfg: dict) -> int:
         "meeting_gap_mean": rep.meeting_gap_mean,
         "passed": separated,
     }
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if separated else 1
+    rows = [
+        ("A", rep.n_class_a, rep.p_hat_a, rep.ci_a[0], rep.ci_a[1]),
+        ("B", rep.n_class_b, rep.p_hat_b, rep.ci_b[0], rep.ci_b[1]),
+    ]
+    return report, {"coupling.csv": (["class", "n", "p_hat", "ci_lo", "ci_hi"], rows)}
 
 
-def _cmd_flux(cfg: dict) -> int:
-    if float(cfg["duration"]) < float(cfg["dt"]):
+def _cmd_flux(cfg: dict):
+    if cfg["duration"] < cfg["dt"]:
         raise ConfigError("--duration must be at least --dt")
     system = _resolve_system(cfg)
-    try:
-        rep = flux_experiment(
-            system,
-            int(cfg["gap_index"]),
-            float(cfg["t_start"]),
-            float(cfg["duration"]),
-            int(cfg["n_paths"]),
-            cfg["seed"],
-            dt=float(cfg["dt"]),
-            workers=cfg["workers"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    tol = float(cfg["tolerance"])
-    ok = rep.rel_err_in <= tol and rep.rel_err_out <= tol
+    rep = flux_experiment(
+        system,
+        cfg["gap_index"],
+        cfg["t_start"],
+        cfg["duration"],
+        cfg["n_paths"],
+        cfg["seed"],
+        dt=cfg["dt"],
+        workers=cfg["workers"],
+    )
+    tol = cfg["tolerance"]
     report = {
-        "config": _echo(cfg),
         "gap": list(rep.gap),
         "count_in": rep.count_in,
         "count_out": rep.count_out,
@@ -503,87 +471,61 @@ def _cmd_flux(cfg: dict) -> int:
         "rel_err_in": rep.rel_err_in,
         "rel_err_out": rep.rel_err_out,
         "tolerance": tol,
-        "passed": ok,
+        "passed": rep.rel_err_in <= tol and rep.rel_err_out <= tol,
     }
-    out = _prepare_output(cfg)
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if ok else 1
+    return report, {}
 
 
-def _cmd_convex_order(cfg: dict) -> int:
-    x_min, x_max, x_step = float(cfg["x_min"]), float(cfg["x_max"]), float(cfg["x_step"])
+def _cmd_convex_order(cfg: dict):
+    x_min, x_max, x_step = cfg["x_min"], cfg["x_max"], cfg["x_step"]
     if not x_min < x_max or x_step <= 0:
         raise ConfigError("need x_min < x_max and x_step > 0")
     n = int(round((x_max - x_min) / x_step))
     x_grid = x_min + np.arange(n + 1) * x_step
-    try:
-        ok = convex_order_check(
-            int(cfg["cantor_depth"]), cfg["t_grid"], x_grid, tol=float(cfg["tol"])
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    t_grid = _floats(cfg, "t_grid")
     report = {
-        "config": _echo(cfg),
         "n_x_points": len(x_grid),
-        "t_grid": [float(t) for t in cfg["t_grid"]],
-        "tol": float(cfg["tol"]),
-        "passed": ok,
+        "t_grid": t_grid,
+        "tol": cfg["tol"],
+        "passed": convex_order_check(cfg["cantor_depth"], t_grid, x_grid, tol=cfg["tol"]),
     }
-    out = _prepare_output(cfg)
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if ok else 1
+    return report, {}
 
 
-def _cmd_exp_variant(cfg: dict) -> int:
-    window = tuple(float(v) for v in cfg["window"])
+def _cmd_exp_variant(cfg: dict):
+    window = _floats(cfg, "window")
     if len(window) != 4:
         raise ConfigError("window must be [a, b, t1, t2]")
     if not check_exp_window(*window):
         raise ConfigError("window fails the validity check for the exponential variant")
-    raw = cfg.get("intervals")
-    if not raw:
+    if not cfg["intervals"]:
         raise ConfigError("intervals are required")
-    intervals = [(float(a), float(b)) for a, b in raw]
-    t_queries = sorted(float(t) for t in cfg["t_queries"])
-    if not t_queries or t_queries[0] <= 0:
-        raise ConfigError("t_queries must be positive")
-    n_paths = int(cfg["n_paths"])
+    intervals = _intervals(cfg)
+    t_queries = _t_queries(cfg, positive=True)
+    n_paths = cfg["n_paths"]
     if n_paths < 100:
         raise ConfigError("n_paths must be >= 100")
-    try:
-        result = simulate_exp_marginal_samples(
-            window, intervals, t_queries, n_paths, cfg["seed"], dt=float(cfg["dt"]),
-            workers=cfg["workers"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    ks_max = float(cfg["ks_max"])
-    tests = []
-    all_ok = True
-    for q, t in enumerate(t_queries):
-        samples = result.values[:, q]
-        rep = ks_marginal_test(samples, t, family=LOGNORMAL)
-        ok = rep.ks_statistic <= max(rep.critical_value_5pct, ks_max)
-        all_ok = all_ok and ok
-        tests.append(
-            {
-                "t_query": t,
-                "ks_statistic": rep.ks_statistic,
-                "threshold": max(rep.critical_value_5pct, ks_max),
-                "sample_mean": float(samples.mean()),
-                "passed": ok,
-            }
-        )
+    result = simulate_exp_marginal_samples(
+        window, intervals, t_queries, n_paths, cfg["seed"], dt=cfg["dt"],
+        workers=cfg["workers"],
+    )
+    tests = [
+        {
+            "t_query": t,
+            "ks_statistic": rep.ks_statistic,
+            "threshold": threshold,
+            "sample_mean": float(result.values[:, q].mean()),
+            "passed": rep.ks_statistic <= threshold,
+        }
+        for q, t, rep, threshold in _ks_tests(result, t_queries, cfg["ks_max"], LOGNORMAL)
+    ]
     report = {
-        "config": _echo(cfg),
         "n_samples": n_paths,
         "tests": tests,
         "low_power_warning": n_paths < 1000,
-        "passed": all_ok,
+        "passed": all(test["passed"] for test in tests),
     }
-    out = _prepare_output(cfg)
-    write_report(os.path.join(out, "report.json"), report)
-    return 0 if all_ok else 1
+    return report, {}
 
 
 _COMMANDS = {
@@ -596,18 +538,6 @@ _COMMANDS = {
     "convex-order": _cmd_convex_order,
     "exp-variant": _cmd_exp_variant,
 }
-
-# flag types of the settings whose default is None; every other flag takes
-# the type of its default, and a list default takes a JSON literal
-_NONE_DEFAULT_TYPES = {"cantor_depth": int, "j_max": int, "fixed_start": float}
-
-
-def _flag_type(key: str, default):
-    if default is None:
-        return _NONE_DEFAULT_TYPES[key]
-    if isinstance(default, list):
-        return json.loads
-    return type(default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -622,11 +552,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="RNG seed (required here or in config)")
         for key, default in _DEFAULTS[name].items():
-            kind = _flag_type(key, default)
+            kind = _kind(key, default)
             p.add_argument(
                 "--" + key.replace("_", "-"),
-                type=kind,
-                help="JSON literal" if kind is json.loads else None,
+                type=json.loads if kind is list else kind,
+                help="JSON literal" if kind is list else None,
             )
         p.add_argument("--output-dir")
         p.add_argument("--workers", type=int)
@@ -638,7 +568,14 @@ def main(argv=None) -> int:
     body = _COMMANDS[args.command]
     try:
         cfg = _load_config(args.command, args)
-        return body(cfg)
+        report, csvs = body(cfg)
+        out = cfg.pop("output_dir")
+        os.makedirs(out, exist_ok=True)
+        for name, (header, rows) in csvs.items():
+            write_csv(os.path.join(out, name), header, rows)
+        report["config"] = cfg
+        write_report(os.path.join(out, "report.json"), report)
+        return 0 if report["passed"] else 1
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
