@@ -15,14 +15,13 @@ from fakebm.intervals import build_interval_system, lattice_project
 # two active intervals, one interior gap that the lattice can resolve
 system = build_interval_system([(0.1, 0.4), (0.6, 0.9)])
 lattice = lattice_project(system, 8, j_max=40)
-m = 8
 
-joint = initial_joint(lattice, m, backend="rational")
+joint = initial_joint(lattice, backend="rational")
 print("step   frozen mass          max |marginal - walk law|")
 for step in range(1, 21):
-    joint = evolve(joint, lattice, m)
+    joint = evolve(joint, lattice)
     frozen = sum(joint.lazy.values())
-    dev = max_marginal_deviation(joint, lattice, m)
+    dev = max_marginal_deviation(joint, lattice)
     print(f"{step:4d}   {float(frozen):.15f}    {dev!r}")
 
 # the frozen population drains monotonically but never quite empties;

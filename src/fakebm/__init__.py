@@ -41,16 +41,13 @@ from .lazy_walk import (
     scaled_marginal,
 )
 from .discrete_chain import (
-    ChainState,
     JointDistribution,
-    Mode,
     busy_transition,
     evolve,
     initial_joint,
     lazy_hazard,
     run_marginal_certification,
-    sample_endpoints,
-    sample_path,
+    sample_paths,
     switch_jump,
 )
 from .continuous_sim import (

@@ -300,7 +300,6 @@ def _cmd_verify_discrete(cfg: dict):
     j_max = cfg["m"] + cfg["steps"] if cfg["j_max"] is None else cfg["j_max"]
     lattice = lattice_project(system, cfg["m"], j_max=j_max)
     report = run_marginal_certification(lattice, cfg["steps"], backend=cfg["backend"])
-    del report["elapsed_s"]
     tol = 0.0 if cfg["backend"] == "rational" else FLOAT_DEVIATION_TOL
     report["tolerance"] = tol
     report["passed"] = report["max_abs_deviation"] <= tol

@@ -8,25 +8,26 @@ mass; at the switch they jump to the flanking active sites with the
 gambler's-ruin split.  Evolving the joint law with exact rationals therefore
 reproduces the walk's law site by site with zero deviation, which is what
 run_marginal_certification checks.
+
+The chain's moves live in one kernel table per lattice: one row per window
+site, switch_jump's for a gap site and busy_transition's for an active one,
+held as integers over a common scale for the rational evolve and as floats
+for the float evolve and for sample_paths.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from .intervals import LatticeSystem
-from .lazy_walk import _binomial_row, pmf as walk_pmf
+from .lazy_walk import _binomial_row
 
 __all__ = [
-    "Mode",
-    "ChainState",
     "JointDistribution",
     "busy_transition",
     "lazy_hazard",
@@ -36,20 +37,11 @@ __all__ = [
     "marginal",
     "max_marginal_deviation",
     "run_marginal_certification",
-    "sample_path",
-    "sample_endpoints",
+    "sample_paths",
 ]
 
-
-class Mode(Enum):
-    LAZY = "lazy"
-    BUSY = "busy"
-
-
-@dataclass(frozen=True)
-class ChainState:
-    position: int
-    mode: Mode
+# paths per sampler block; block b draws from the substream (seed, b)
+_BLOCK = 4096
 
 
 def busy_transition(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]]:
@@ -61,7 +53,6 @@ def busy_transition(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]
     """
     if not lattice.is_active(i):
         raise ValueError(f"site {i} is not active")
-    row: list[tuple[int, Fraction]] = []
     if lattice.is_active(i - 1):
         left, p_left = i - 1, Fraction(1, 4)
     else:
@@ -72,11 +63,7 @@ def busy_transition(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]
     else:
         right = lattice.gap_neighbors(i)[1]
         p_right = Fraction(1, 4 * (right - i))
-    stay = 1 - p_left - p_right
-    row.append((left, p_left))
-    row.append((i, stay))
-    row.append((right, p_right))
-    return row
+    return [(left, p_left), (i, 1 - p_left - p_right), (right, p_right)]
 
 
 def lazy_hazard(i: int, step: int, m: int) -> Fraction:
@@ -114,80 +101,58 @@ class JointDistribution:
         return sum(self.busy.values()) + sum(self.lazy.values())
 
 
-def _cast(value: Fraction, backend: str):
-    return value if backend == "rational" else float(value)
-
-
-def initial_joint(lattice: LatticeSystem, m: int, backend: str = "rational") -> JointDistribution:
-    """Joint law at step 0: the walk's law after its m warm-up steps.
+def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDistribution:
+    """Joint law at step 0: the walk's law after its m = lattice.m warm-up steps.
 
     Active sites start busy, gap sites start frozen.  Sites outside the
     lattice window are dropped; with the default window the lost tail mass is
-    below 1e-12, and a full window (j_max >= m + steps) loses nothing.
+    below 1e-12, and a full window (j_max >= m + steps) loses nothing.  The
+    masses are Fraction(c, 4^m), or c / 4^m in floats, over the row C(2m, k).
     """
-    law = walk_pmf(m, backend="rational")
-    gap = set(lattice.gap_sites)
+    if backend not in ("rational", "float"):
+        raise ValueError(f"unknown backend {backend!r}: use 'rational' or 'float'")
+    m = lattice.m
+    den = 4**m
     busy: dict = {}
     lazy: dict = {}
-    for j in law.support:
+    for j, c in zip(range(-m, m + 1), _binomial_row(m)):
         if abs(j) > lattice.j_max:
             continue
-        p = _cast(law.prob(j), backend)
-        if j in gap:
-            lazy[j] = p
-        else:
+        p = Fraction(c, den) if backend == "rational" else c / den
+        if lattice.is_active(j):
             busy[j] = p
+        else:
+            lazy[j] = p
     return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
 
 
-def _kernel_rows(lattice: LatticeSystem, backend: str):
-    """Cached busy rows and switch rows in the requested arithmetic."""
-    key = ("kernel", backend)
-    rows = lattice._cache.get(key)
-    if rows is None:
-        gap = set(lattice.gap_sites)
-        busy_rows = {}
-        jump_rows = {}
-        for j in lattice.sites:
-            if j in gap:
-                jump_rows[j] = [
-                    (dest, _cast(p, backend)) for dest, p in switch_jump(lattice, j)
-                ]
-            else:
-                busy_rows[j] = [
-                    (dest, _cast(p, backend)) for dest, p in busy_transition(lattice, j)
-                ]
-        rows = (busy_rows, jump_rows)
-        lattice._cache[key] = rows
-    return rows
+def _kernel(lattice: LatticeSystem):
+    """The chain's kernel table, built once per lattice and cached on it.
 
-
-def _integer_kernel_rows(lattice: LatticeSystem):
-    """Exact kernel rows as integer weights over one common scale, cached.
-
-    Returns (busy_rows, jump_rows, scale): each probability p of the
-    rational rows is stored as the integer p * scale, where scale is the
-    least common multiple of the rows' denominators.
+    One row per window site: switch_jump for a gap site, busy_transition for
+    an active site.  Busy mass never sits on a gap site and frozen mass only
+    does, so one table serves both.  Returns (weights, scale, floats):
+    weights[j] holds row j with each probability p as the integer p * scale,
+    scale being the lcm of the rows' denominators; floats[j] holds w / scale,
+    the correctly rounded value of the same rational, so float(p) bit for bit.
     """
-    key = ("kernel", "integer")
-    rows = lattice._cache.get(key)
-    if rows is None:
-        busy_rows, jump_rows = _kernel_rows(lattice, "rational")
-        every_row = [*busy_rows.values(), *jump_rows.values()]
-        scale = math.lcm(*{p.denominator for row in every_row for _, p in row})
-
-        def scaled(table):
-            return {
-                i: [(dest, p.numerator * (scale // p.denominator)) for dest, p in row]
-                for i, row in table.items()
-            }
-
-        rows = (scaled(busy_rows), scaled(jump_rows), scale)
-        lattice._cache[key] = rows
-    return rows
+    table = lattice._cache.get("kernel")
+    if table is None:
+        rows = [
+            (j, busy_transition(lattice, j) if lattice.is_active(j) else switch_jump(lattice, j))
+            for j in lattice.sites
+        ]
+        scale = math.lcm(*{p.denominator for _, row in rows for _, p in row})
+        weights = {
+            j: [(dest, p.numerator * (scale // p.denominator)) for dest, p in row]
+            for j, row in rows
+        }
+        floats = {j: [(dest, w / scale) for dest, w in row] for j, row in weights.items()}
+        table = lattice._cache["kernel"] = (weights, scale, floats)
+    return table
 
 
-def evolve(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDistribution:
+def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistribution:
     """One step of the exact evolution of the joint law.
 
     Busy mass moves by the busy rows; frozen mass sheds its hazard fraction,
@@ -204,25 +169,25 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDis
     The float backend adds in a fixed order, which fixes its bits.
     """
     if joint.backend == "rational":
-        return _evolve_rational(joint, lattice, m)
-    busy_rows, jump_rows = _kernel_rows(lattice, "float")
+        return _evolve_rational(joint, lattice)
+    rows = _kernel(lattice)[2]
     j_max = lattice.j_max
 
     new_busy: dict = defaultdict(float)
     for i, mass in joint.busy.items():
-        for dest, p in busy_rows[i]:
+        for dest, p in rows[i]:
             if -j_max <= dest <= j_max:
                 new_busy[dest] += mass * p
 
     new_lazy: dict = {}
     for i, mass in joint.lazy.items():
-        h = float(lazy_hazard(i, joint.step, m))
+        h = float(lazy_hazard(i, joint.step, lattice.m))
         switching = mass * h
         staying = mass - switching
         if staying != 0.0:
             new_lazy[i] = staying
         if switching != 0.0:
-            for dest, p in jump_rows[i]:
+            for dest, p in rows[i]:
                 new_busy[dest] += switching * p
 
     return JointDistribution(
@@ -230,14 +195,14 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDis
     )
 
 
-def _evolve_rational(joint: JointDistribution, lattice: LatticeSystem, m: int) -> JointDistribution:
-    busy_rows, jump_rows, scale = _integer_kernel_rows(lattice)
+def _evolve_rational(joint: JointDistribution, lattice: LatticeSystem) -> JointDistribution:
+    rows, scale, _ = _kernel(lattice)
     j_max = lattice.j_max
 
     new_lazy: dict = {}
     switching: dict = {}
     for i, mass in joint.lazy.items():
-        moving = mass * lazy_hazard(i, joint.step, m)
+        moving = mass * lazy_hazard(i, joint.step, lattice.m)
         staying = mass - moving
         if staying != 0:
             new_lazy[i] = staying
@@ -254,12 +219,12 @@ def _evolve_rational(joint: JointDistribution, lattice: LatticeSystem, m: int) -
     sums: dict = {}
     for i, mass in joint.busy.items():
         a = mass.numerator * lift[mass.denominator]
-        for dest, w in busy_rows[i]:
+        for dest, w in rows[i]:
             if -j_max <= dest <= j_max:
                 sums[dest] = sums.get(dest, 0) + a * w
     for i, mass in switching.items():
         a = mass.numerator * lift[mass.denominator]
-        for dest, w in jump_rows[i]:
+        for dest, w in rows[i]:
             sums[dest] = sums.get(dest, 0) + a * w
 
     den *= scale
@@ -277,7 +242,7 @@ def marginal(joint: JointDistribution) -> dict:
     return out
 
 
-def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem, m: int):
+def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     """Largest |site marginal - walk mass| over the lattice window.
 
     The walk masses are read off one integer row C(2n, k), n = m + step.
@@ -285,7 +250,7 @@ def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem, m: 
     masses g are tested by g.numerator 4^n == c g.denominator, and a
     Fraction difference is formed only at a site that deviates.
     """
-    n = m + joint.step
+    n = lattice.m + joint.step
     row = _binomial_row(n)
     got = marginal(joint)
     if joint.backend == "rational":
@@ -318,122 +283,67 @@ def run_marginal_certification(
     is the Fraction 0); the float backend should stay within 1e-12 over
     hundreds of steps.
     """
-    m = lattice.m
-    t0 = time.perf_counter()
-    joint = initial_joint(lattice, m, backend=backend)
-    worst = max_marginal_deviation(joint, lattice, m)
+    joint = initial_joint(lattice, backend=backend)
+    worst = max_marginal_deviation(joint, lattice)
     for _ in range(steps):
-        joint = evolve(joint, lattice, m)
-        dev = max_marginal_deviation(joint, lattice, m)
+        joint = evolve(joint, lattice)
+        dev = max_marginal_deviation(joint, lattice)
         if dev > worst:
             worst = dev
-    elapsed = time.perf_counter() - t0
     one = Fraction(1) if backend == "rational" else 1.0
     return {
-        "m": m,
+        "m": lattice.m,
         "N": lattice.system.n_intervals,
         "steps": steps,
         "backend": backend,
         "max_abs_deviation": float(worst),
         "exactly_zero": worst == 0,
         "mass_deficit": float(abs(one - joint.total_mass())),
-        "elapsed_s": elapsed,
     }
 
 
-def _float_tables(lattice: LatticeSystem):
-    """Dense float sampling tables over the window, cached on the lattice."""
-    tables = lattice._cache.get("tables")
-    if tables is None:
-        busy_rows, jump_rows = _kernel_rows(lattice, "float")
-        n = 2 * lattice.j_max + 1
-        off = lattice.j_max
-        dest = np.zeros((n, 3), dtype=np.int64)
-        cum = np.ones((n, 3), dtype=float)
-        for j, row in busy_rows.items():
-            probs = np.array([p for _, p in row])
-            dest[j + off] = [d for d, _ in row]
-            cum[j + off] = np.cumsum(probs)
-        jump_left = np.zeros(n, dtype=np.int64)
-        jump_right = np.zeros(n, dtype=np.int64)
-        p_left = np.zeros(n, dtype=float)
-        for j, row in jump_rows.items():
-            (dl, pl), (dr, _) = row
-            jump_left[j + off] = dl
-            jump_right[j + off] = dr
-            p_left[j + off] = pl
-        is_gap = np.zeros(n, dtype=bool)
-        for j in lattice.gap_sites:
-            is_gap[j + off] = True
-        tables = (dest, cum, jump_left, jump_right, p_left, is_gap)
-        lattice._cache["tables"] = tables
-    return tables
+def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed):
+    """Trajectories of many paths of the chain, steps 0 to horizon_steps.
 
-
-def _initial_positions(lattice: LatticeSystem, m: int, rng, size: int) -> np.ndarray:
-    law = walk_pmf(m, backend="float")
-    cdf = np.cumsum(law.to_float_array())
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return idx - m
-
-
-def sample_path(lattice: LatticeSystem, horizon_steps: int, seed) -> list[ChainState]:
-    """One trajectory of the chain, one state per step including step 0."""
-    m = lattice.m
-    if lattice.j_max < m + horizon_steps:
-        raise ValueError("lattice window too small for this horizon")
-    rng = np.random.default_rng(seed)
-    gap = set(lattice.gap_sites)
-    busy_rows, jump_rows = _kernel_rows(lattice, "float")
-
-    j = int(_initial_positions(lattice, m, rng, 1)[0])
-    mode = Mode.LAZY if j in gap else Mode.BUSY
-    states = [ChainState(j, mode)]
-    for step in range(horizon_steps):
-        if mode is Mode.LAZY:
-            if rng.random() < float(lazy_hazard(j, step, m)):
-                (dl, pl), (dr, _) = jump_rows[j]
-                j = dl if rng.random() < pl else dr
-                mode = Mode.BUSY
-        else:
-            u = rng.random()
-            acc = 0.0
-            for dest, p in busy_rows[j]:
-                acc += p
-                if u < acc:
-                    j = dest
-                    break
-        states.append(ChainState(j, mode))
-    return states
-
-
-def sample_endpoints(
-    lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed, block: int = 4096
-):
-    """Positions and modes of many paths at the horizon step.
-
-    Paths are simulated in fixed-size blocks, block b drawing from the
-    substream (seed, b), so results do not depend on how work is scheduled.
-    Returns (positions, frozen_mask).
+    Returns (positions, frozen), each of shape (n_paths, horizon_steps + 1):
+    the site of each path at each step and whether it is frozen there.
+    Paths are simulated in blocks of _BLOCK, block b drawing from the
+    substream (seed, b), so a path does not depend on how many are drawn.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if horizon_steps < 0:
+        raise ValueError("horizon_steps must be >= 0")
     m = lattice.m
     if lattice.j_max < m + horizon_steps:
         raise ValueError("lattice window too small for this horizon")
-    dest, cum, jump_left, jump_right, p_left, is_gap = _float_tables(lattice)
+    # dense rows: a busy row's three outcomes, or a gap site's two landing
+    # sites with P(left) = cum[., 0]
     off = lattice.j_max
+    dest = np.zeros((2 * off + 1, 3), dtype=np.int64)
+    cum = np.ones((2 * off + 1, 3), dtype=float)
+    for j, row in _kernel(lattice)[2].items():
+        dest[j + off, : len(row)] = [d for d, _ in row]
+        cum[j + off, : len(row)] = np.cumsum([p for _, p in row])
+    is_gap = np.array([not lattice.is_active(j) for j in lattice.sites])
     hazards = np.zeros((horizon_steps, 2 * off + 1), dtype=float)
     for step in range(horizon_steps):
         for j in lattice.gap_sites:
             hazards[step, j + off] = float(lazy_hazard(j, step, m))
+    den = 4**m
+    start_cdf = np.cumsum([c / den for c in _binomial_row(m)])
 
-    positions = np.empty(n_paths, dtype=np.int64)
-    frozen = np.empty(n_paths, dtype=bool)
-    for b_start in range(0, n_paths, block):
-        b = b_start // block
-        count = min(block, n_paths - b_start)
+    positions = np.empty((n_paths, horizon_steps + 1), dtype=np.int64)
+    frozen = np.empty((n_paths, horizon_steps + 1), dtype=bool)
+    for b_start in range(0, n_paths, _BLOCK):
+        b = b_start // _BLOCK
+        count = min(_BLOCK, n_paths - b_start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        pos = _initial_positions(lattice, m, rng, count)
+        pos = np.searchsorted(start_cdf, rng.random(count), side="right") - m
         lazy = is_gap[pos + off]
+        rows = slice(b_start, b_start + count)
+        positions[rows, 0] = pos
+        frozen[rows, 0] = lazy
         for step in range(horizon_steps):
             # a particle switching this step jumps across its gap and only
             # starts busy stepping from the next step on
@@ -441,8 +351,8 @@ def sample_endpoints(
             u = rng.random(count)
             idx = pos + off
             switching = lazy & (u < hazards[step, idx])
-            side = rng.random(count) < p_left[idx]
-            landed = np.where(side, jump_left[idx], jump_right[idx])
+            side = rng.random(count) < cum[idx, 0]
+            landed = np.where(side, dest[idx, 0], dest[idx, 1])
             pos = np.where(switching, landed, pos)
             lazy = lazy & ~switching
             idx = pos + off
@@ -453,6 +363,6 @@ def sample_endpoints(
                 np.where(u2 < cum[idx, 1], dest[idx, 1], dest[idx, 2]),
             )
             pos = np.where(busy_before, step_to, pos)
-        positions[b_start : b_start + count] = pos
-        frozen[b_start : b_start + count] = lazy
+            positions[rows, step + 1] = pos
+            frozen[rows, step + 1] = lazy
     return positions, frozen

@@ -55,13 +55,13 @@ class IntervalSystem:
         pts = [lo] + [e for iv in self.bounded for e in iv] + [hi]
         return [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        """Whether x lies in the active set, with endpoints widened by tol."""
+    def contains(self, x: float) -> bool:
+        """Whether x lies in the active set (closed intervals)."""
         lo, hi = self.domain
-        if x <= lo + tol or x >= hi - tol:
+        if x <= lo or x >= hi:
             return True
         for a, b in self.bounded:
-            if a - tol <= x <= b + tol:
+            if a <= x <= b:
                 return True
         return False
 
@@ -184,14 +184,18 @@ class LatticeSystem:
     boundary_sites: tuple[int, ...]
     flanks: dict[int, tuple[int, int]]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _gap: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_gap", frozenset(self.gap_sites))
 
     def x_of(self, j):
         """Spatial position of lattice site j."""
         return np.asarray(j) * self.spacing
 
     def is_active(self, j: int) -> bool:
-        """Whether site j belongs to the active set (any j, windowed or not)."""
-        return self.system.contains(j * self.spacing, tol=ENDPOINT_SNAP)
+        """Whether site j is active: any site but a gap site of the window."""
+        return j not in self._gap
 
     def gap_neighbors(self, j: int) -> tuple[int, int]:
         """Flanking active sites of a gap or boundary site."""

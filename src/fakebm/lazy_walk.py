@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "increment_pmf",
@@ -25,11 +24,6 @@ __all__ = [
     "ratio_check",
     "scaled_marginal",
 ]
-
-# Beyond this many steps the exact binomials are converted in log space; below
-# it each float mass is the correctly rounded value of the exact rational.
-_EXACT_FLOAT_LIMIT = 2000
-
 
 def increment_pmf() -> dict[int, Fraction]:
     """One-step law: P(-1) = P(+1) = 1/4, P(0) = 1/2."""
@@ -95,31 +89,20 @@ def _binomial_row(steps: int) -> list[int]:
 def pmf(steps: int, backend: str = "rational") -> LazyWalkPmf:
     """Full law after `steps` steps in the requested backend.
 
-    Both exact paths divide one integer row C(2n, k) by 4^n.  The rational
+    Both backends divide one integer row C(2n, k) by 4^n.  The rational
     masses are Fraction(c, 4^n), the same reduced rationals as pmf_value.
-    Up to _EXACT_FLOAT_LIMIT steps the float masses are c / 4^n: Python's
-    int / int division is correctly rounded, and Fraction.__float__ performs
-    that same division on the reduced pair, so every float is bit-identical
-    to float(pmf_value(steps, j)).
+    The float masses are c / 4^n: Python's int / int division is correctly
+    rounded, and Fraction.__float__ performs that same division on the
+    reduced pair, so every float is bit-identical to
+    float(pmf_value(steps, j)).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    den = 4**steps
     if backend == "rational":
-        den = 4**steps
         mass = tuple(Fraction(c, den) for c in _binomial_row(steps))
     elif backend == "float":
-        if steps <= _EXACT_FLOAT_LIMIT:
-            den = 4**steps
-            mass = tuple(c / den for c in _binomial_row(steps))
-        else:
-            js = np.arange(-steps, steps + 1)
-            logs = (
-                gammaln(2 * steps + 1)
-                - gammaln(steps + js + 1)
-                - gammaln(steps - js + 1)
-                - 2 * steps * math.log(2.0)
-            )
-            mass = tuple(np.exp(logs))
+        mass = tuple(c / den for c in _binomial_row(steps))
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return LazyWalkPmf(steps=steps, backend=backend, mass=mass)

@@ -164,9 +164,9 @@ def test_a10_variance_consistency(capsys, frozen_run):
         mc_var = float(np.var(frozen_run.values[:, 1]))
         assert abs(mc_var - 2.0) <= 0.02 * 2.0
         lat = lattice_project(TWO_GAPS, 8, j_max=48)
-        joint = initial_joint(lat, 8, backend="rational")
+        joint = initial_joint(lat, backend="rational")
         for l in range(1, 9):
-            joint = evolve(joint, lat, 8)
+            joint = evolve(joint, lat)
             law = marginal(joint)
             var = Fraction(2, 8) * sum(p * j * j for j, p in law.items())
             mean = sum(p * j for j, p in law.items())

@@ -1,12 +1,12 @@
 """Two-mode lattice chain: kernel rows, hazards, exact DP, and the sampler."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fakebm.discrete_chain import (
-    Mode,
     busy_transition,
     evolve,
     initial_joint,
@@ -14,8 +14,7 @@ from fakebm.discrete_chain import (
     marginal,
     max_marginal_deviation,
     run_marginal_certification,
-    sample_endpoints,
-    sample_path,
+    sample_paths,
     switch_jump,
 )
 from fakebm.intervals import build_interval_system, fat_cantor_intervals, lattice_project
@@ -154,7 +153,7 @@ def test_switch_jump_rejects_active_site(lat_m8):
 
 
 def test_initial_joint_splits_modes(lat_m8):
-    joint = initial_joint(lat_m8, 8)
+    joint = initial_joint(lat_m8)
     assert set(joint.lazy) == {1}
     assert joint.lazy[1] == pmf_value(8, 1)
     assert joint.busy[0] == pmf_value(8, 0)
@@ -162,46 +161,46 @@ def test_initial_joint_splits_modes(lat_m8):
 
 
 def test_evolve_preserves_walk_marginal_exactly(lat_m8):
-    joint = initial_joint(lat_m8, 8)
+    joint = initial_joint(lat_m8)
     for _ in range(12):
-        joint = evolve(joint, lat_m8, 8)
-        assert max_marginal_deviation(joint, lat_m8, 8) == 0
+        joint = evolve(joint, lat_m8)
+        assert max_marginal_deviation(joint, lat_m8) == 0
         assert joint.total_mass() == 1
 
 
 def test_evolve_keeps_global_mean_zero(lat_m8):
-    joint = initial_joint(lat_m8, 8)
+    joint = initial_joint(lat_m8)
     for _ in range(10):
-        joint = evolve(joint, lat_m8, 8)
+        joint = evolve(joint, lat_m8)
     mean = sum(j * p for j, p in marginal(joint).items())
     assert mean == 0
 
 
 def test_evolve_mode_supports_stay_disjoint(lat_m8):
-    joint = initial_joint(lat_m8, 8)
+    joint = initial_joint(lat_m8)
     gap = set(lat_m8.gap_sites)
     for _ in range(8):
-        joint = evolve(joint, lat_m8, 8)
+        joint = evolve(joint, lat_m8)
         assert set(joint.lazy) <= gap
         assert not (set(joint.busy) & gap)
 
 
 def test_lazy_mass_decays_but_persists(lat_m8):
-    joint = initial_joint(lat_m8, 8)
+    joint = initial_joint(lat_m8)
     masses = [joint.lazy[1]]
     for _ in range(15):
-        joint = evolve(joint, lat_m8, 8)
+        joint = evolve(joint, lat_m8)
         masses.append(joint.lazy[1])
     assert all(b < a for a, b in zip(masses, masses[1:]))
     assert masses[-1] > 0
 
 
 def test_float_backend_tracks_rational(lat_m8):
-    jr = initial_joint(lat_m8, 8, backend="rational")
-    jf = initial_joint(lat_m8, 8, backend="float")
+    jr = initial_joint(lat_m8, backend="rational")
+    jf = initial_joint(lat_m8, backend="float")
     for _ in range(10):
-        jr = evolve(jr, lat_m8, 8)
-        jf = evolve(jf, lat_m8, 8)
+        jr = evolve(jr, lat_m8)
+        jf = evolve(jf, lat_m8)
     mr = marginal(jr)
     mf = marginal(jf)
     for j, p in mr.items():
@@ -236,9 +235,9 @@ def test_rational_evolve_matches_fraction_reference(request, name, steps):
         lat = lattice_project(build_interval_system(TWO_GAPS), 50, j_max=60)
     else:
         lat = request.getfixturevalue(name)
-    joint = initial_joint(lat, lat.m)
+    joint = initial_joint(lat)
     for _ in range(steps):
-        nxt = evolve(joint, lat, lat.m)
+        nxt = evolve(joint, lat)
         busy, lazy = reference_step(joint, lat, lat.m)
         assert list(nxt.busy.items()) == list(busy.items())
         assert list(nxt.lazy.items()) == list(lazy.items())
@@ -274,7 +273,14 @@ def test_certification_report_exact_backend(lat_m8):
     assert report["m"] == 8
     assert report["N"] == 2
     assert report["steps"] == 12
-    assert report["elapsed_s"] > 0
+    assert "elapsed_s" not in report
+
+
+def test_unknown_backend_is_rejected(lat_m8):
+    with pytest.raises(ValueError, match="'decimal'"):
+        run_marginal_certification(lat_m8, 5, backend="decimal")
+    with pytest.raises(ValueError, match="'decimal'"):
+        initial_joint(lat_m8, backend="decimal")
 
 
 def test_certification_report_float_backend():
@@ -288,59 +294,102 @@ def test_certification_report_float_backend():
 
 
 def test_sample_path_shape_and_determinism(lat_m8):
-    a = sample_path(lat_m8, 30, seed=123)
-    b = sample_path(lat_m8, 30, seed=123)
-    c = sample_path(lat_m8, 30, seed=124)
-    assert a == b
-    assert a != c
-    assert len(a) == 31
+    pos_a, frz_a = sample_paths(lat_m8, 30, 5, seed=123)
+    pos_b, frz_b = sample_paths(lat_m8, 30, 5, seed=123)
+    pos_c, _ = sample_paths(lat_m8, 30, 5, seed=124)
+    assert pos_a.shape == frz_a.shape == (5, 31)
+    assert pos_a.dtype == np.int64 and frz_a.dtype == bool
+    assert np.array_equal(pos_a, pos_b)
+    assert np.array_equal(frz_a, frz_b)
+    assert not np.array_equal(pos_a, pos_c)
 
 
 def test_sample_path_mode_and_move_legality(lat_m8):
     gap = set(lat_m8.gap_sites)
     seen_switch = False
-    for seed in range(40):
-        states = sample_path(lat_m8, 40, seed=seed)
-        for prev, cur in zip(states, states[1:]):
-            if prev.mode is Mode.LAZY:
-                assert prev.position in gap
-                if cur.mode is Mode.LAZY:
-                    assert cur.position == prev.position
+    positions, frozen = sample_paths(lat_m8, 40, 40, seed=0)
+    for pos, frz in zip(positions.tolist(), frozen.tolist()):
+        assert frz[0] == (pos[0] in gap)
+        for prev, cur, prev_frozen, cur_frozen in zip(pos, pos[1:], frz, frz[1:]):
+            if prev_frozen:
+                assert prev in gap
+                if cur_frozen:
+                    assert cur == prev
                 else:
                     seen_switch = True
-                    left, right = lat_m8.gap_neighbors(prev.position)
-                    assert cur.position in (left, right)
+                    assert cur in lat_m8.gap_neighbors(prev)
             else:
-                assert cur.mode is Mode.BUSY
-                legal = {prev.position - 1, prev.position, prev.position + 1}
-                if prev.position in lat_m8.boundary_sites:
-                    legal |= set(lat_m8.gap_neighbors(prev.position))
-                assert cur.position in legal
+                assert not cur_frozen
+                legal = {prev - 1, prev, prev + 1}
+                if prev in lat_m8.boundary_sites:
+                    legal |= set(lat_m8.gap_neighbors(prev))
+                assert cur in legal
     assert seen_switch
 
 
 def test_sample_path_window_guard(lat_m8):
-    with pytest.raises(ValueError):
-        sample_path(lat_m8, 60, seed=0)
+    with pytest.raises(ValueError, match="window too small"):
+        sample_paths(lat_m8, 60, 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "horizon, n_paths, message",
+    [
+        (5, 0, "n_paths must be >= 1"),
+        (5, -3, "n_paths must be >= 1"),
+        (-1, 10, "horizon_steps must be >= 0"),
+    ],
+)
+def test_sample_paths_rejects_bad_sizes(lat_m8, horizon, n_paths, message):
+    with pytest.raises(ValueError, match=message):
+        sample_paths(lat_m8, horizon, n_paths, seed=0)
 
 
 def test_sample_endpoints_deterministic_and_block_stable(lat_m8):
-    pos_a, frz_a = sample_endpoints(lat_m8, 5, 4096 + 50, seed=99)
-    pos_b, frz_b = sample_endpoints(lat_m8, 5, 4096 + 50, seed=99)
+    pos_a, frz_a = sample_paths(lat_m8, 5, 4096 + 50, seed=99)
+    pos_b, frz_b = sample_paths(lat_m8, 5, 4096 + 50, seed=99)
     assert np.array_equal(pos_a, pos_b)
     assert np.array_equal(frz_a, frz_b)
-    pos_c, frz_c = sample_endpoints(lat_m8, 5, 4096, seed=99)
+    pos_c, frz_c = sample_paths(lat_m8, 5, 4096, seed=99)
     assert np.array_equal(pos_a[:4096], pos_c)
     assert np.array_equal(frz_a[:4096], frz_c)
+
+
+# sha256 of the int64 positions and bool frozen flags at the horizon, frozen
+# from the earlier endpoint-only sampler; the last column of the trajectories
+# must reproduce them bit for bit
+ENDPOINT_DIGESTS = {
+    ("lat_m8", 12, 20000, 31337): (
+        "629c34e6a03533261efd1247b4a3951131ca8cd9a0794828d530533646453519",
+        "e6bc4cd0748ae4f6bef866786f562b82a1507f8e1cb5b42c57201ce7f29dc733",
+    ),
+    ("lat_m8", 5, 4146, 99): (
+        "494c7c40d7110c9332c5d15d0a085eec93b3313e5dfd6d647a1665eb34dd3225",
+        "005a476e94a83b8640061662cc3e421b2120939389c753af48f280f8972ba06c",
+    ),
+    ("lat_ragged", 40, 5000, 5): (
+        "24f9cfa064296bae763ce995f4f77880cfed7ab54e5fab27b2ec9e058ce92dd4",
+        "6661daa70bfbfd3fb5bb7773535bcc7861f900b81aaa3ebc78dc5c21db195cb1",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", list(ENDPOINT_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_sample_paths_endpoints_are_pinned(request, config):
+    name, horizon, n, seed = config
+    pos, frozen = sample_paths(request.getfixturevalue(name), horizon, n, seed)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (pos[:, -1], frozen[:, -1]))
+    assert digests == ENDPOINT_DIGESTS[config]
 
 
 def test_sample_endpoints_matches_dp_marginal(lat_m8):
     n = 20000
     horizon = 12
-    pos, frozen = sample_endpoints(lat_m8, horizon, n, seed=31337)
-    joint = initial_joint(lat_m8, 8, backend="float")
+    pos, frozen = sample_paths(lat_m8, horizon, n, seed=31337)
+    pos, frozen = pos[:, -1], frozen[:, -1]
+    joint = initial_joint(lat_m8, backend="float")
     for _ in range(horizon):
-        joint = evolve(joint, lat_m8, 8)
+        joint = evolve(joint, lat_m8)
     law = marginal(joint)
 
     counts = {}

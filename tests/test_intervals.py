@@ -86,12 +86,6 @@ def test_contains_interval_interior_and_gap():
     assert not sys_.contains(0.95)
 
 
-def test_contains_tol_widens_endpoints():
-    sys_ = build_interval_system(TWO_GAPS)
-    assert not sys_.contains(0.4 + 1e-13)
-    assert sys_.contains(0.4 + 1e-13, tol=1e-12)
-
-
 def test_contains_many_matches_scalar_small_system():
     # two intervals: exercises the direct comparison path
     sys_ = build_interval_system(TWO_GAPS)

@@ -77,7 +77,7 @@ def test_pmf_float_backend_large_steps():
     assert var == pytest.approx(1500.0, rel=1e-10)
 
 
-@pytest.mark.parametrize("steps", [*range(61), 399, 777, 2000])
+@pytest.mark.parametrize("steps", [*range(61), 399, 777, 2000, 3000])
 def test_pmf_is_bit_identical_to_pmf_value(steps):
     exact = [pmf_value(steps, j) for j in range(-steps, steps + 1)]
     assert pmf(steps, backend="rational").mass == tuple(exact)
