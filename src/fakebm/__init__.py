@@ -51,7 +51,6 @@ from .discrete_chain import (
     switch_jump,
 )
 from .continuous_sim import (
-    ClockExhaustedError,
     SimulationResult,
     iter_fake_grid_chunks,
     simulate_exp_marginal_samples,

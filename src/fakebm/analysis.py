@@ -187,7 +187,6 @@ def flux_experiment(
     n_paths: int,
     seed: int,
     dt: float = 2.5e-5,
-    t_driver: float | None = None,
     chunk: int = 256,
     workers: int = 1,
 ) -> FluxReport:
@@ -212,8 +211,7 @@ def flux_experiment(
     count_in = 0
     count_out = 0
     for part in iter_fake_grid_chunks(
-        system, t_grid, n_paths, seed, dt=dt, t_driver=t_driver, chunk=chunk,
-        workers=workers,
+        system, t_grid, n_paths, seed, dt=dt, chunk=chunk, workers=workers,
     ):
         fwd, bwd = count_interval_transitions(part["values"], left, right)
         count_in += fwd

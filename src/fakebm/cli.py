@@ -329,7 +329,6 @@ def _cmd_simulate(cfg: dict):
     report = {
         "n_paths": n_paths,
         "t_queries": t_queries,
-        "n_resampled": int(result.resampled),
         "share_busy": [float(np.mean(~result.frozen[:, q])) for q in range(len(t_queries))],
         "passed": True,
     }

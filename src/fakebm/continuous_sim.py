@@ -12,10 +12,19 @@ marginals at every t and is a martingale, but it is not Brownian motion.
 
 Everything is simulated on a uniform grid of width dt.  The occupation clock
 uses the left-endpoint rule, and the inverse clock returns the first grid
-time at which the clock exceeds its argument.  A path whose clock cannot
-cover the last query time is redrawn from its own substream.  Each path
-consumes one dedicated RNG substream derived from (seed, path_index), so
-results never depend on chunking or worker count.
+time at which the clock exceeds its argument.
+
+Each path reads one dedicated RNG substream derived from (seed, path_index),
+in this order: the start x0 (unless it is fixed), the switch uniform u, then
+the driver's N(0, 1) increments in blocks of _BLOCK steps counted from step
+0.  Block by block the Brownian value carries on as b_last + cumsum(z) *
+sqrt(dt).  The blocks that reach the freeze step are drawn first; after the
+switch time is known, blocks are appended until the clock of the driver
+from t1 on exceeds max(t_last - t1 - s, 0), so every path with a finite
+switch time lands in the active set.  A path that survives the whole window
+(s = inf) draws nothing more.  Chunk size and worker count change no
+number, and a path's values at given times do not depend on which later
+times are also queried: a later time only appends blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from .densities import GAUSSIAN, LOGNORMAL, check_exp_window
 from .intervals import IntervalSystem, build_interval_system
 
 __all__ = [
-    "ClockExhaustedError",
     "path_rng",
     "SimulationResult",
     "iter_fake_grid_chunks",
@@ -38,11 +46,8 @@ __all__ = [
     "simulate_exp_marginal_samples",
 ]
 
-_MAX_RESAMPLE = 8
-
-
-class ClockExhaustedError(RuntimeError):
-    """The occupation clock ran out before the requested time; extend t_driver."""
+# driver steps drawn at a time; part of the RNG stream layout
+_BLOCK = 4096
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -56,9 +61,9 @@ class SimulationResult:
 
     values[i, q] is path i at t_queries[q]; frozen[i, q] marks paths frozen
     there, i.e. t1 <= t_queries[q] < switch_times[i].  switch_times, start
-    values and the first busy landing value come along for conditioning;
-    resampled counts paths whose driver had to be redrawn because its clock
-    ran out.
+    values and the first busy landing value (NaN for a path that never
+    switches) come along for conditioning.  resampled is always 0, since no
+    path is ever redrawn; it stays because perfbench/tracer.py reads it.
     """
 
     t_queries: tuple
@@ -73,35 +78,25 @@ class SimulationResult:
 # ---------- one path ----------
 
 
-def _occupation_clock(path: np.ndarray, system: IntervalSystem, dt: float):
-    """Left-endpoint occupation clock of the active set along path.
+def _brownian(rng, b_last: float, dt: float) -> np.ndarray:
+    """The next _BLOCK grid values of a Brownian motion now at b_last."""
+    b = np.cumsum(rng.standard_normal(_BLOCK))
+    b *= math.sqrt(dt)
+    b += b_last
+    return b
 
-    clock[k] = dt * #{i < k : path[i] is active}, so the clock is
-    non-decreasing and 1-Lipschitz.  Returns the clock and whether path[0]
-    itself is active.
+
+def _occupation_clock(active: np.ndarray, dt: float) -> np.ndarray:
+    """Left-endpoint occupation clock from the active flags along a path.
+
+    clock[k] = dt * #{i < k : active[i]}, so the clock is non-decreasing
+    and 1-Lipschitz.
     """
-    active = system.contains_many(path)
-    clock = np.empty(len(path))
+    clock = np.empty(len(active))
     clock[0] = 0.0
     np.cumsum(active[:-1], out=clock[1:])
     clock[1:] *= dt
-    return clock, bool(active[0])
-
-
-def _draw(rng, family, system, n_steps: int, k1: int, dt: float, fixed_start=None):
-    """One draw of a path: start, increments, then the switch uniform.
-
-    Returns the driver row on the whole grid, the occupation clock of
-    row[k1:], whether row[k1] is active, and the uniform u in (0, 1).
-    """
-    x0 = family.sample_initial(rng) if fixed_start is None else float(fixed_start)
-    incr = rng.standard_normal(n_steps)
-    u = float(rng.random())
-    while u == 0.0:
-        u = float(rng.random())
-    row = family.driver(x0, incr, dt)
-    clock, active = _occupation_clock(row[k1:], system, dt)
-    return row, clock, active, u
+    return clock
 
 
 def _time_change(tail: np.ndarray, clock: np.ndarray, s: float, rel: np.ndarray):
@@ -119,86 +114,91 @@ def _time_change(tail: np.ndarray, clock: np.ndarray, s: float, rel: np.ndarray)
     return values, frozen
 
 
-def _covers(clock: np.ndarray, s: float, horizon: float) -> bool:
-    """Whether the clock reaches busy time horizon - s (or nothing is busy)."""
-    need = horizon - s
-    return need < 0 or clock[-1] > need
+def _extend(rng, family, system, x0, b_last, k, tail, need, dt):
+    """Append driver blocks to tail until its clock exceeds need.
+
+    tail holds the driver from the freeze step up to grid step k, where the
+    Brownian value is b_last.  Returns the extended tail and its clock.
+    """
+    parts = [tail]
+    flags = [system.contains_many(tail)]
+    ticks = int(np.count_nonzero(flags[0][:-1]))
+    while ticks * dt <= need:
+        b = _brownian(rng, b_last, dt)
+        path = family.driver(x0, b, np.arange(k + 1, k + 1 + _BLOCK) * dt)
+        active = system.contains_many(path)
+        ticks += int(flags[-1][-1]) + int(np.count_nonzero(active[:-1]))
+        parts.append(path)
+        flags.append(active)
+        b_last = b[-1]
+        k += _BLOCK
+    return np.concatenate(parts), _occupation_clock(np.concatenate(flags), dt)
 
 
 # ---------- chunked many-path engine ----------
 
 
-def _simulate_chunk(
-    family, system, t_grid, t1, t2, dt, t_driver, seed, fixed_start, start, count
-) -> dict:
-    n_steps = int(round(t_driver / dt))
+def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start, count) -> dict:
     k1 = int(round(t1 / dt))
+    n_pre = -(-k1 // _BLOCK)  # blocks that reach the freeze step
     pre = t_grid < t1
     pre_idx = np.round(t_grid[pre] / dt).astype(int)
     rel = t_grid[~pre] - t1
     horizon = float(t_grid.max()) - t1
     values = np.empty((count, len(t_grid)))
     frozen = np.zeros((count, len(t_grid)), dtype=bool)
-    switch_times = np.empty(count)
     x0 = np.empty(count)
-    busy_start = np.empty(count)
-    resampled = 0
+    u = np.empty(count)
+    busy_start = np.full(count, math.nan)
 
-    def finish(r, rng, row, clock, s):
-        nonlocal resampled
-        redraws = 0
-        while not _covers(clock, s, horizon):
-            if redraws == _MAX_RESAMPLE:
-                raise ClockExhaustedError("path kept running out of clock; extend t_driver")
-            redraws += 1
-            row, clock, active, u = _draw(rng, family, system, n_steps, k1, dt, fixed_start)
-            if not active:
-                s = family.switch_times(np.array([row[k1]]), np.array([u]), t1, t2)[0]
-            else:
-                s = 0.0
-        resampled += redraws
-        tail = row[k1:]
-        values[r, pre] = row[pre_idx]
-        values[r, ~pre], frozen[r, ~pre] = _time_change(tail, clock, s, rel)
-        switch_times[r] = t1 + s
-        x0[r] = row[0]
-        idx0 = int(np.searchsorted(clock, 0.0, side="right"))
-        busy_start[r] = tail[idx0 - 1] if idx0 < len(clock) else math.nan
-
-    # an active start is finished at once; gap starts wait for one
-    # vectorised switch-time inversion over the chunk, which costs far less
-    # than one inversion call per path, and only their rows are held
-    waiting = []
+    # every path's start, uniform and driver up to t1 first, so that one
+    # vectorised switch-time inversion serves the whole chunk
+    rngs, heads = [], []
     for r in range(count):
         rng = path_rng(seed, start + r)
-        row, clock, active, u = _draw(rng, family, system, n_steps, k1, dt, fixed_start)
-        if active:
-            finish(r, rng, row, clock, 0.0)
-        else:
-            waiting.append((r, rng, row, clock, u))
-    if waiting:
-        x1 = np.array([row[k1] for _, _, row, _, _ in waiting])
-        s = family.switch_times(x1, np.array([u for *_, u in waiting]), t1, t2)
-        for (r, rng, row, clock, _), s_r in zip(waiting, s):
-            finish(r, rng, row, clock, s_r)
+        x0[r] = family.sample_initial(rng) if fixed_start is None else float(fixed_start)
+        u[r] = rng.random()
+        while u[r] == 0.0:
+            u[r] = rng.random()
+        blocks = [np.zeros(1)]
+        for _ in range(n_pre):
+            blocks.append(_brownian(rng, blocks[-1][-1], dt))
+        b = np.concatenate(blocks)
+        path = family.driver(x0[r], b, np.arange(len(b)) * dt)
+        values[r, pre] = path[pre_idx]
+        rngs.append(rng)
+        heads.append((b[-1], path[k1:]))
+    x1 = np.array([tail[0] for _, tail in heads])
+    s = np.zeros(count)
+    gap = ~system.contains_many(x1)
+    s[gap] = family.switch_times(x1[gap], u[gap], t1, t2)
+
+    for r, (rng, (b_last, tail)) in enumerate(zip(rngs, heads)):
+        if math.isinf(s[r]):  # survives the window: frozen from t1 on
+            values[r, ~pre] = tail[0]
+            frozen[r, ~pre] = True
+            continue
+        tail, clock = _extend(
+            rng, family, system, x0[r], b_last, n_pre * _BLOCK, tail, max(horizon - s[r], 0.0), dt
+        )
+        values[r, ~pre], frozen[r, ~pre] = _time_change(tail, clock, s[r], rel)
+        busy_start[r] = tail[np.searchsorted(clock, 0.0, side="right") - 1]
     return {
         "start": start,
         "values": values,
         "frozen": frozen,
-        "switch_times": switch_times,
+        "switch_times": t1 + s,
         "x0": x0,
         "busy_start": busy_start,
-        "resampled": resampled,
+        "resampled": 0,  # never redrawn; perfbench/tracer.py reads the key
     }
 
 
-def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, t_driver, fixed_start,
-            chunk, workers):
+def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, chunk, workers):
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     payloads = [
-        (family, system, t_grid, t1, t2, dt, t_driver, seed, fixed_start, start,
-         min(chunk, n_paths - start))
+        (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(chunk, n_paths - start))
         for start in range(0, n_paths, chunk)
     ]
     if workers <= 1:
@@ -218,7 +218,7 @@ def _collect(t_queries: tuple, parts) -> SimulationResult:
         switch_times=np.concatenate([p["switch_times"] for p in parts]),
         x0=np.concatenate([p["x0"] for p in parts]),
         busy_start=np.concatenate([p["busy_start"] for p in parts]),
-        resampled=sum(p["resampled"] for p in parts),
+        resampled=0,
     )
 
 
@@ -228,7 +228,6 @@ def iter_fake_grid_chunks(
     n_paths: int,
     seed: int,
     dt: float = 1e-4,
-    t_driver: float | None = None,
     fixed_start: float | None = None,
     chunk: int = 256,
     workers: int = 1,
@@ -245,11 +244,8 @@ def iter_fake_grid_chunks(
         raise ValueError("t_grid must be a non-empty ascending 1-d array")
     if t_grid[0] < 0:
         raise ValueError("query times must be non-negative")
-    if t_driver is None:
-        t_driver = 3.0 * (1.0 + float(t_grid[-1]))
     yield from _chunks(
-        GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, t_driver,
-        fixed_start, chunk, workers,
+        GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, fixed_start, chunk, workers
     )
 
 
@@ -259,7 +255,6 @@ def simulate_marginal_samples(
     n_paths: int,
     seed: int,
     dt: float = 1e-4,
-    t_driver: float | None = None,
     fixed_start: float | None = None,
     chunk: int = 256,
     workers: int = 1,
@@ -274,7 +269,6 @@ def simulate_marginal_samples(
             n_paths,
             seed,
             dt=dt,
-            t_driver=t_driver,
             fixed_start=fixed_start,
             chunk=chunk,
             workers=workers,
@@ -306,13 +300,11 @@ def simulate_exp_marginal_samples(
     t_queries = tuple(float(t) for t in t_queries)
     if not all(0.0 <= t <= t2 for t in t_queries):
         raise ValueError("query times must lie in [0, t2]")
-    t_max = max(t_queries)
     system = build_interval_system(intervals, domain=(a_lo, b_hi))
-    t_driver = t1 + 3.0 * (1.0 + max(t_max - t1, 0.0))
     return _collect(
         t_queries,
         _chunks(
-            LOGNORMAL, system, np.asarray(t_queries), t1, t2, n_paths, seed, dt,
-            t_driver, None, 256, workers,
+            LOGNORMAL, system, np.asarray(t_queries), t1, t2, n_paths, seed, dt, None, 256,
+            workers,
         ),
     )

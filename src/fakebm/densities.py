@@ -218,25 +218,33 @@ def check_exp_window(a, b, t1, t2, *, nx=201, nt=101):
     return bool(np.all(ddt < 0.0))
 
 
-def _lognormal_switch_time(x: float, t1: float, t2: float, u: float, tol: float = 1e-12) -> float:
-    """Solve p(x, t1 + s) / p(x, t1) = u for s in [0, t2 - t1].
+def _lognormal_switch_times(x, u, t1: float, t2: float, tol: float = 1e-12) -> np.ndarray:
+    """Solve p(x, t1 + s) / p(x, t1) = u for s in [0, t2 - t1], elementwise.
 
-    Returns inf when the particle survives the whole window.  The ratio is
-    strictly decreasing on a valid window, so plain bisection applies.
+    s is 0 where u >= 1 and inf where the particle survives the whole
+    window.  The ratio is strictly decreasing on a valid window, so each
+    element bisects [0, t2 - t1] until hi - lo <= tol; the bisection is
+    masked, so every element follows its own midpoints.
     """
-    span = t2 - t1
-    if u >= 1.0:
-        return 0.0
-    if lognormal_survival_ratio(x, t2, t1) > u:
-        return math.inf
-    lo, hi = 0.0, span
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lognormal_survival_ratio(x, t1 + mid, t1) >= u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    s = np.zeros(x.shape)
+    todo = u < 1.0
+    survive = np.zeros(x.shape, dtype=bool)
+    survive[todo] = lognormal_survival_ratio(x[todo], t2, t1) > u[todo]
+    s[survive] = math.inf
+    todo &= ~survive
+    lo = np.zeros(x.shape)
+    hi = np.full(x.shape, t2 - t1)
+    idx = np.flatnonzero(todo & (hi - lo > tol))
+    while idx.size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        above = lognormal_survival_ratio(x[idx], t1 + mid, t1) >= u[idx]
+        lo[idx[above]] = mid[above]
+        hi[idx[~above]] = mid[~above]
+        idx = idx[hi[idx] - lo[idx] > tol]
+    s[todo] = 0.5 * (lo[todo] + hi[todo])
+    return s
 
 
 # ---------- family bundle ----------
@@ -253,22 +261,14 @@ def _unit_start(rng) -> float:
     return 1.0
 
 
-def _gaussian_driver(x0: float, incr: np.ndarray, dt: float) -> np.ndarray:
-    """x0 + B on the dt grid, from N(0, 1) increments."""
-    row = np.empty(len(incr) + 1)
-    row[0] = x0
-    np.cumsum(incr, out=row[1:])
-    row[1:] *= math.sqrt(dt)
-    row[1:] += x0
-    return row
+def _gaussian_driver(x0: float, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x0 + B_t."""
+    return x0 + b
 
 
-def _lognormal_driver(x0: float, incr: np.ndarray, dt: float) -> np.ndarray:
-    """exp(B_t - t/2) on the dt grid; starts at 1, the family's only start."""
-    b = np.empty(len(incr) + 1)
-    b[0] = 0.0
-    np.cumsum(incr * math.sqrt(dt), out=b[1:])
-    return np.exp(b - np.arange(len(b)) * dt / 2.0)
+def _lognormal_driver(x0: float, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(B_t - t/2); starts at 1, the family's only start."""
+    return np.exp(b - t / 2.0)
 
 
 def _gaussian_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
@@ -276,16 +276,13 @@ def _gaussian_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
     return invert_survival_ratio(x, u)
 
 
-def _lognormal_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
-    return np.array([_lognormal_switch_time(xi, t1, t2, ui) for xi, ui in zip(x, u)])
-
-
 @dataclass(frozen=True)
 class MarginalFamily:
     """A marginal law indexed by time, with the pieces the harness needs.
 
-    driver(x0, incr, dt) turns a start and N(0, 1) increments into the
-    driving path on the dt grid, whose time-t law is the family's marginal.
+    driver(x0, b, t) maps a start x0 and standard Brownian values b at times
+    t (B_0 = 0) to the driving path, whose time-t law is the family's
+    marginal.
     switch_times(x, u, t1, t2) turns uniforms u into the times s after t1
     at which particles frozen at x are released: the survival ratio
     p(x, t1 + s) / p(x, t1) equals u, and s is inf past the window end t2.

@@ -9,7 +9,6 @@ inside (lo, hi) is a finite union of open *gaps* where particles may freeze.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -39,6 +38,16 @@ class IntervalSystem:
 
     bounded: tuple[tuple[float, float], ...]
     domain: tuple[float, float] = (0.0, 1.0)
+    _edges: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # lo, a_1, b_1, ..., a_N, b_N, hi with every closing end (lo, b_i)
+        # moved up one ulp: x is active iff searchsorted(..., "right") of x
+        # is even, endpoints included
+        lo, hi = self.domain
+        edges = np.concatenate([[lo], self.endpoints, [hi]])
+        edges[:-1:2] = np.nextafter(edges[:-1:2], math.inf)
+        object.__setattr__(self, "_edges", edges)
 
     @property
     def n_intervals(self) -> int:
@@ -68,17 +77,13 @@ class IntervalSystem:
     def contains_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorised membership in the active set (closed intervals)."""
         x = np.asarray(x, dtype=float)
+        if self.n_intervals > 8:
+            # one binary search beats a mask per interval beyond a handful
+            return np.searchsorted(self._edges, x, side="right") % 2 == 0
         lo, hi = self.domain
         out = (x <= lo) | (x >= hi)
-        if self.n_intervals <= 8:
-            # comparison masks beat searchsorted for a handful of intervals
-            for a, b in self.bounded:
-                out |= (x >= a) & (x <= b)
-        elif self.bounded:
-            flat = self.endpoints
-            right = np.searchsorted(flat, x, side="right")
-            left = np.searchsorted(flat, x, side="left")
-            out |= (right % 2 == 1) | (right != left)
+        for a, b in self.bounded:
+            out |= (x >= a) & (x <= b)
         return out
 
     def distance_to_active(self, x: np.ndarray) -> np.ndarray:
@@ -89,15 +94,6 @@ class IntervalSystem:
         idx = np.clip(np.searchsorted(walls, x), 1, len(walls) - 1)
         nearest = np.minimum(np.abs(x - walls[idx - 1]), np.abs(x - walls[idx]))
         return np.where(self.contains_many(x), 0.0, nearest)
-
-    def to_json(self) -> str:
-        """Serialise as a JSON array of [a, b] decimal-string pairs."""
-        return json.dumps([[repr(a), repr(b)] for a, b in self.bounded])
-
-    @staticmethod
-    def from_json(text: str) -> "IntervalSystem":
-        pairs = json.loads(text)
-        return build_interval_system([(float(a), float(b)) for a, b in pairs])
 
 
 def build_interval_system(intervals, domain=(0.0, 1.0)) -> IntervalSystem:

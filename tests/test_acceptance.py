@@ -136,7 +136,7 @@ def test_a7_strong_markov_failure_separates(capsys):
 def test_a8_boundary_flux_rates(capsys):
     with criterion(capsys, "A8"):
         rep = flux_experiment(TWO_GAPS, 0, 1.0, 0.2, 50_000, 11,
-                              dt=2.5e-5, t_driver=3.0)
+                              dt=2.5e-5)
         assert rep.gap == (0.4, 0.6)
         assert rep.count_in > 0 and rep.count_out > 0
         assert rep.rel_err_in <= 0.15
@@ -149,7 +149,7 @@ def test_a9_switch_landing_probabilities(capsys):
         for x0 in (0.42, 0.46, 0.50, 0.54, 0.58):
             res = simulate_marginal_samples(
                 TWO_GAPS, (0.0,), 4_000, 314159,
-                dt=2e-6, t_driver=0.1, fixed_start=x0,
+                dt=2e-6, fixed_start=x0,
             )
             land = res.busy_start[np.isfinite(res.busy_start)]
             assert land.size >= 3_900

@@ -124,7 +124,6 @@ def test_flux_report_structure():
     sys_ = build_interval_system(TWO_GAPS)
     rep = flux_experiment(
         sys_, 0, t_start=0.3, duration=0.05, n_paths=800, seed=17, dt=1e-3,
-        t_driver=1.0,
     )
     assert rep.gap == (0.4, 0.6)
     assert rep.count_in > 0 and rep.count_out > 0

@@ -177,8 +177,11 @@ def test_reports_have_sorted_keys(tmp_path):
 
 
 # (argv after the subcommand, exit code, sha256 of the sorted file names and
-# contents) per subcommand, frozen from the output of the code before the
-# settings were typed at the boundary; every run is at seed 1
+# contents) per subcommand, every run at seed 1.  The Monte Carlo entries are
+# frozen from the block-extended driver's stream layout; the flux run counts
+# only 28 crossings at 400 paths, so whether it passes is chance.  The
+# verify-discrete and convex-order entries predate that layout and must not
+# move.
 PINNED_RUNS = {
     "verify-discrete": (
         ["--m", "50", "--steps", "20"],
@@ -188,28 +191,28 @@ PINNED_RUNS = {
     "simulate": (
         ["--n-paths", "6", "--dt", "0.001"],
         0,
-        "182336faa5745345a258a676f476a57bec9b4144ae51f60c5a7bcbb152e9204b",
+        "1e318354ba8acdd810d6237e5969d562587f8de3b14c3f3c2abd9b0a5a58cac8",
     ),
     "marginals": (
         ["--n-paths", "200", "--dt", "0.002"],
         0,
-        "8b249950d8ea5bd0f44952b8a1508d7b7ff10a49af87ec8afdfc8048df3b3a48",
+        "b8caa44d766aa3c3d79e3aac7ad02cb9f098032b0704e0122f72670d5c3eb612",
     ),
     "martingale": (
         ["--n-paths", "800", "--dt", "0.002"],
         0,
-        "d7d33de3fd67a394a4049546aad632edabb5bc001967322ddff6cc09fbefce4e",
+        "529ce7f088c594f180c7b1149cb886693ec2b6557d0e11af6006d67ce8679db7",
     ),
     "strong-markov": (
         ["--n-pairs", "60", "--dt", "0.001", "--t-horizon", "0.4",
          "--cantor-depth", "3", "--t-offset", "0.05"],
         1,
-        "2dff7f407b80b908b71af51a88913cf58781995cb00dcc116e09885a3bcb30d8",
+        "b6a65525e589d69a1197d7b3145b79952e40d78736230dba93ea227f12873c93",
     ),
     "flux": (
         ["--n-paths", "400", "--dt", "0.001", "--duration", "0.05", "--t-start", "0.3"],
-        1,
-        "336f97d1f6b9667ee8a0534e3a9fdac98cf25d08d093d3ad1686fbf157531435",
+        0,
+        "fbdca21945797bd0b58629f63b3ca364043bcf7674aed823ffd782abd6eaf901",
     ),
     "convex-order": (
         ["--cantor-depth", "2"],
@@ -219,7 +222,7 @@ PINNED_RUNS = {
     "exp-variant": (
         ["--n-paths", "200", "--dt", "0.002"],
         0,
-        "ca012b70b2a6e0459d21d3332cd4d83949df6f7525776ce161fbc4112267e332",
+        "7402628b50cd38bcefdb60f9029414fd892c448d32f19b6ad1ab8895f7400110",
     ),
 }
 

@@ -12,9 +12,9 @@ import pytest
 from scipy.stats import kstest
 
 from fakebm.continuous_sim import (
-    ClockExhaustedError,
-    _covers,
-    _draw,
+    _BLOCK,
+    _brownian,
+    _extend,
     _occupation_clock,
     _time_change,
     iter_fake_grid_chunks,
@@ -45,40 +45,38 @@ def _digest(a):
 
 
 PINNED = {
-    # name: (run, digests of values/frozen/switch_times/x0/busy_start, redraws)
+    # name: run, digests of values/frozen/switch_times/x0/busy_start
     "two_gap": (
         lambda: simulate_marginal_samples(
             build_interval_system(TWO_GAPS), (0.3, 0.8), 500, seed=41, dt=1e-3
         ),
-        ("8f08d38422c0f21c", "6f8575e8e0aacf91", "0970f2d6f7fb3ba9",
-         "98350b5dc3efb82a", "9f5168c017c77889"),
-        0,
+        ("60c689adb13805fa", "f5762d99180f2331", "ecf1e3b9ac4718b0",
+         "98350b5dc3efb82a", "b6d9d8594d8ba8c5"),
     ),
+    # a gap start with a short clock: under a fixed driver horizon this
+    # configuration redrew 47 of its paths
     "redraws": (
         lambda: simulate_marginal_samples(
             build_interval_system(TWO_GAPS), (0.5,), 300, seed=8, dt=1e-3,
-            t_driver=0.2, fixed_start=0.5,
+            fixed_start=0.5,
         ),
-        ("2cdeb26b14ce956e", "5b2a69d80e54601a", "49afa253cc6f31f3",
-         "369a339635b89202", "bfd046c17fd2af16"),
-        47,
+        ("7b7dd22723faa2dd", "9ffac03cc2c8fa6a", "146f5c8885674fb5",
+         "369a339635b89202", "d39a0a562e882832"),
     ),
     "cantor3": (
         lambda: simulate_marginal_samples(
             build_interval_system(fat_cantor_intervals(3)), (0.2, 0.5), 200,
             seed=5, dt=1e-3,
         ),
-        ("d979efc9e6c9cf69", "c2d5c14e236c7063", "4591350be2de1900",
-         "6e1d9902f4aeab7c", "5c2fc8f2f5717303"),
-        0,
+        ("710f7ee17e9782c7", "32215f66567bd396", "70c5c711220797a1",
+         "6e1d9902f4aeab7c", "7b97244e5311b39b"),
     ),
     "exp": (
         lambda: simulate_exp_marginal_samples(
             EXP_WINDOW, EXP_INTERVALS, (0.3, 0.6, 0.9), 800, seed=99, dt=2e-3
         ),
-        ("e0a202fbdc4a90d8", "c6ed111d85d7afd5", "1425e41d3c5e9d0a",
-         "e6b8b8a54e4eff0e", "8061c24d9f9c224e"),
-        0,
+        ("4edc83b3ba31ba68", "47a8f613c6e3d0a1", "7bbf71a7607dde31",
+         "e6b8b8a54e4eff0e", "a9ecd50793cb2d70"),
     ),
 }
 
@@ -87,11 +85,11 @@ PINNED = {
 def test_engine_outputs_are_pinned(name):
     # frozen digests of the engine's outputs: any change to the RNG stream
     # layout or to the arithmetic of the driver, clock or time change shows
-    run, digests, redraws = PINNED[name]
+    run, digests = PINNED[name]
     res = run()
     fields = (res.values, res.frozen, res.switch_times, res.x0, res.busy_start)
     assert tuple(_digest(f) for f in fields) == digests
-    assert res.resampled == redraws
+    assert res.resampled == 0
 
 
 @pytest.mark.parametrize(
@@ -116,23 +114,24 @@ def test_frozen_means_between_freeze_and_switch_time(t1, run):
 # ---------- driving path ----------
 
 
-def test_brownian_path_shape_and_determinism(sys2):
-    row, clock, _, u = _draw(np.random.default_rng(5), GAUSSIAN, sys2, 1000, 0, 1e-3)
-    again = _draw(np.random.default_rng(5), GAUSSIAN, sys2, 1000, 0, 1e-3)
-    assert len(row) == len(clock) == 1001
-    assert np.array_equal(row, again[0])
-    assert 0.0 < u == again[3] < 1.0
+def test_brownian_path_shape_and_determinism():
+    b = _brownian(np.random.default_rng(5), 0.0, 1e-3)
+    again = _brownian(np.random.default_rng(5), 0.0, 1e-3)
+    assert len(b) == _BLOCK
+    assert np.array_equal(b, again)
+    # a block continues from the Brownian value it is handed
+    assert np.array_equal(_brownian(np.random.default_rng(5), 2.5, 1e-3), b + 2.5)
 
 
 def test_brownian_path_fixed_start(sys2):
-    row = _draw(np.random.default_rng(5), GAUSSIAN, sys2, 500, 0, 1e-3, fixed_start=2.5)[0]
-    assert row[0] == 2.5
+    res = simulate_marginal_samples(sys2, (0.0,), 3, seed=5, dt=1e-3, fixed_start=2.5)
+    assert np.all(res.x0 == 2.5)
+    assert np.all(res.values[:, 0] == 2.5)
 
 
-def test_brownian_path_increment_moments(sys2):
-    row = _draw(np.random.default_rng(11), GAUSSIAN, sys2, 2000, 0, 1e-3)[0]
-    inc = np.diff(row)
-    assert inc.mean() == pytest.approx(0.0, abs=4 * math.sqrt(1e-3 / 2000))
+def test_brownian_path_increment_moments():
+    inc = np.diff(_brownian(np.random.default_rng(11), 0.0, 1e-3))
+    assert inc.mean() == pytest.approx(0.0, abs=4 * math.sqrt(1e-3 / len(inc)))
     assert inc.var() == pytest.approx(1e-3, rel=0.15)
 
 
@@ -149,11 +148,9 @@ def test_path_rng_substreams():
 
 def test_occupation_clock_left_endpoint_rule(sys2):
     # active flags of the first four values: False True False True
-    clock, start_active = _occupation_clock(
-        np.array([0.5, 0.2, 0.45, 0.7, 0.05]), sys2, 0.125
-    )
+    active = sys2.contains_many(np.array([0.5, 0.2, 0.45, 0.7, 0.05]))
+    clock = _occupation_clock(active, 0.125)
     assert np.array_equal(clock, [0.0, 0.0, 0.125, 0.125, 0.25])
-    assert not start_active
 
 
 def test_time_change_inverts_clock():
@@ -168,18 +165,24 @@ def test_time_change_inverts_clock():
     values, frozen = _time_change(tail, clock, 0.0625, np.array([0.0, 0.0625, 0.1875]))
     assert frozen.tolist() == [True, False, False]
     assert values.tolist() == [0.5, 0.2, 0.7]
-    # the clock reaches 1/4 only: busy time 1/4 is beyond it
-    assert _covers(clock, 0.0, 0.125)
-    assert not _covers(clock, 0.0, 0.25)
-    assert _covers(clock, 0.0625, 0.25)
-    assert _covers(clock, 0.5, 0.25)  # still frozen at the horizon
 
 
 def test_clock_of_always_active_path_is_identity(sys2):
-    row, clock, start_active, _ = _draw(path_rng(3, 0), GAUSSIAN, sys2, 512, 0, DT, 7.0)
+    row, clock = _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, 0.0, 0, np.array([7.0]), 0.4, DT)
+    assert len(row) == _BLOCK + 1
     assert row.min() > 1.0
-    assert start_active
-    assert np.array_equal(clock, np.arange(513) * DT)
+    assert np.array_equal(clock, np.arange(_BLOCK + 1) * DT)
+
+
+def test_extend_appends_blocks_until_the_clock_exceeds_need(sys2):
+    # the clock of a path started at 7 ticks every step, so a need of
+    # exactly one block's clock takes a second block
+    rows = [
+        _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, 0.0, 0, np.array([7.0]), need, DT)[0]
+        for need in (_BLOCK * DT - DT, _BLOCK * DT)
+    ]
+    assert [len(r) for r in rows] == [_BLOCK + 1, 2 * _BLOCK + 1]
+    assert np.array_equal(rows[1][: _BLOCK + 1], rows[0])
 
 
 # ---------- switch time ----------
@@ -188,14 +191,14 @@ def test_clock_of_always_active_path_is_identity(sys2):
 def test_switch_time_zero_in_active_set(sys2):
     for x0 in (0.25, -3.0):
         res = simulate_marginal_samples(
-            sys2, (0.0,), 5, seed=1, dt=1e-3, t_driver=0.1, fixed_start=x0
+            sys2, (0.0,), 5, seed=1, dt=1e-3, fixed_start=x0
         )
         assert np.all(res.switch_times == 0.0)
 
 
 def test_switch_time_positive_in_gap(sys2):
     res = simulate_marginal_samples(
-        sys2, (0.0,), 5, seed=1, dt=1e-3, t_driver=0.1, fixed_start=0.5
+        sys2, (0.0,), 5, seed=1, dt=1e-3, fixed_start=0.5
     )
     assert np.all(res.switch_times > 0.0)
 
@@ -203,7 +206,7 @@ def test_switch_time_positive_in_gap(sys2):
 def test_switch_time_law_matches_survival_ratio(sys2):
     # P(T > t | start x0) = survival_ratio(x0, t)
     res = simulate_marginal_samples(
-        sys2, (0.0,), 4000, seed=2024, dt=1e-4, t_driver=0.05, fixed_start=0.5
+        sys2, (0.0,), 4000, seed=2024, dt=1e-4, fixed_start=0.5
     )
     stat = kstest(res.switch_times, lambda t: 1.0 - survival_ratio(0.5, t)).statistic
     assert stat <= 1.5 * 1.36 / math.sqrt(4000)
@@ -212,7 +215,7 @@ def test_switch_time_law_matches_survival_ratio(sys2):
 def test_frozen_path_holds_then_moves_into_active_set(sys2):
     t_grid = np.arange(801) * 1e-3
     res = simulate_marginal_samples(
-        sys2, t_grid, 5, seed=77, dt=1e-3, t_driver=3.0, fixed_start=0.5
+        sys2, t_grid, 40, seed=77, dt=1e-3, fixed_start=0.5
     )
     assert np.all(res.switch_times > 0.0)
     assert res.frozen[:, 0].all()
@@ -228,11 +231,12 @@ def test_engine_grid_identity_matches_driver(sys2):
     # always-active start: the engine's values are the driver values at the
     # query times, exactly
     t_grid = np.array([0.0, 32 * DT, 113 * DT])
-    res = simulate_marginal_samples(
-        sys2, t_grid, 1, seed=3, dt=DT, t_driver=0.5, fixed_start=7.0
-    )
-    # stream layout with a fixed start: the increments come first
-    incr = path_rng(3, 0).standard_normal(int(round(0.5 / DT)))
+    res = simulate_marginal_samples(sys2, t_grid, 1, seed=3, dt=DT, fixed_start=7.0)
+    # stream layout with a fixed start: the switch uniform, then one block
+    # of increments covers the clock this query needs
+    rng = path_rng(3, 0)
+    rng.random()
+    incr = rng.standard_normal(_BLOCK)
     driver = np.concatenate([[7.0], np.cumsum(incr) * math.sqrt(DT) + 7.0])
     assert driver.min() > 1.0
     assert res.values[0, 0] == driver[0]
@@ -241,7 +245,6 @@ def test_engine_grid_identity_matches_driver(sys2):
     assert not res.frozen.any()
     assert res.switch_times[0] == 0.0
     assert res.busy_start[0] == driver[0]
-    assert res.resampled == 0
 
 
 def test_engine_chunk_and_worker_invariance(sys2):
@@ -275,7 +278,7 @@ def test_engine_frozen_paths_hold_start_busy_paths_sit_in_active(sys2):
 
 def test_engine_busy_start_is_gap_edge_within_overshoot(sys2):
     res = simulate_marginal_samples(
-        sys2, (0.0,), 400, seed=6, dt=1e-4, t_driver=0.1, fixed_start=0.5
+        sys2, (0.0,), 400, seed=6, dt=1e-4, fixed_start=0.5
     )
     land = res.busy_start
     assert np.isfinite(land).all()
@@ -288,21 +291,40 @@ def test_engine_busy_start_is_gap_edge_within_overshoot(sys2):
     assert abs(p - 0.5) <= 4 * math.sqrt(0.25 / 400)
 
 
-def test_engine_resamples_exhausted_drivers(sys2):
-    res = simulate_marginal_samples(
-        sys2, (0.5,), 300, seed=8, dt=1e-3, t_driver=0.2, fixed_start=0.5
+@pytest.mark.parametrize(
+    "short, long, run",
+    [
+        ((0.5,), (0.5, 2.0), lambda t: simulate_marginal_samples(
+            build_interval_system(TWO_GAPS), t, 300, seed=3, dt=1e-3)),
+        ((0.75,), (0.75, 1.0), lambda t: simulate_exp_marginal_samples(
+            EXP_WINDOW, EXP_INTERVALS, t, 300, seed=3, dt=2e-3)),
+    ],
+    ids=["gaussian", "lognormal"],
+)
+def test_values_do_not_depend_on_later_query_times(short, long, run):
+    a, b = run(short), run(long)
+    assert np.array_equal(a.values, b.values[:, : len(short)])
+    assert np.array_equal(a.frozen, b.frozen[:, : len(short)])
+    for f in ("switch_times", "x0", "busy_start"):
+        assert np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+
+
+@pytest.mark.parametrize("intervals", [TWO_GAPS, fat_cantor_intervals(6)],
+                         ids=["two_gap", "cantor6"])
+def test_frozen_exactly_when_in_a_gap(intervals):
+    system = build_interval_system(intervals)
+    res = simulate_marginal_samples(system, (0.0, 0.3, 0.8, 1.5), 512, seed=12, dt=1e-3)
+    assert res.frozen.any() and (~res.frozen).any()
+    assert np.array_equal(res.frozen, ~system.contains_many(res.values))
+
+
+def test_exp_frozen_exactly_when_in_a_gap_inside_the_window():
+    system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
+    res = simulate_exp_marginal_samples(
+        EXP_WINDOW, EXP_INTERVALS, (0.5, 0.6, 0.8, 1.0), 512, seed=12, dt=2e-3
     )
-    assert res.resampled > 0
-    busy = ~res.frozen[:, 0]
-    assert sys2.contains_many(res.values[busy, 0]).all()
-    assert np.all(res.values[res.frozen[:, 0], 0] == 0.5)
-
-
-def test_engine_raises_when_resampling_cannot_help(sys2):
-    with pytest.raises(ClockExhaustedError):
-        simulate_marginal_samples(
-            sys2, (0.5,), 4, seed=8, dt=1e-3, t_driver=0.3, fixed_start=0.25
-        )
+    assert res.frozen.any() and (~res.frozen).any()
+    assert np.array_equal(res.frozen, ~system.contains_many(res.values))
 
 
 def test_engine_rejects_bad_grids(sys2):
@@ -328,9 +350,12 @@ def test_iter_chunks_arrive_in_path_order(sys2):
 
 
 def test_exp_path_before_window_is_exponential_martingale():
-    system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
-    # t_max = 0.9 gives the engine a driver of 0.5 + 3 * (1 + 0.4) = 4.7
-    row = _draw(path_rng(10, 0), LOGNORMAL, system, 2350, 250, 2e-3)[0]
+    # the start is fixed at 1, so the stream opens with the switch uniform;
+    # one block of increments reaches the freeze step 250
+    rng = path_rng(10, 0)
+    rng.random()
+    b = np.concatenate([[0.0], _brownian(rng, 0.0, 2e-3)])
+    row = LOGNORMAL.driver(1.0, b, np.arange(len(b)) * 2e-3)
     assert row[0] == 1.0
     assert np.all(row > 0)
     # log-values before t1 = 0.5 are a drifted random walk with variance dt
@@ -340,7 +365,6 @@ def test_exp_path_before_window_is_exponential_martingale():
     res = simulate_exp_marginal_samples(
         EXP_WINDOW, EXP_INTERVALS, (0.1, 0.3, 0.9), 1, seed=10, dt=2e-3
     )
-    assert res.resampled == 0
     assert res.values[0, 0] == row[50]
     assert res.values[0, 1] == row[150]
     assert not res.frozen[0, :2].any()

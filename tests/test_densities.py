@@ -211,3 +211,31 @@ def test_exp_window_concavity_oracle():
 def test_lognormal_family_bundle():
     assert LOGNORMAL.kind == "lognormal"
     assert LOGNORMAL.cdf(0.8, 0.7) == pytest.approx(lognormal_cdf(0.8, 0.7))
+
+
+def _scalar_lognormal_switch_time(x, t1, t2, u, tol=1e-12):
+    # reference: one scalar bisection per particle
+    if u >= 1.0:
+        return 0.0
+    if lognormal_survival_ratio(x, t2, t1) > u:
+        return math.inf
+    lo, hi = 0.0, t2 - t1
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if lognormal_survival_ratio(x, t1 + mid, t1) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_lognormal_switch_times_match_scalar_bisection_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.6, 1.1, 3000)
+    u = rng.random(3000)
+    u[:300] = 1.0 - rng.random(300) * 1e-9  # close to 1: tiny switch times
+    u[300:310] = 1.0
+    s = LOGNORMAL.switch_times(x, u, 0.5, 1.0)
+    expect = [_scalar_lognormal_switch_time(xi, 0.5, 1.0, ui) for xi, ui in zip(x, u)]
+    assert np.isinf(s).sum() > 100  # survivors of the window
+    assert np.array_equal(s, expect)

@@ -1,13 +1,11 @@
 """Interval systems, the fat Cantor construction, and lattice projection."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from fakebm.intervals import (
-    IntervalSystem,
     build_interval_system,
     default_j_max,
     fat_cantor_intervals,
@@ -57,14 +55,6 @@ def test_gap_and_interval_lengths_partition_unit():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_json_round_trip():
-    sys_ = build_interval_system(TWO_GAPS)
-    again = IntervalSystem.from_json(sys_.to_json())
-    assert again == sys_
-    # and the payload is plain JSON
-    assert json.loads(sys_.to_json())[0][0] == "0.1"
-
-
 # ---------- membership ----------
 
 
@@ -104,6 +94,26 @@ def test_contains_many_matches_scalar_large_system():
     mask = sys_.contains_many(xs)
     for x, m_ in zip(xs, mask):
         assert bool(m_) == sys_.contains(float(x))
+
+
+@pytest.mark.parametrize("intervals", [TWO_GAPS, fat_cantor_intervals(4), fat_cantor_intervals(6)],
+                         ids=["two_gap", "cantor4", "cantor6"])
+def test_contains_many_is_closed_interval_membership(intervals):
+    # every endpoint, both one-ulp neighbours of each, and seeded random
+    # points; two intervals take the mask path, 15 and 63 the searchsorted one
+    sys_ = build_interval_system(intervals)
+    lo, hi = sys_.domain
+    ends = np.array([lo, *sys_.endpoints, hi])
+    xs = np.concatenate([
+        ends,
+        np.nextafter(ends, -np.inf),
+        np.nextafter(ends, np.inf),
+        np.random.default_rng(11).uniform(-0.2, 1.2, size=20_000),
+    ])
+    expect = (xs <= lo) | (xs >= hi)
+    for a, b in sys_.bounded:
+        expect |= (a <= xs) & (xs <= b)
+    assert np.array_equal(sys_.contains_many(xs), expect)
 
 
 def test_distance_to_active_values():
