@@ -407,6 +407,8 @@ def _cmd_martingale(cfg: dict):
 
 
 def _cmd_strong_markov(cfg: dict):
+    if cfg["min_class"] < 1:
+        raise ConfigError("--min-class must be >= 1")
     rep = coupling_experiment(
         cfg["cantor_depth"],
         cfg["t_offset"],
@@ -446,6 +448,8 @@ def _cmd_strong_markov(cfg: dict):
 def _cmd_flux(cfg: dict):
     if cfg["duration"] < cfg["dt"]:
         raise ConfigError("--duration must be at least --dt")
+    if cfg["tolerance"] < 0:
+        raise ConfigError("--tolerance must be >= 0")
     system = _resolve_system(cfg)
     rep = flux_experiment(
         system,

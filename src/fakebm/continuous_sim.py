@@ -18,13 +18,15 @@ Each path reads one dedicated RNG substream derived from (seed, path_index),
 in this order: the start x0 (unless it is fixed), the switch uniform u, then
 the driver's N(0, 1) increments in blocks of _BLOCK steps counted from step
 0.  Block by block the Brownian value carries on as b_last + cumsum(z) *
-sqrt(dt).  The blocks that reach the freeze step are drawn first; after the
-switch time is known, blocks are appended until the clock of the driver
-from t1 on exceeds max(t_last - t1 - s, 0), so every path with a finite
-switch time lands in the active set.  A path that survives the whole window
-(s = inf) draws nothing more.  Chunk size and worker count change no
-number, and a path's values at given times do not depend on which later
-times are also queried: a later time only appends blocks.
+sqrt(dt).  A path draws only the steps it uses, in as many calls as it
+needs, and the values do not depend on how the steps are split into calls:
+first exactly the steps up to the freeze step, then, after the switch time
+is known, more steps until the clock of the driver from t1 on exceeds
+max(t_last - t1 - s, 0), so every path with a finite switch time lands in
+the active set.  A path that survives the whole window (s = inf) draws
+nothing more.  Chunk size and worker count change no number, and a path's
+values at given times do not depend on which later times are also queried:
+a later time only appends steps.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ __all__ = [
     "simulate_exp_marginal_samples",
 ]
 
-# driver steps drawn at a time; part of the RNG stream layout
+# the driver's increments are summed in blocks of this many steps; part of
+# the RNG stream layout
 _BLOCK = 4096
+# fewest driver steps one top-up of a busy path draws; changes no value
+_MIN_DRAW = 512
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -78,12 +83,31 @@ class SimulationResult:
 # ---------- one path ----------
 
 
-def _brownian(rng, b_last: float, dt: float) -> np.ndarray:
-    """The next _BLOCK grid values of a Brownian motion now at b_last."""
-    b = np.cumsum(rng.standard_normal(_BLOCK))
-    b *= math.sqrt(dt)
-    b += b_last
-    return b
+def _brownian(rng, state: tuple, n: int, dt: float):
+    """The next n grid values of the driver's Brownian motion, and its state.
+
+    state is (b0, psum, pos): the Brownian value at the last _BLOCK boundary,
+    and the unscaled sum of the pos increments drawn since.  Within a block
+    the values are b0 + cumsum(z) * sqrt(dt); a continued block adds psum to
+    its first new increment before the cumsum, so the values are bit for bit
+    those of whole-block draws however the n steps are split into calls.
+    """
+    b0, psum, pos = state
+    parts = [np.empty(0)]
+    while n > 0:
+        take = min(n, _BLOCK - pos)
+        z = rng.standard_normal(take)
+        z[0] += psum
+        b = np.cumsum(z)
+        psum = b[-1]
+        b *= math.sqrt(dt)
+        b += b0
+        parts.append(b)
+        n -= take
+        pos += take
+        if pos == _BLOCK:
+            b0, psum, pos = b[-1], 0.0, 0
+    return np.concatenate(parts), (b0, psum, pos)
 
 
 def _occupation_clock(active: np.ndarray, dt: float) -> np.ndarray:
@@ -114,24 +138,26 @@ def _time_change(tail: np.ndarray, clock: np.ndarray, s: float, rel: np.ndarray)
     return values, frozen
 
 
-def _extend(rng, family, system, x0, b_last, k, tail, need, dt):
-    """Append driver blocks to tail until its clock exceeds need.
+def _extend(rng, family, system, x0, state, k, tail, need, dt):
+    """Append driver steps to tail until its clock exceeds need.
 
     tail holds the driver from the freeze step up to grid step k, where the
-    Brownian value is b_last.  Returns the extended tail and its clock.
+    Brownian motion is in state (see _brownian).  A step adds at most dt to
+    the clock, so each top-up draws the fewest steps that could still be
+    enough, but at least _MIN_DRAW.  Returns the extended tail and its clock.
     """
     parts = [tail]
     flags = [system.contains_many(tail)]
     ticks = int(np.count_nonzero(flags[0][:-1]))
     while ticks * dt <= need:
-        b = _brownian(rng, b_last, dt)
-        path = family.driver(x0, b, np.arange(k + 1, k + 1 + _BLOCK) * dt)
+        n = max(int(need / dt) + 1 - ticks, _MIN_DRAW)
+        b, state = _brownian(rng, state, n, dt)
+        path = family.driver(x0, b, np.arange(k + 1, k + 1 + n) * dt)
         active = system.contains_many(path)
         ticks += int(flags[-1][-1]) + int(np.count_nonzero(active[:-1]))
         parts.append(path)
         flags.append(active)
-        b_last = b[-1]
-        k += _BLOCK
+        k += n
     return np.concatenate(parts), _occupation_clock(np.concatenate(flags), dt)
 
 
@@ -140,7 +166,6 @@ def _extend(rng, family, system, x0, b_last, k, tail, need, dt):
 
 def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start, count) -> dict:
     k1 = int(round(t1 / dt))
-    n_pre = -(-k1 // _BLOCK)  # blocks that reach the freeze step
     pre = t_grid < t1
     pre_idx = np.round(t_grid[pre] / dt).astype(int)
     rel = t_grid[~pre] - t1
@@ -160,26 +185,23 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
         u[r] = rng.random()
         while u[r] == 0.0:
             u[r] = rng.random()
-        blocks = [np.zeros(1)]
-        for _ in range(n_pre):
-            blocks.append(_brownian(rng, blocks[-1][-1], dt))
-        b = np.concatenate(blocks)
-        path = family.driver(x0[r], b, np.arange(len(b)) * dt)
+        b, state = _brownian(rng, (0.0, 0.0, 0), k1, dt)
+        path = family.driver(x0[r], np.concatenate([[0.0], b]), np.arange(k1 + 1) * dt)
         values[r, pre] = path[pre_idx]
         rngs.append(rng)
-        heads.append((b[-1], path[k1:]))
+        heads.append((state, path[k1:]))
     x1 = np.array([tail[0] for _, tail in heads])
     s = np.zeros(count)
     gap = ~system.contains_many(x1)
     s[gap] = family.switch_times(x1[gap], u[gap], t1, t2)
 
-    for r, (rng, (b_last, tail)) in enumerate(zip(rngs, heads)):
+    for r, (rng, (state, tail)) in enumerate(zip(rngs, heads)):
         if math.isinf(s[r]):  # survives the window: frozen from t1 on
             values[r, ~pre] = tail[0]
             frozen[r, ~pre] = True
             continue
         tail, clock = _extend(
-            rng, family, system, x0[r], b_last, n_pre * _BLOCK, tail, max(horizon - s[r], 0.0), dt
+            rng, family, system, x0[r], state, k1, tail, max(horizon - s[r], 0.0), dt
         )
         values[r, ~pre], frozen[r, ~pre] = _time_change(tail, clock, s[r], rel)
         busy_start[r] = tail[np.searchsorted(clock, 0.0, side="right") - 1]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import binomtest
+from scipy.stats import binomtest, kstest
 
 from fakebm.analysis import (
     convex_order_check,
@@ -18,7 +18,7 @@ from fakebm.analysis import (
     symmetrized_split,
     wilson_interval,
 )
-from fakebm.densities import gaussian_density
+from fakebm.densities import GAUSSIAN, LOGNORMAL, gaussian_density
 from fakebm.intervals import build_interval_system
 
 TWO_GAPS = [(0.1, 0.4), (0.6, 0.9)]
@@ -45,9 +45,37 @@ def test_ks_rejects_wrong_variance():
     assert rep.ks_statistic > 0.05
 
 
+def test_ks_statistic_equals_scipy_bit_for_bit():
+    # 2,000 seeded samples: both families, n from 100 to 5,000, every fifth
+    # sample rounded to two decimals (ties), every third from a wrong law
+    rng = np.random.default_rng(2024)
+    mismatches = 0
+    for i in range(2000):
+        n = int(rng.integers(100, 5001))
+        t = float(rng.uniform(0.1, 2.0))
+        family = GAUSSIAN if i % 2 == 0 else LOGNORMAL
+        scale = 1.2 if i % 3 == 0 else 1.0
+        if family is GAUSSIAN:
+            x = rng.normal(0.0, scale * math.sqrt(1.0 + t), size=n)
+        else:
+            x = np.exp(rng.normal(-t / 2.0, scale * math.sqrt(t), size=n))
+        if i % 5 == 0:
+            x = np.maximum(np.round(x, 2), 0.01)
+        ours = ks_marginal_test(x, t, family=family).ks_statistic
+        ref = float(kstest(x, lambda v: family.cdf(v, t)).statistic)
+        mismatches += ours != ref
+    assert mismatches == 0
+
+
 def test_ks_rejects_tiny_samples():
     with pytest.raises(ValueError):
         ks_marginal_test(np.zeros(99), 1.0)
+
+
+def test_ks_rejects_samples_that_are_not_a_vector():
+    # sorting a 2-d array sorts each row, so its statistic would be wrong
+    with pytest.raises(ValueError, match="1-d"):
+        ks_marginal_test(np.zeros((2, 100)), 1.0)
 
 
 # ---------- martingale bin test ----------

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +164,35 @@ def test_crash_exits_3_not_1(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "engine fault" in err
+
+
+_IMPORT_GRAPH_CHECK = """
+import sys
+from fakebm.cli import main
+assert "scipy.stats" not in sys.modules, "import fakebm.cli"
+for argv in (%r, %r):
+    assert main(argv) == 0, argv[0]
+    assert "scipy.stats" not in sys.modules, argv[0]
+"""
+
+
+def test_no_command_path_imports_scipy_stats(tmp_path):
+    # scipy.stats alone doubles the start-up cost of every command, so
+    # neither the import of the CLI nor a KS check may load it
+    argvs = (
+        ["verify-discrete", "--seed", "1", "--m", "8", "--steps", "4",
+         "--output-dir", str(tmp_path / "v")],
+        ["marginals", "--seed", "1", "--n-paths", "100", "--dt", "0.01",
+         "--t-queries", "[0.5]", "--ks-max", "1.0", "--output-dir", str(tmp_path / "m")],
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_CHECK % argvs],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reports_have_sorted_keys(tmp_path):
@@ -455,6 +486,15 @@ def test_strong_markov_tiny_run_is_inconclusive(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["A", "B"]
 
 
+def test_strong_markov_rejects_min_class_below_one(tmp_path, capsys):
+    # min_class 0 would call an empty class B conclusive
+    code = run("strong-markov", "--seed", "1", "--n-pairs", "10",
+               "--min-class", "0", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--min-class" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------- flux ----------
 
 
@@ -476,6 +516,16 @@ def test_flux_rejects_duration_shorter_than_dt(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "--duration" in err and "--dt" in err
+
+
+def test_flux_rejects_negative_tolerance(tmp_path, capsys):
+    # a negative tolerance fails every run, which would read as an honest
+    # statistical failure
+    code = run("flux", "--seed", "1", "--n-paths", "10", "--tolerance", "-1",
+               "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_flux_rejects_bad_gap_index(tmp_path, capsys):

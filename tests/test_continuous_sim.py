@@ -13,6 +13,7 @@ from scipy.stats import kstest
 
 from fakebm.continuous_sim import (
     _BLOCK,
+    _MIN_DRAW,
     _brownian,
     _extend,
     _occupation_clock,
@@ -114,13 +115,50 @@ def test_frozen_means_between_freeze_and_switch_time(t1, run):
 # ---------- driving path ----------
 
 
+START = (0.0, 0.0, 0)  # Brownian state at step 0
+
+
 def test_brownian_path_shape_and_determinism():
-    b = _brownian(np.random.default_rng(5), 0.0, 1e-3)
-    again = _brownian(np.random.default_rng(5), 0.0, 1e-3)
-    assert len(b) == _BLOCK
+    b, state = _brownian(np.random.default_rng(5), START, 100, 1e-3)
+    again, _ = _brownian(np.random.default_rng(5), START, 100, 1e-3)
+    assert len(b) == 100
     assert np.array_equal(b, again)
-    # a block continues from the Brownian value it is handed
-    assert np.array_equal(_brownian(np.random.default_rng(5), 2.5, 1e-3), b + 2.5)
+    assert state == (0.0, np.cumsum(np.random.default_rng(5).standard_normal(100))[-1], 100)
+    # a block continues from the Brownian value at its start
+    moved, _ = _brownian(np.random.default_rng(5), (2.5, 0.0, 0), 100, 1e-3)
+    assert np.array_equal(moved, b + 2.5)
+
+
+def test_brownian_split_draws_match_whole_blocks():
+    # three whole blocks, each summed from the end of the one before
+    dt = 1e-3
+    z = np.random.default_rng(8).standard_normal(3 * _BLOCK)
+    blocks, b_last = [], 0.0
+    for block in z.reshape(3, _BLOCK):
+        b = np.cumsum(block)
+        b *= math.sqrt(dt)
+        b += b_last
+        blocks.append(b)
+        b_last = b[-1]
+    whole = np.concatenate(blocks)
+    one, end = _brownian(np.random.default_rng(8), START, 3 * _BLOCK, dt)
+    assert np.array_equal(one, whole)
+    assert end == (whole[-1], 0.0, 0)
+    # the same steps split at block edges, next to them, twice at one
+    # point (an empty draw) and at seeded random points
+    cut_rng = np.random.default_rng(0)
+    splits = [
+        [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK - 1],
+        [700, 700, 5000],
+        *(sorted(cut_rng.integers(1, 3 * _BLOCK, size=k).tolist()) for k in (1, 5, 40)),
+    ]
+    for cuts in splits:
+        rng, state, parts = np.random.default_rng(8), START, []
+        for n in np.diff([0, *cuts, 3 * _BLOCK]):
+            b, state = _brownian(rng, state, int(n), dt)
+            parts.append(b)
+        assert np.array_equal(np.concatenate(parts), whole), cuts
+        assert state == end
 
 
 def test_brownian_path_fixed_start(sys2):
@@ -130,7 +168,7 @@ def test_brownian_path_fixed_start(sys2):
 
 
 def test_brownian_path_increment_moments():
-    inc = np.diff(_brownian(np.random.default_rng(11), 0.0, 1e-3))
+    inc = np.diff(_brownian(np.random.default_rng(11), START, _BLOCK, 1e-3)[0])
     assert inc.mean() == pytest.approx(0.0, abs=4 * math.sqrt(1e-3 / len(inc)))
     assert inc.var() == pytest.approx(1e-3, rel=0.15)
 
@@ -168,21 +206,27 @@ def test_time_change_inverts_clock():
 
 
 def test_clock_of_always_active_path_is_identity(sys2):
-    row, clock = _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, 0.0, 0, np.array([7.0]), 0.4, DT)
-    assert len(row) == _BLOCK + 1
+    # a need under _MIN_DRAW steps' clock still draws _MIN_DRAW steps
+    row, clock = _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, START, 0, np.array([7.0]), 0.4, DT)
+    assert 0.4 < _MIN_DRAW * DT
+    assert len(row) == _MIN_DRAW + 1
     assert row.min() > 1.0
-    assert np.array_equal(clock, np.arange(_BLOCK + 1) * DT)
+    assert np.array_equal(clock, np.arange(_MIN_DRAW + 1) * DT)
 
 
 def test_extend_appends_blocks_until_the_clock_exceeds_need(sys2):
-    # the clock of a path started at 7 ticks every step, so a need of
-    # exactly one block's clock takes a second block
+    # the clock of a path started at 7 ticks every step, so it draws
+    # exactly the steps whose clock exceeds need: one more for one more
+    # step's clock, across a block edge, and the shorter row is a prefix
+    n = _BLOCK + 1000
     rows = [
-        _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, 0.0, 0, np.array([7.0]), need, DT)[0]
-        for need in (_BLOCK * DT - DT, _BLOCK * DT)
+        _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, START, 0, np.array([7.0]), need, DT)[0]
+        for need in (n * DT - DT, n * DT)
     ]
-    assert [len(r) for r in rows] == [_BLOCK + 1, 2 * _BLOCK + 1]
-    assert np.array_equal(rows[1][: _BLOCK + 1], rows[0])
+    assert [len(r) for r in rows] == [n + 1, n + 2]
+    assert np.array_equal(rows[1][: n + 1], rows[0])
+    whole, _ = _brownian(path_rng(3, 0), START, n + 1, DT)
+    assert np.array_equal(rows[1][1:], whole + 7.0)
 
 
 # ---------- switch time ----------
@@ -232,8 +276,8 @@ def test_engine_grid_identity_matches_driver(sys2):
     # query times, exactly
     t_grid = np.array([0.0, 32 * DT, 113 * DT])
     res = simulate_marginal_samples(sys2, t_grid, 1, seed=3, dt=DT, fixed_start=7.0)
-    # stream layout with a fixed start: the switch uniform, then one block
-    # of increments covers the clock this query needs
+    # stream layout with a fixed start: the switch uniform, then the
+    # increments, whose first block holds every step this query needs
     rng = path_rng(3, 0)
     rng.random()
     incr = rng.standard_normal(_BLOCK)
@@ -350,11 +394,11 @@ def test_iter_chunks_arrive_in_path_order(sys2):
 
 
 def test_exp_path_before_window_is_exponential_martingale():
-    # the start is fixed at 1, so the stream opens with the switch uniform;
-    # one block of increments reaches the freeze step 250
+    # the start is fixed at 1, so the stream opens with the switch uniform,
+    # then the 250 increments up to the freeze step
     rng = path_rng(10, 0)
     rng.random()
-    b = np.concatenate([[0.0], _brownian(rng, 0.0, 2e-3)])
+    b = np.concatenate([[0.0], _brownian(rng, START, 250, 2e-3)[0]])
     row = LOGNORMAL.driver(1.0, b, np.arange(len(b)) * 2e-3)
     assert row[0] == 1.0
     assert np.all(row > 0)
