@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
+_MIN_BIN = 30  # fewest samples a martingale bin needs to be kept
 
 
 # ---------- marginal KS ----------
@@ -105,13 +106,13 @@ class MartingaleBinReport:
 
 
 def martingale_bin_test(
-    x_s, x_t, s: float, t: float, n_bins: int = 20, z_max: float = 4.0, min_bin: int = 30
+    x_s, x_t, s: float, t: float, n_bins: int = 20, z_max: float = 4.0
 ) -> MartingaleBinReport:
     """Conditional-mean test of E[X_t - X_s | X_s].
 
     Bins are X_s quantile bins; the test passes iff every kept bin's mean
     increment lies within z_max standard errors of zero.  Bins with fewer
-    than min_bin samples are excluded and reported.
+    than _MIN_BIN samples are excluded and reported.
     """
     x_s = np.asarray(x_s, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
@@ -130,7 +131,7 @@ def martingale_bin_test(
         mask = which == b
         n = int(mask.sum())
         lo, hi = float(edges[b]), float(edges[b + 1])
-        if n < min_bin:
+        if n < _MIN_BIN:
             excluded.append(BinStat(lo, hi, math.nan, math.nan, n))
             continue
         vals = incr[mask]
@@ -194,7 +195,6 @@ def flux_experiment(
     n_paths: int,
     seed: int,
     dt: float = 2.5e-5,
-    chunk: int = 256,
     workers: int = 1,
 ) -> FluxReport:
     """Empirical jump rates across one interior gap against the closed form.
@@ -217,9 +217,7 @@ def flux_experiment(
     t_grid = t_start + np.arange(n_grid + 1) * dt
     count_in = 0
     count_out = 0
-    for part in iter_fake_grid_chunks(
-        system, t_grid, n_paths, seed, dt=dt, chunk=chunk, workers=workers,
-    ):
+    for part in iter_fake_grid_chunks(system, t_grid, n_paths, seed, dt=dt, workers=workers):
         fwd, bwd = count_interval_transitions(part["values"], left, right)
         count_in += fwd
         count_out += bwd
@@ -250,18 +248,13 @@ def flux_experiment(
 # ---------- coupling experiment ----------
 
 
-def wilson_interval(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("need n > 0")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if confidence == 0.99:
-        z = _Z_99
-    else:
-        from scipy.stats import norm
-
-        z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = _Z_99
     p = k / n
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
@@ -309,7 +302,6 @@ def coupling_experiment(
     dt: float = 1e-4,
     t_horizon: float = 1.5,
     min_class: int = 200,
-    chunk: int = 128,
     workers: int = 1,
 ) -> CouplingReport:
     """Meet two independent copies and look where the first one goes next.
@@ -335,9 +327,7 @@ def coupling_experiment(
     n_meetings = n_a = n_b = n_bb = n_ll = 0
     hits_a = hits_b = 0
     gap_sum = 0.0
-    for part in iter_fake_grid_chunks(
-        system, t_grid, 2 * n_pairs, seed, dt=dt, chunk=2 * chunk, workers=workers
-    ):
+    for part in iter_fake_grid_chunks(system, t_grid, 2 * n_pairs, seed, dt=dt, workers=workers):
         vals = part["values"]
         t_switch = part["switch_times"]
         count = len(vals)

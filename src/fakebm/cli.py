@@ -36,6 +36,7 @@ from .analysis import (
     flux_experiment,
     ks_marginal_test,
     martingale_bin_test,
+    _MIN_BIN,
 )
 
 __all__ = ["main"]
@@ -125,39 +126,23 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _emit_json(obj, indent: int) -> str:
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _plain(obj):
+    """obj with tuples and arrays as lists, numpy scalars as Python scalars
+    and NaN or +-inf as None, so json.dumps can write it."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys = sorted(obj)
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _emit_json(obj[k], indent + 2)
-            for k in keys
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _emit_json(v, indent + 2) for v in seq)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialise {type(obj)!r}")
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_report(path: str, report: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(_emit_json(report, 0))
+        fh.write(json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
@@ -379,6 +364,13 @@ def _cmd_martingale(cfg: dict):
     s, t = cfg["s"], cfg["t"]
     if not 0 < s < t:
         raise ConfigError("need 0 < s < t")
+    if cfg["n_bins"] < 1:
+        raise ConfigError("--n-bins must be >= 1")
+    # so that, by pigeonhole, some quantile bin holds enough samples to be kept
+    if cfg["n_paths"] < _MIN_BIN * cfg["n_bins"]:
+        raise ConfigError(f"--n-paths must be at least {_MIN_BIN} times --n-bins")
+    if cfg["z_max"] < 0:
+        raise ConfigError("--z-max must be >= 0")
     result = simulate_marginal_samples(
         system, [s, t], cfg["n_paths"], cfg["seed"], dt=cfg["dt"], workers=cfg["workers"]
     )
@@ -482,6 +474,8 @@ def _cmd_convex_order(cfg: dict):
     x_min, x_max, x_step = cfg["x_min"], cfg["x_max"], cfg["x_step"]
     if not x_min < x_max or x_step <= 0:
         raise ConfigError("need x_min < x_max and x_step > 0")
+    if cfg["tol"] < 0:
+        raise ConfigError("--tol must be >= 0")
     n = int(round((x_max - x_min) / x_step))
     x_grid = x_min + np.arange(n + 1) * x_step
     t_grid = _floats(cfg, "t_grid")

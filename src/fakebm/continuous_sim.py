@@ -53,6 +53,8 @@ __all__ = [
 _BLOCK = 4096
 # fewest driver steps one top-up of a busy path draws; changes no value
 _MIN_DRAW = 512
+# paths per chunk, the unit of work of one worker; changes no value
+_CHUNK = 256
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -216,12 +218,12 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
     }
 
 
-def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, chunk, workers):
+def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, workers):
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     payloads = [
-        (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(chunk, n_paths - start))
-        for start in range(0, n_paths, chunk)
+        (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(_CHUNK, n_paths - start))
+        for start in range(0, n_paths, _CHUNK)
     ]
     if workers <= 1:
         for p in payloads:
@@ -251,15 +253,14 @@ def iter_fake_grid_chunks(
     seed: int,
     dt: float = 1e-4,
     fixed_start: float | None = None,
-    chunk: int = 256,
     workers: int = 1,
 ):
     """Yield per-chunk results of the many-path engine, in path order.
 
-    Each yielded dict holds the chunk's values on t_grid plus per-path switch
-    times, starts and busy landing values.  Path i always draws from the
-    substream (seed, i): chunk size and worker count change scheduling only,
-    never the numbers.
+    Each yielded dict holds one chunk of _CHUNK paths (fewer in the last):
+    their values on t_grid plus per-path switch times, starts and busy
+    landing values.  Path i always draws from the substream (seed, i): chunk
+    size and worker count change scheduling only, never the numbers.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
@@ -267,7 +268,7 @@ def iter_fake_grid_chunks(
     if t_grid[0] < 0:
         raise ValueError("query times must be non-negative")
     yield from _chunks(
-        GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, fixed_start, chunk, workers
+        GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, fixed_start, workers
     )
 
 
@@ -278,7 +279,6 @@ def simulate_marginal_samples(
     seed: int,
     dt: float = 1e-4,
     fixed_start: float | None = None,
-    chunk: int = 256,
     workers: int = 1,
 ) -> SimulationResult:
     """Values of n_paths paths of the construction at the query times."""
@@ -292,7 +292,6 @@ def simulate_marginal_samples(
             seed,
             dt=dt,
             fixed_start=fixed_start,
-            chunk=chunk,
             workers=workers,
         ),
     )
@@ -325,8 +324,5 @@ def simulate_exp_marginal_samples(
     system = build_interval_system(intervals, domain=(a_lo, b_hi))
     return _collect(
         t_queries,
-        _chunks(
-            LOGNORMAL, system, np.asarray(t_queries), t1, t2, n_paths, seed, dt, None, 256,
-            workers,
-        ),
+        _chunks(LOGNORMAL, system, np.asarray(t_queries), t1, t2, n_paths, seed, dt, None, workers),
     )

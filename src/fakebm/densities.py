@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import lambertw, ndtr
 
 __all__ = [
     "gaussian_density",
@@ -84,46 +84,24 @@ def survival_ratio(x, t):
     return np.exp(np.square(x) * t / (2.0 * v)) / np.sqrt(v)
 
 
-def invert_survival_ratio(x, u, *, atol=1e-12, rtol=1e-12):
-    """Solve survival_ratio(x, t) = u for t.
+def invert_survival_ratio(x, u):
+    """Solve survival_ratio(x, t) = u for t, in closed form.
 
-    Bracketed bisection: the upper bracket doubles from 1 until the ratio
-    falls below u, then bisects.  The tolerance is atol + rtol * t, i.e.
-    absolute 1e-12 for moderate switch times and relative once t is so large
-    that float64 cannot resolve an absolute 1e-12 anyway.  Accepts scalars or
+    With w = x^2 / (1 + t) the equation reads w e^{-w} = x^2 u^2 e^{-x^2},
+    so w = -W(-x^2 u^2 e^{-x^2}) for the principal branch W of Lambert's W
+    (w <= 1 picks it), and t = e^{x^2 - w} / u^2 - 1.  Accepts scalars or
     arrays (x and u broadcast together).
     """
     scalar = np.isscalar(x) and np.isscalar(u)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x, u = np.broadcast_arrays(x, u)
-    x = x.astype(float).copy()
-    u = u.astype(float).copy()
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
     if np.any(np.abs(x) > 1.0):
         raise ValueError("survival ratio is only defined for |x| <= 1")
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly between 0 and 1")
-
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(200):
-        short = survival_ratio(x, hi) >= u
-        if not np.any(short):
-            break
-        hi[short] *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the switch time")
-
-    for _ in range(200):
-        done = (hi - lo) <= atol + rtol * lo
-        if np.all(done):
-            break
-        mid = 0.5 * (lo + hi)
-        above = survival_ratio(x, mid) >= u
-        lo = np.where(above & ~done, mid, lo)
-        hi = np.where(~above & ~done, mid, hi)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    x2 = np.square(x)
+    w = -lambertw(-x2 * np.square(u) * np.exp(-x2)).real
+    t = np.exp(x2 - w) / np.square(u) - 1.0
+    return float(t) if scalar else t
 
 
 def net_inflow(a, t):
@@ -218,13 +196,17 @@ def check_exp_window(a, b, t1, t2, *, nx=201, nt=101):
     return bool(np.all(ddt < 0.0))
 
 
-def _lognormal_switch_times(x, u, t1: float, t2: float, tol: float = 1e-12) -> np.ndarray:
+# width of the bracket at which a lognormal switch-time bisection stops
+_LOGNORMAL_TOL = 1e-12
+
+
+def _lognormal_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
     """Solve p(x, t1 + s) / p(x, t1) = u for s in [0, t2 - t1], elementwise.
 
     s is 0 where u >= 1 and inf where the particle survives the whole
     window.  The ratio is strictly decreasing on a valid window, so each
-    element bisects [0, t2 - t1] until hi - lo <= tol; the bisection is
-    masked, so every element follows its own midpoints.
+    element bisects [0, t2 - t1] until hi - lo <= _LOGNORMAL_TOL; the
+    bisection is masked, so every element follows its own midpoints.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -236,13 +218,13 @@ def _lognormal_switch_times(x, u, t1: float, t2: float, tol: float = 1e-12) -> n
     todo &= ~survive
     lo = np.zeros(x.shape)
     hi = np.full(x.shape, t2 - t1)
-    idx = np.flatnonzero(todo & (hi - lo > tol))
+    idx = np.flatnonzero(todo & (hi - lo > _LOGNORMAL_TOL))
     while idx.size:
         mid = 0.5 * (lo[idx] + hi[idx])
         above = lognormal_survival_ratio(x[idx], t1 + mid, t1) >= u[idx]
         lo[idx[above]] = mid[above]
         hi[idx[~above]] = mid[~above]
-        idx = idx[hi[idx] - lo[idx] > tol]
+        idx = idx[hi[idx] - lo[idx] > _LOGNORMAL_TOL]
     s[todo] = 0.5 * (lo[todo] + hi[todo])
     return s
 

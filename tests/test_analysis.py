@@ -176,7 +176,7 @@ def test_flux_rejects_bad_gap_index():
 
 def test_wilson_matches_scipy():
     for k, n in [(0, 100), (3, 57), (50, 100), (499, 500)]:
-        lo, hi = wilson_interval(k, n, confidence=0.99)
+        lo, hi = wilson_interval(k, n)
         ci = binomtest(k, n).proportion_ci(confidence_level=0.99, method="wilson")
         assert lo == pytest.approx(ci.low, abs=1e-12)
         assert hi == pytest.approx(ci.high, abs=1e-12)

@@ -469,6 +469,46 @@ def test_martingale_rejects_bad_times(tmp_path, capsys):
     assert "0 < s < t" in capsys.readouterr().err
 
 
+def test_martingale_rejects_too_few_paths_per_bin(tmp_path, capsys):
+    # 500 paths in 20 quantile bins leave 25 a bin, fewer than a kept bin needs
+    code = run("martingale", "--seed", "1", "--n-paths", "500", "--dt", "1e-3",
+               "--output-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--n-paths" in err and "--n-bins" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_martingale_rejects_no_bins(tmp_path, capsys):
+    code = run("martingale", "--seed", "1", "--n-paths", "100", "--dt", "1e-3",
+               "--n-bins", "0", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--n-bins" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_martingale_smallest_accepted_run_reaches_the_statistics(tmp_path):
+    # 30 paths a bin on average: by pigeonhole some bin keeps 30 samples
+    out = tmp_path / "o"
+    code = run("martingale", "--seed", "1", "--n-paths", "60", "--n-bins", "2",
+               "--dt", "1e-3", "--output-dir", str(out))
+    assert code in (0, 1)
+    assert read_json(out / "report.json")["n_bins_kept"] >= 1
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("martingale", ["--n-paths", "60", "--n-bins", "2", "--dt", "1e-3", "--z-max", "-1"]),
+    ("convex-order", ["--cantor-depth", "2", "--tol", "-1"]),
+])
+def test_negative_threshold_is_a_config_error(tmp_path, capsys, command, argv):
+    # a negative threshold fails every run, which would read as an honest
+    # statistical failure
+    code = run(command, "--seed", "1", *argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------- strong-markov ----------
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from fakebm import continuous_sim
 from fakebm.continuous_sim import (
     _BLOCK,
     _MIN_DRAW,
@@ -51,7 +52,7 @@ PINNED = {
         lambda: simulate_marginal_samples(
             build_interval_system(TWO_GAPS), (0.3, 0.8), 500, seed=41, dt=1e-3
         ),
-        ("60c689adb13805fa", "f5762d99180f2331", "ecf1e3b9ac4718b0",
+        ("60c689adb13805fa", "f5762d99180f2331", "6cd187786626e6c3",
          "98350b5dc3efb82a", "b6d9d8594d8ba8c5"),
     ),
     # a gap start with a short clock: under a fixed driver horizon this
@@ -61,7 +62,7 @@ PINNED = {
             build_interval_system(TWO_GAPS), (0.5,), 300, seed=8, dt=1e-3,
             fixed_start=0.5,
         ),
-        ("7b7dd22723faa2dd", "9ffac03cc2c8fa6a", "146f5c8885674fb5",
+        ("7b7dd22723faa2dd", "9ffac03cc2c8fa6a", "72676dbd8753b08a",
          "369a339635b89202", "d39a0a562e882832"),
     ),
     "cantor3": (
@@ -69,7 +70,7 @@ PINNED = {
             build_interval_system(fat_cantor_intervals(3)), (0.2, 0.5), 200,
             seed=5, dt=1e-3,
         ),
-        ("710f7ee17e9782c7", "32215f66567bd396", "70c5c711220797a1",
+        ("710f7ee17e9782c7", "32215f66567bd396", "0de6bfdb166c8c51",
          "6e1d9902f4aeab7c", "7b97244e5311b39b"),
     ),
     "exp": (
@@ -85,7 +86,8 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_engine_outputs_are_pinned(name):
     # frozen digests of the engine's outputs: any change to the RNG stream
-    # layout or to the arithmetic of the driver, clock or time change shows
+    # layout or to the arithmetic of the driver, clock, switch-time inverse or
+    # time change shows
     run, digests = PINNED[name]
     res = run()
     fields = (res.values, res.frozen, res.switch_times, res.x0, res.busy_start)
@@ -291,10 +293,12 @@ def test_engine_grid_identity_matches_driver(sys2):
     assert res.busy_start[0] == driver[0]
 
 
-def test_engine_chunk_and_worker_invariance(sys2):
-    base = simulate_marginal_samples(sys2, (0.3,), 128, 7, dt=1e-3, chunk=128)
-    small = simulate_marginal_samples(sys2, (0.3,), 128, 7, dt=1e-3, chunk=17)
-    par = simulate_marginal_samples(sys2, (0.3,), 128, 7, dt=1e-3, chunk=32, workers=2)
+def test_engine_chunk_and_worker_invariance(sys2, monkeypatch):
+    base = simulate_marginal_samples(sys2, (0.3,), 128, 7, dt=1e-3)
+    monkeypatch.setattr(continuous_sim, "_CHUNK", 17)
+    small = simulate_marginal_samples(sys2, (0.3,), 128, 7, dt=1e-3)
+    monkeypatch.setattr(continuous_sim, "_CHUNK", 32)
+    par = simulate_marginal_samples(sys2, (0.3,), 128, 7, dt=1e-3, workers=2)
     assert np.array_equal(base.values, small.values)
     assert np.array_equal(base.values, par.values)
     assert np.array_equal(base.switch_times, par.switch_times)
@@ -382,10 +386,11 @@ def test_engine_rejects_bad_grids(sys2):
         simulate_marginal_samples(sys2, (0.5,), 0, seed=1, dt=1e-3)
 
 
-def test_iter_chunks_arrive_in_path_order(sys2):
+def test_iter_chunks_arrive_in_path_order(sys2, monkeypatch):
+    monkeypatch.setattr(continuous_sim, "_CHUNK", 32)
     starts = [
         part["start"]
-        for part in iter_fake_grid_chunks(sys2, np.array([0.1]), 70, 21, dt=1e-3, chunk=32)
+        for part in iter_fake_grid_chunks(sys2, np.array([0.1]), 70, 21, dt=1e-3, workers=2)
     ]
     assert starts == [0, 32, 64]
 

@@ -115,8 +115,56 @@ def test_survival_ratio_rejects_outside_band():
 
 
 def test_invert_survival_ratio_at_origin():
-    # at x=0 the ratio is (1+t)^{-1/2}, so u=1/2 gives t=3
-    assert invert_survival_ratio(0.0, 0.5) == pytest.approx(3.0, abs=1e-9)
+    # at x=0 the ratio is (1+t)^{-1/2}, so t = 1/u^2 - 1, exact for these u
+    assert invert_survival_ratio(0.0, 0.5) == 3.0
+    assert invert_survival_ratio(0.0, 0.25) == 15.0
+
+
+def _bisect_survival_ratio(x, u, atol=1e-12, rtol=1e-12):
+    # reference: bracket doubling from 1, then bisection to atol + rtol * t
+    lo = np.zeros_like(u)
+    hi = np.ones_like(u)
+    for _ in range(200):
+        short = survival_ratio(x, hi) >= u
+        if not np.any(short):
+            break
+        hi[short] *= 2.0
+    for _ in range(200):
+        done = (hi - lo) <= atol + rtol * lo
+        if np.all(done):
+            break
+        mid = 0.5 * (lo + hi)
+        above = survival_ratio(x, mid) >= u
+        lo = np.where(above & ~done, mid, lo)
+        hi = np.where(~above & ~done, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _seeded_pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    u = 1.0 - rng.random(n)  # in (0, 1]
+    u[u == 1.0] = 0.5
+    return x, u
+
+
+def test_invert_survival_ratio_solves_the_ratio_to_rounding():
+    x, u = _seeded_pairs(100_000, 8)
+    eps = 2.0**-53
+    x = np.concatenate([x, [1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0]])
+    u = np.concatenate([u, [1.0 - eps, 1.0 - eps, eps, eps, eps, 0.5, 1.0 - eps]])
+    t = invert_survival_ratio(x, u)
+    assert np.all(t > 0.0)
+    assert np.max(np.abs(survival_ratio(x, t) / u - 1.0)) <= 1e-15
+
+
+def test_invert_survival_ratio_agrees_with_bisection():
+    # away from u = 1, where t is ill-conditioned, the closed form and the
+    # bisection it replaced agree to the bisection's tolerance
+    x, u = _seeded_pairs(20_000, 9)
+    u = np.minimum(u, 1.0 - 1e-6)
+    t = invert_survival_ratio(x, u)
+    assert np.all(np.abs(t - _bisect_survival_ratio(x, u)) <= 1e-12 * (1.0 + t))
 
 
 def test_invert_survival_ratio_round_trip():
