@@ -401,6 +401,8 @@ def _cmd_martingale(cfg: dict):
 def _cmd_strong_markov(cfg: dict):
     if cfg["min_class"] < 1:
         raise ConfigError("--min-class must be >= 1")
+    if cfg["t_horizon"] <= 0:
+        raise ConfigError("--t-horizon must be > 0")
     rep = coupling_experiment(
         cfg["cantor_depth"],
         cfg["t_offset"],
@@ -442,6 +444,8 @@ def _cmd_flux(cfg: dict):
         raise ConfigError("--duration must be at least --dt")
     if cfg["tolerance"] < 0:
         raise ConfigError("--tolerance must be >= 0")
+    if cfg["t_start"] < 0:
+        raise ConfigError("--t-start must be >= 0")
     system = _resolve_system(cfg)
     rep = flux_experiment(
         system,

@@ -11,8 +11,10 @@ driver sits in the active set.  The additive result has N(0, 1 + t)
 marginals at every t and is a martingale, but it is not Brownian motion.
 
 Everything is simulated on a uniform grid of width dt.  The occupation clock
-uses the left-endpoint rule, and the inverse clock returns the first grid
-time at which the clock exceeds its argument.
+uses the left-endpoint rule: it ticks dt at each grid step whose value lies
+in the active set, so after c ticks it reads c * dt and is never stored.
+The inverse clock at busy time q is the step of tick c for the largest c
+with c * dt <= q, the last grid time at which the clock has not passed q.
 
 Each path reads one dedicated RNG substream derived from (seed, path_index),
 in this order: the start x0 (unless it is fixed), the switch uniform u, then
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,31 +114,36 @@ def _brownian(rng, state: tuple, n: int, dt: float):
     return np.concatenate(parts), (b0, psum, pos)
 
 
-def _occupation_clock(active: np.ndarray, dt: float) -> np.ndarray:
-    """Left-endpoint occupation clock from the active flags along a path.
+def _ticks_within(q: np.ndarray, dt: float) -> np.ndarray:
+    """Largest count c with fl(c * dt) <= q, elementwise, for q >= 0.
 
-    clock[k] = dt * #{i < k : active[i]}, so the clock is non-decreasing
-    and 1-Lipschitz.
+    floor(q / dt) is off by at most one either way, so one step down where
+    c * dt overshoots q and one step up where (c + 1) * dt still fits settle
+    it.  fl(c * dt) grows with c, so the answer is unique.
     """
-    clock = np.empty(len(active))
-    clock[0] = 0.0
-    np.cumsum(active[:-1], out=clock[1:])
-    clock[1:] *= dt
-    return clock
+    c = np.floor(q / dt)
+    c -= c * dt > q
+    c += (c + 1.0) * dt <= q
+    return c.astype(np.intp)
 
 
-def _time_change(tail: np.ndarray, clock: np.ndarray, s: float, rel: np.ndarray):
-    """Values and frozen flags at times rel after the freeze time.
+def _time_change(tail: np.ndarray, ticks: np.ndarray, s: float, rel: np.ndarray, dt: float):
+    """Values and frozen flags at the ascending times rel after the freeze time.
 
     The path holds tail[0] while rel < s.  At busy time q = rel - s it is
-    the driver at the grid point from which the clock crossed q; the
-    left-endpoint rule makes that point lie in the active set, and for an
-    always-active driver the time change is the identity on the grid.
+    the driver at the grid point from which the clock crossed q.  ticks are
+    the grid steps at which the driver sits in the active set, so after c
+    ticks the left-endpoint clock reads fl(c * dt) and that point is
+    tail[ticks[c]] for the largest c with fl(c * dt) <= q: a point of the
+    active set, and for an always-active driver the time change is the
+    identity on the grid.
     """
-    frozen = rel < s
-    values = np.full(len(rel), tail[0])
-    idx = np.searchsorted(clock, rel[~frozen] - s, side="right")
-    values[~frozen] = tail[idx - 1]
+    n_frozen = int(np.searchsorted(rel, s))
+    frozen = np.zeros(len(rel), dtype=bool)
+    frozen[:n_frozen] = True
+    values = np.empty(len(rel))
+    values[:n_frozen] = tail[0]
+    values[n_frozen:] = tail[ticks[_ticks_within(rel[n_frozen:] - s, dt)]]
     return values, frozen
 
 
@@ -144,9 +151,11 @@ def _extend(rng, family, system, x0, state, k, tail, need, dt):
     """Append driver steps to tail until its clock exceeds need.
 
     tail holds the driver from the freeze step up to grid step k, where the
-    Brownian motion is in state (see _brownian).  A step adds at most dt to
-    the clock, so each top-up draws the fewest steps that could still be
-    enough, but at least _MIN_DRAW.  Returns the extended tail and its clock.
+    Brownian motion is in state (see _brownian).  The left-endpoint clock
+    ticks dt at every step but the last whose value lies in the active set,
+    at most dt a step, so each top-up draws the fewest steps that could
+    still be enough, but at least _MIN_DRAW.  Returns the extended tail and
+    its ticks, the indices of the steps at which the clock ticks.
     """
     parts = [tail]
     flags = [system.contains_many(tail)]
@@ -160,7 +169,7 @@ def _extend(rng, family, system, x0, state, k, tail, need, dt):
         parts.append(path)
         flags.append(active)
         k += n
-    return np.concatenate(parts), _occupation_clock(np.concatenate(flags), dt)
+    return np.concatenate(parts), np.flatnonzero(np.concatenate(flags)[:-1])
 
 
 # ---------- chunked many-path engine ----------
@@ -168,9 +177,11 @@ def _extend(rng, family, system, x0, state, k, tail, need, dt):
 
 def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start, count) -> dict:
     k1 = int(round(t1 / dt))
-    pre = t_grid < t1
-    pre_idx = np.round(t_grid[pre] / dt).astype(int)
-    rel = t_grid[~pre] - t1
+    n_pre = int(np.searchsorted(t_grid, t1))  # the query times before t1
+    # the driver up to t1 is read only at those times' steps and at t1
+    read = np.append(np.round(t_grid[:n_pre] / dt).astype(int), k1)
+    t_read = read * dt
+    rel = t_grid[n_pre:] - t1
     horizon = float(t_grid.max()) - t1
     values = np.empty((count, len(t_grid)))
     frozen = np.zeros((count, len(t_grid)), dtype=bool)
@@ -188,10 +199,10 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
         while u[r] == 0.0:
             u[r] = rng.random()
         b, state = _brownian(rng, (0.0, 0.0, 0), k1, dt)
-        path = family.driver(x0[r], np.concatenate([[0.0], b]), np.arange(k1 + 1) * dt)
-        values[r, pre] = path[pre_idx]
+        path = family.driver(x0[r], np.concatenate([[0.0], b])[read], t_read)
+        values[r, :n_pre] = path[:-1]
         rngs.append(rng)
-        heads.append((state, path[k1:]))
+        heads.append((state, path[-1:]))
     x1 = np.array([tail[0] for _, tail in heads])
     s = np.zeros(count)
     gap = ~system.contains_many(x1)
@@ -199,14 +210,14 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
 
     for r, (rng, (state, tail)) in enumerate(zip(rngs, heads)):
         if math.isinf(s[r]):  # survives the window: frozen from t1 on
-            values[r, ~pre] = tail[0]
-            frozen[r, ~pre] = True
+            values[r, n_pre:] = tail[0]
+            frozen[r, n_pre:] = True
             continue
-        tail, clock = _extend(
+        tail, ticks = _extend(
             rng, family, system, x0[r], state, k1, tail, max(horizon - s[r], 0.0), dt
         )
-        values[r, ~pre], frozen[r, ~pre] = _time_change(tail, clock, s[r], rel)
-        busy_start[r] = tail[np.searchsorted(clock, 0.0, side="right") - 1]
+        values[r, n_pre:], frozen[r, n_pre:] = _time_change(tail, ticks, s[r], rel, dt)
+        busy_start[r] = tail[ticks[0]]
     return {
         "start": start,
         "values": values,
@@ -322,7 +333,9 @@ def simulate_exp_marginal_samples(
     if not all(0.0 <= t <= t2 for t in t_queries):
         raise ValueError("query times must lie in [0, t2]")
     system = build_interval_system(intervals, domain=(a_lo, b_hi))
-    return _collect(
-        t_queries,
-        _chunks(LOGNORMAL, system, np.asarray(t_queries), t1, t2, n_paths, seed, dt, None, workers),
-    )
+    # the engine takes ascending times; the columns come back in query order
+    order = np.argsort(t_queries, kind="stable")
+    grid = np.asarray(t_queries)[order]
+    res = _collect(t_queries, _chunks(LOGNORMAL, system, grid, t1, t2, n_paths, seed, dt, None, workers))
+    back = np.argsort(order)
+    return replace(res, values=res.values[:, back], frozen=res.frozen[:, back])

@@ -39,6 +39,7 @@ class IntervalSystem:
     bounded: tuple[tuple[float, float], ...]
     domain: tuple[float, float] = (0.0, 1.0)
     _edges: np.ndarray = field(init=False, compare=False, repr=False)
+    _cells: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # lo, a_1, b_1, ..., a_N, b_N, hi with every closing end (lo, b_i)
@@ -48,6 +49,22 @@ class IntervalSystem:
         edges = np.concatenate([[lo], self.endpoints, [hi]])
         edges[:-1:2] = np.nextafter(edges[:-1:2], math.inf)
         object.__setattr__(self, "_edges", edges)
+        cells = None
+        if self.n_intervals > 8:
+            # the cell table of contains_many: n cells across the domain, two
+            # more on each side, the outermost of which hold the far outside.
+            # A cell that no edge falls in is active (1) iff an even number
+            # of edges fall in lower cells (see _cell), else gap (0); a cell
+            # within one cell of an edge's is near an edge (2)
+            n = max(4096, 8 * len(edges))
+            scale = n / (hi - lo)
+            grid = (scale, 2.0 - lo * scale, float(n + 4))
+            at = _cell(edges, *grid)
+            state = (np.searchsorted(at, np.arange(n + 5)) % 2 == 0).astype(np.uint8)
+            for shift in (-1, 0, 1):
+                state[np.clip(at + shift, 0, n + 4)] = 2
+            cells = (grid, state)
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def n_intervals(self) -> int:
@@ -66,20 +83,21 @@ class IntervalSystem:
 
     def contains(self, x: float) -> bool:
         """Whether x lies in the active set (closed intervals)."""
-        lo, hi = self.domain
-        if x <= lo or x >= hi:
-            return True
-        for a, b in self.bounded:
-            if a <= x <= b:
-                return True
-        return False
+        return bisect_right(self._edges, x) % 2 == 0
 
     def contains_many(self, x: np.ndarray) -> np.ndarray:
         """Vectorised membership in the active set (closed intervals)."""
         x = np.asarray(x, dtype=float)
         if self.n_intervals > 8:
-            # one binary search beats a mask per interval beyond a handful
-            return np.searchsorted(self._edges, x, side="right") % 2 == 0
+            # a cell table settles all points but those near an edge, which
+            # take one binary search over the edges
+            grid, table = self._cells
+            flat = x.ravel()
+            state = table[_cell(flat, *grid)]
+            out = state == 1
+            near = np.flatnonzero(state == 2)
+            out[near] = np.searchsorted(self._edges, flat[near], side="right") % 2 == 0
+            return out.reshape(x.shape)
         lo, hi = self.domain
         out = (x <= lo) | (x >= hi)
         for a, b in self.bounded:
@@ -94,6 +112,20 @@ class IntervalSystem:
         idx = np.clip(np.searchsorted(walls, x), 1, len(walls) - 1)
         nearest = np.minimum(np.abs(x - walls[idx - 1]), np.abs(x - walls[idx]))
         return np.where(self.contains_many(x), 0.0, nearest)
+
+
+def _cell(x: np.ndarray, scale: float, offset: float, top: float) -> np.ndarray:
+    """Cell trunc(x * scale + offset) of each x, clipped to [0, top].
+
+    Each step rounds monotonically, so the cell never decreases as x grows:
+    every point of a cell that no edge falls in lies between the same two
+    edges.  fmax and fmin send NaN to cell 0.
+    """
+    v = x * scale
+    v += offset
+    np.fmax(v, 0.0, out=v)
+    np.fmin(v, top, out=v)
+    return v.astype(np.intp)
 
 
 def build_interval_system(intervals, domain=(0.0, 1.0)) -> IntervalSystem:

@@ -535,6 +535,17 @@ def test_strong_markov_rejects_min_class_below_one(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_strong_markov_rejects_non_positive_horizon(tmp_path, capsys, horizon):
+    # horizon 0 counts no meeting and fails every run; a negative one used
+    # to exit 2 with the engine's grid message, which names no flag
+    code = run("strong-markov", "--seed", "1", "--n-pairs", "10",
+               "--t-horizon", horizon, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--t-horizon" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------- flux ----------
 
 
@@ -565,6 +576,16 @@ def test_flux_rejects_negative_tolerance(tmp_path, capsys):
                "--output-dir", str(tmp_path))
     assert code == 2
     assert "--tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_flux_rejects_negative_start(tmp_path, capsys):
+    # used to exit 2 with the engine's "query times must be non-negative",
+    # which names no flag
+    code = run("flux", "--seed", "1", "--n-paths", "10", "--t-start", "-1",
+               "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--t-start" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

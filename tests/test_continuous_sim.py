@@ -17,7 +17,6 @@ from fakebm.continuous_sim import (
     _MIN_DRAW,
     _brownian,
     _extend,
-    _occupation_clock,
     _time_change,
     iter_fake_grid_chunks,
     path_rng,
@@ -186,34 +185,97 @@ def test_path_rng_substreams():
 # ---------- occupation clock and its inverse ----------
 
 
+def _occupation_clock(active, dt):
+    # reference: the left-endpoint clock stored in full,
+    # clock[k] = dt * #{i < k : active[i]}
+    clock = np.empty(len(active))
+    clock[0] = 0.0
+    np.cumsum(active[:-1], out=clock[1:])
+    clock[1:] *= dt
+    return clock
+
+
+def _clock_inverse(clock, q):
+    # reference: the last grid index at which the stored clock is <= q
+    return np.searchsorted(clock, q, side="right") - 1
+
+
 def test_occupation_clock_left_endpoint_rule(sys2):
-    # active flags of the first four values: False True False True
+    # active flags of the first four values: False True False True; the
+    # clock ticks at those steps, and after c ticks it reads c * dt
     active = sys2.contains_many(np.array([0.5, 0.2, 0.45, 0.7, 0.05]))
-    clock = _occupation_clock(active, 0.125)
-    assert np.array_equal(clock, [0.0, 0.0, 0.125, 0.125, 0.25])
+    ticks = np.flatnonzero(active[:-1])
+    assert ticks.tolist() == [1, 3]
+    assert np.array_equal(_occupation_clock(active, 0.125), [0.0, 0.0, 0.125, 0.125, 0.25])
+    assert np.array_equal(_occupation_clock(active, 0.125)[ticks + 1], np.arange(1, 3) * 0.125)
 
 
 def test_time_change_inverts_clock():
     tail = np.array([0.5, 0.2, 0.45, 0.7, 0.05])
-    clock = np.array([0.0, 0.0, 0.125, 0.125, 0.25])
+    ticks = np.array([1, 3])  # the clock 0, 0, 1/8, 1/8, 2/8 on dt = 1/8
     # busy times 0 and 1/16 map to grid time 2/8, i.e. the driver at index 1
     # where the clock left 0; busy time 1/8 maps to 4/8, the driver at index 3
-    values, frozen = _time_change(tail, clock, 0.0, np.array([0.0, 0.0625, 0.125]))
+    values, frozen = _time_change(tail, ticks, 0.0, np.array([0.0, 0.0625, 0.125]), 0.125)
     assert values.tolist() == [0.2, 0.2, 0.7]
     assert not frozen.any()
     # a switch time of 1/16 holds the start until then and delays the rest
-    values, frozen = _time_change(tail, clock, 0.0625, np.array([0.0, 0.0625, 0.1875]))
+    values, frozen = _time_change(tail, ticks, 0.0625, np.array([0.0, 0.0625, 0.1875]), 0.125)
     assert frozen.tolist() == [True, False, False]
     assert values.tolist() == [0.5, 0.2, 0.7]
 
 
+@pytest.mark.parametrize("dt", [1e-4, 2e-4, 2.5e-5, 1e-3, 0.125, 1.0 / 3.0])
+def test_tick_index_inverse_matches_searchsorted_over_the_clock(dt):
+    # the tick-index inverse picks the same grid index as a searchsorted
+    # over the stored clock: seeded paths with sparse and dense activity,
+    # an always-active one, s = 0, and busy times equal to clock values and
+    # their one-ulp neighbours, where floor(q / dt) rounds either way
+    rng = np.random.default_rng(round(1 / dt))
+    n = 20_000
+    for density in (0.05, 0.5, 0.97, 1.0):
+        active = rng.random(n) < density
+        active[-2] = True  # the clock exceeds every busy time below
+        clock = _occupation_clock(active, dt)
+        ticks = np.flatnonzero(active[:-1])
+        tail = rng.standard_normal(n)
+        top = clock[-1]
+        exact = clock[:: 7][clock[:: 7] < top]
+        q = np.concatenate([
+            [0.0],
+            exact,
+            np.nextafter(exact, -np.inf)[exact > 0],
+            np.nextafter(exact, np.inf),
+            rng.uniform(0, top, 20_000),
+            np.arange(1, int(top / dt)) * dt,
+        ])
+        q = np.sort(q[q < top])
+        values, frozen = _time_change(tail, ticks, 0.0, q, dt)
+        assert not frozen.any()
+        assert np.array_equal(values, tail[_clock_inverse(clock, q)])
+        # a positive switch time shifts the busy times by s
+        s = 0.37 * top
+        rel = np.sort(rng.uniform(0, top + s, 5_000))
+        rel = rel[rel - s < top]
+        values, frozen = _time_change(tail, ticks, s, rel, dt)
+        busy = rel >= s
+        assert np.array_equal(frozen, ~busy)
+        assert np.array_equal(values[~busy], np.full((~busy).sum(), tail[0]))
+        assert np.array_equal(values[busy], tail[_clock_inverse(clock, rel[busy] - s)])
+
+
 def test_clock_of_always_active_path_is_identity(sys2):
-    # a need under _MIN_DRAW steps' clock still draws _MIN_DRAW steps
-    row, clock = _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, START, 0, np.array([7.0]), 0.4, DT)
+    # a need under _MIN_DRAW steps' clock still draws _MIN_DRAW steps; every
+    # step but the last ticks, so the clock is the grid time itself
+    row, ticks = _extend(path_rng(3, 0), GAUSSIAN, sys2, 7.0, START, 0, np.array([7.0]), 0.4, DT)
     assert 0.4 < _MIN_DRAW * DT
     assert len(row) == _MIN_DRAW + 1
     assert row.min() > 1.0
-    assert np.array_equal(clock, np.arange(_MIN_DRAW + 1) * DT)
+    assert np.array_equal(ticks, np.arange(_MIN_DRAW))
+    active = sys2.contains_many(row)
+    assert np.array_equal(_occupation_clock(active, DT), np.arange(_MIN_DRAW + 1) * DT)
+    q = np.arange(_MIN_DRAW) * DT
+    values, _ = _time_change(row, ticks, 0.0, q, DT)
+    assert np.array_equal(values, row[:-1])
 
 
 def test_extend_appends_blocks_until_the_clock_exceeds_need(sys2):
@@ -459,6 +521,20 @@ def test_exp_samples_keep_unit_mean_and_velocity_structure():
     frozen_vals = res.values[:, 1][res.frozen[:, 1]]
     assert frozen_vals.size > 0
     assert not system.contains_many(frozen_vals).any()
+
+
+def test_exp_query_order_only_permutes_columns():
+    # the engine runs on ascending times; unsorted and repeated query times
+    # get the same columns back in the order asked, t1 itself included
+    t = (0.9, 0.2, 0.6, 0.5, 0.3, 0.9)
+    run = lambda q: simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, q, 200, seed=7, dt=2e-3)
+    mixed, ordered = run(t), run(tuple(sorted(t)))
+    cols = [sorted(t).index(x) for x in t]
+    assert mixed.t_queries == t
+    assert np.array_equal(mixed.values, ordered.values[:, cols])
+    assert np.array_equal(mixed.frozen, ordered.frozen[:, cols])
+    for f in ("switch_times", "x0", "busy_start"):
+        assert np.array_equal(getattr(mixed, f), getattr(ordered, f), equal_nan=True)
 
 
 def test_exp_samples_deterministic():

@@ -76,24 +76,32 @@ def test_contains_interval_interior_and_gap():
     assert not sys_.contains(0.95)
 
 
+def _edge_points(sys_):
+    # every edge, raw and as stored, with both one-ulp neighbours of each
+    lo, hi = sys_.domain
+    ends = np.concatenate([[lo], sys_.endpoints, [hi], sys_._edges])
+    return np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+
+
 def test_contains_many_matches_scalar_small_system():
-    # two intervals: exercises the direct comparison path
+    # two intervals: exercises the direct comparison path, against the
+    # scalar binary search over the stored edges
     sys_ = build_interval_system(TWO_GAPS)
-    xs = np.linspace(-0.3, 1.3, 641)
+    xs = np.concatenate([np.linspace(-0.3, 1.3, 641), _edge_points(sys_)])
     mask = sys_.contains_many(xs)
     for x, m_ in zip(xs, mask):
         assert bool(m_) == sys_.contains(float(x))
 
 
 def test_contains_many_matches_scalar_large_system():
-    # depth 4 gives 15 intervals: exercises the searchsorted path
-    sys_ = build_interval_system(fat_cantor_intervals(4))
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-0.2, 1.2, size=4000)
-    xs = np.concatenate([xs, sys_.endpoints])  # include exact endpoints
-    mask = sys_.contains_many(xs)
-    for x, m_ in zip(xs, mask):
-        assert bool(m_) == sys_.contains(float(x))
+    # depths 4 and 6 give 15 and 63 intervals: exercises the cell table
+    for depth in (4, 6):
+        sys_ = build_interval_system(fat_cantor_intervals(depth))
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([rng.uniform(-0.2, 1.2, size=4000), _edge_points(sys_)])
+        mask = sys_.contains_many(xs)
+        for x, m_ in zip(xs, mask):
+            assert bool(m_) == sys_.contains(float(x))
 
 
 @pytest.mark.parametrize("intervals", [TWO_GAPS, fat_cantor_intervals(4), fat_cantor_intervals(6)],
@@ -114,6 +122,38 @@ def test_contains_many_is_closed_interval_membership(intervals):
     for a, b in sys_.bounded:
         expect |= (a <= xs) & (xs <= b)
     assert np.array_equal(sys_.contains_many(xs), expect)
+
+
+NON_UNIT = [(-3.5 + 1.25 * k, -3.5 + 1.25 * k + 0.4) for k in range(12)]
+
+
+@pytest.mark.parametrize(
+    "intervals, domain",
+    [(fat_cantor_intervals(d), (0.0, 1.0)) for d in (4, 6, 9, 12)] + [(NON_UNIT, (-3.9, 12.1))],
+    ids=["cantor4", "cantor6", "cantor9", "cantor12", "non_unit"],
+)
+def test_table_membership_matches_binary_search(intervals, domain):
+    # beyond 8 intervals contains_many reads a cell table and sends points
+    # near an edge to the binary search over the edges; the answer must be
+    # that binary search's everywhere
+    sys_ = build_interval_system(intervals, domain=domain)
+    assert sys_.n_intervals > 8
+    lo, hi = domain
+    rng = np.random.default_rng(sys_.n_intervals)
+    width = hi - lo
+    xs = np.concatenate([
+        _edge_points(sys_),
+        [np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0],
+        rng.uniform(lo - 0.2 * width, hi + 0.2 * width, size=200_000),
+        lo + width * (0.5 + np.cumsum(rng.normal(0.0, 0.003, size=200_000))),
+    ])
+    expect = np.searchsorted(sys_._edges, xs, side="right") % 2 == 0
+    assert np.array_equal(sys_.contains_many(xs), expect)
+    grid = xs[: 2 * (len(xs) // 2)].reshape(2, -1)
+    out = sys_.contains_many(grid)
+    assert out.shape == grid.shape
+    assert np.array_equal(out.ravel(), expect[: grid.size])
+    assert sys_.contains_many(np.float64(xs[0])).shape == ()
 
 
 def test_distance_to_active_values():
