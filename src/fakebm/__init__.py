@@ -16,7 +16,6 @@ from .densities import (
     LOGNORMAL,
     MarginalFamily,
     check_exp_window,
-    density_time_derivative,
     gaussian_cdf,
     gaussian_density,
     invert_survival_ratio,
@@ -27,7 +26,6 @@ from .intervals import (
     IntervalSystem,
     LatticeSystem,
     build_interval_system,
-    default_j_max,
     fat_cantor_intervals,
     lattice_project,
 )

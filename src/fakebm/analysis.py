@@ -386,10 +386,6 @@ def coupling_experiment(
 # ---------- convex order ----------
 
 
-def _phi(u):
-    return np.exp(-np.square(u) / 2.0) / math.sqrt(2.0 * math.pi)
-
-
 def potential_function(x_grid, t: float, pieces) -> np.ndarray:
     """u_t(x) = E|x - sqrt(t) W| for W standard normal conditioned on a set.
 
@@ -413,7 +409,8 @@ def potential_function(x_grid, t: float, pieces) -> np.ndarray:
     def seg(a, b, sign):
         # integral of sign * (x - sqrt(t) u) phi(u) over [a, b]
         return sign * (
-            x_grid[:, None] * (ndtr(b) - ndtr(a)) + root * (_phi(b) - _phi(a))
+            x_grid[:, None] * (ndtr(b) - ndtr(a))
+            + root * (gaussian_density(b, 0.0) - gaussian_density(a, 0.0))
         )
 
     lo_l = lo[None, :]

@@ -403,6 +403,8 @@ def _cmd_strong_markov(cfg: dict):
         raise ConfigError("--min-class must be >= 1")
     if cfg["t_horizon"] <= 0:
         raise ConfigError("--t-horizon must be > 0")
+    if cfg["t_offset"] < 0:
+        raise ConfigError("--t-offset must be >= 0")
     rep = coupling_experiment(
         cfg["cantor_depth"],
         cfg["t_offset"],

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,6 +230,12 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
 
 
 def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, workers):
+    # the query-time checks of both samplers
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) == 0 or not np.all(np.diff(t_grid) >= 0):
+        raise ValueError("t_grid must be a non-empty ascending 1-d array")
+    if not 0 <= t_grid[0] <= t_grid[-1] < math.inf:  # NaN fails too
+        raise ValueError("query times must be finite and non-negative")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     payloads = [
@@ -273,11 +279,6 @@ def iter_fake_grid_chunks(
     landing values.  Path i always draws from the substream (seed, i): chunk
     size and worker count change scheduling only, never the numbers.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a non-empty ascending 1-d array")
-    if t_grid[0] < 0:
-        raise ValueError("query times must be non-negative")
     yield from _chunks(
         GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, fixed_start, workers
     )
@@ -292,7 +293,8 @@ def simulate_marginal_samples(
     fixed_start: float | None = None,
     workers: int = 1,
 ) -> SimulationResult:
-    """Values of n_paths paths of the construction at the query times."""
+    """Values of n_paths paths of the construction at the query times,
+    which must be ascending and non-negative."""
     t_queries = tuple(float(t) for t in t_queries)
     return _collect(
         t_queries,
@@ -324,18 +326,16 @@ def simulate_exp_marginal_samples(
     so the same freeze/time-change game played on the exponential martingale
     exp(B_t - t/2) preserves the lognormal(-t/2, t) marginals.  Before t1 a
     path simply is the exponential martingale; at t1 paths inside a gap of
-    the intervals on the domain (a, b) freeze.
+    the intervals on the domain (a, b) freeze.  The query times must be
+    ascending and lie in [0, t2].
     """
     a_lo, b_hi, t1, t2 = window
     if not check_exp_window(a_lo, b_hi, t1, t2):
         raise ValueError("window fails the density/concavity check")
     t_queries = tuple(float(t) for t in t_queries)
-    if not all(0.0 <= t <= t2 for t in t_queries):
-        raise ValueError("query times must lie in [0, t2]")
+    if not all(t <= t2 for t in t_queries):
+        raise ValueError("query times must not exceed t2")
     system = build_interval_system(intervals, domain=(a_lo, b_hi))
-    # the engine takes ascending times; the columns come back in query order
-    order = np.argsort(t_queries, kind="stable")
-    grid = np.asarray(t_queries)[order]
-    res = _collect(t_queries, _chunks(LOGNORMAL, system, grid, t1, t2, n_paths, seed, dt, None, workers))
-    back = np.argsort(order)
-    return replace(res, values=res.values[:, back], frozen=res.frozen[:, back])
+    return _collect(
+        t_queries, _chunks(LOGNORMAL, system, t_queries, t1, t2, n_paths, seed, dt, None, workers)
+    )

@@ -21,7 +21,6 @@ from scipy.special import lambertw, ndtr
 __all__ = [
     "gaussian_density",
     "gaussian_cdf",
-    "density_time_derivative",
     "survival_ratio",
     "invert_survival_ratio",
     "net_inflow",
@@ -54,19 +53,6 @@ def gaussian_cdf(x, t):
     """N(0, 1 + t) cdf at x."""
     t = _as_time(t)
     return ndtr(np.asarray(x, dtype=float) / np.sqrt(1.0 + t))
-
-
-def density_time_derivative(x, t):
-    """d/dt of the N(0, 1 + t) density.
-
-    Equals (x^2 / (2 (1 + t)^2) - 1 / (2 (1 + t))) * p(x, t), which is
-    negative exactly when x^2 < 1 + t: mass drains from the centre of the
-    bell and accumulates in the tails.
-    """
-    t = _as_time(t)
-    x = np.asarray(x, dtype=float)
-    v = 1.0 + t
-    return (np.square(x) / (2.0 * v * v) - 1.0 / (2.0 * v)) * gaussian_density(x, t)
 
 
 def survival_ratio(x, t):
@@ -270,8 +256,6 @@ class MarginalFamily:
     p(x, t1 + s) / p(x, t1) equals u, and s is inf past the window end t2.
     """
 
-    kind: str
-    density: Callable
     cdf: Callable
     sample_initial: Callable
     driver: Callable
@@ -279,8 +263,6 @@ class MarginalFamily:
 
 
 GAUSSIAN = MarginalFamily(
-    kind="gaussian",
-    density=gaussian_density,
     cdf=gaussian_cdf,
     sample_initial=_standard_normal_start,
     driver=_gaussian_driver,
@@ -288,8 +270,6 @@ GAUSSIAN = MarginalFamily(
 )
 
 LOGNORMAL = MarginalFamily(
-    kind="lognormal",
-    density=lognormal_density,
     cdf=lognormal_cdf,
     sample_initial=_unit_start,
     driver=_lognormal_driver,

@@ -22,7 +22,6 @@ __all__ = [
     "fat_cantor_intervals",
     "LatticeSystem",
     "lattice_project",
-    "default_j_max",
 ]
 
 ENDPOINT_SNAP = 1e-12
@@ -98,20 +97,12 @@ class IntervalSystem:
             near = np.flatnonzero(state == 2)
             out[near] = np.searchsorted(self._edges, flat[near], side="right") % 2 == 0
             return out.reshape(x.shape)
+        # NaN lies in no gap, as in the scalar contains and the cell table
         lo, hi = self.domain
-        out = (x <= lo) | (x >= hi)
+        out = ~((x > lo) & (x < hi))
         for a, b in self.bounded:
             out |= (x >= a) & (x <= b)
         return out
-
-    def distance_to_active(self, x: np.ndarray) -> np.ndarray:
-        """Distance from x to the active set (0 for points inside it)."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.domain
-        walls = np.array([lo] + [e for iv in self.bounded for e in iv] + [hi])
-        idx = np.clip(np.searchsorted(walls, x), 1, len(walls) - 1)
-        nearest = np.minimum(np.abs(x - walls[idx - 1]), np.abs(x - walls[idx]))
-        return np.where(self.contains_many(x), 0.0, nearest)
 
 
 def _cell(x: np.ndarray, scale: float, offset: float, top: float) -> np.ndarray:
@@ -185,15 +176,6 @@ def fat_cantor_intervals(depth: int) -> list[tuple[float, float]]:
     return [(float(a), float(b)) for a, b in removed]
 
 
-def default_j_max(m: int, t_max: float) -> int:
-    """Window half-width so the truncated tail mass stays below 1e-12.
-
-    ceil(sqrt(m/2) * (1 + 6 sqrt(1 + t_max))): one unit for the gap region
-    plus six standard deviations of the scaled walk at the final time.
-    """
-    return math.ceil(math.sqrt(m / 2.0) * (1.0 + 6.0 * math.sqrt(1.0 + t_max)))
-
-
 @dataclass(frozen=True)
 class LatticeSystem:
     """Projection of an IntervalSystem onto the lattice sqrt(2/m) * Z.
@@ -217,10 +199,6 @@ class LatticeSystem:
     def __post_init__(self):
         object.__setattr__(self, "_gap", frozenset(self.gap_sites))
 
-    def x_of(self, j):
-        """Spatial position of lattice site j."""
-        return np.asarray(j) * self.spacing
-
     def is_active(self, j: int) -> bool:
         """Whether site j is active: any site but a gap site of the window."""
         return j not in self._gap
@@ -237,9 +215,12 @@ class LatticeSystem:
         return range(-self.j_max, self.j_max + 1)
 
 
-def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None,
-                    t_max: float = 0.0) -> LatticeSystem:
+def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) -> LatticeSystem:
     """Project an interval system onto the lattice with spacing sqrt(2/m).
+
+    The window holds the sites -j_max..j_max.  By default j_max is
+    ceil(7 sqrt(m/2)): one unit for the gap region plus six standard
+    deviations of the scaled walk at time 0.
 
     Every closed gap [b_n, a_{n+1}] between two consecutive bounded intervals
     must contain at least one lattice site; otherwise the projection cannot
@@ -254,7 +235,7 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None,
         raise ValueError("m must be >= 2")
     spacing = math.sqrt(2.0 / m)
     if j_max is None:
-        j_max = default_j_max(m, t_max)
+        j_max = math.ceil(math.sqrt(m / 2.0) * 7.0)
     if j_max * spacing < 1.0:
         raise ValueError("j_max too small: the window must reach past x = 1")
 

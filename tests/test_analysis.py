@@ -1,5 +1,6 @@
 """Statistical harness: KS, martingale bins, flux, coupling, potentials."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -271,6 +272,17 @@ def test_potential_is_convex_in_x():
     u = potential_function(x, 0.8, a_pieces)
     second = u[:-2] - 2.0 * u[1:-1] + u[2:]
     assert np.all(second >= -1e-12)
+
+
+def test_potential_values_are_pinned():
+    # frozen digest of the potentials on the convex-order demo's grids
+    # (depth-2 split): any change to the closed form's arithmetic shows
+    x_grid = np.arange(-4.0, 4.0 + 1e-9, 0.05)
+    digest = hashlib.sha256()
+    for pieces in symmetrized_split(2):
+        for t in (0.25, 0.5, 1.0, 2.0):
+            digest.update(potential_function(x_grid, t, pieces).tobytes())
+    assert digest.hexdigest()[:16] == "00cee500fd781d2e"
 
 
 def test_potential_rejects_zero_mass_and_negative_t():

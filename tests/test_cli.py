@@ -546,6 +546,16 @@ def test_strong_markov_rejects_non_positive_horizon(tmp_path, capsys, horizon):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_strong_markov_rejects_negative_offset(tmp_path, capsys):
+    # used to exit 2 with the analysis's "t_offset must be >= 0", which
+    # names no flag
+    code = run("strong-markov", "--seed", "1", "--n-pairs", "10",
+               "--t-offset", "-1", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "--t-offset" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------- flux ----------
 
 

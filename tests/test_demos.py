@@ -1,6 +1,8 @@
-"""Smoke test of the demos: each script runs to completion against src/."""
+"""Smoke test of the demos and of the README's Quick start: each runs to
+completion against src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,14 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    # the python block under "## Quick start", run as written; its KS verdict
+    # is a statistical outcome and is not asserted
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"]["exactly_zero"] is True
+    assert namespace["res"].values.shape == (20_000, 2)

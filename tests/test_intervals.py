@@ -7,7 +7,6 @@ import pytest
 
 from fakebm.intervals import (
     build_interval_system,
-    default_j_max,
     fat_cantor_intervals,
     lattice_project,
 )
@@ -156,15 +155,16 @@ def test_table_membership_matches_binary_search(intervals, domain):
     assert sys_.contains_many(np.float64(xs[0])).shape == ()
 
 
-def test_distance_to_active_values():
-    sys_ = build_interval_system(fat_cantor_intervals(1))  # [(0.375, 0.625)]
-    xs = np.array([0.5, 0.3, 0.05, -2.0, 0.7])
-    d = sys_.distance_to_active(xs)
-    assert d[0] == 0.0
-    assert d[1] == pytest.approx(0.075)  # nearer to 0.375 than to 0
-    assert d[2] == pytest.approx(0.05)  # nearer to the x <= 0 active piece
-    assert d[3] == 0.0
-    assert d[4] == pytest.approx(0.075)  # 0.7 to 0.625
+@pytest.mark.parametrize("intervals", [TWO_GAPS, fat_cantor_intervals(6)],
+                         ids=["two_gap", "cantor6"])
+def test_nan_membership_agrees_across_branches(intervals):
+    # NaN lies in no gap: the scalar binary search, the mask path (two
+    # intervals) and the cell table (63) all report it active
+    sys_ = build_interval_system(intervals)
+    assert sys_.contains(math.nan)
+    xs = np.array([math.nan, math.inf, -math.inf])
+    assert sys_.contains_many(xs).tolist() == [True, True, True]
+    assert sys_.contains_many(np.float64(math.nan))
 
 
 # ---------- fat Cantor construction ----------
@@ -209,11 +209,6 @@ def test_fat_cantor_rejects_bad_depth():
 
 
 # ---------- lattice projection ----------
-
-
-def test_default_j_max_value():
-    # sqrt(8/2) = 2 and 1 + 6 sqrt(1) = 7, so 14
-    assert default_j_max(8, 0.0) == 14
 
 
 def test_lattice_spacing():
@@ -266,6 +261,8 @@ def test_lattice_endpoint_sites_are_active():
 def test_lattice_site_activity_matches_membership_m8():
     sys_ = build_interval_system(TWO_GAPS)
     lat = lattice_project(sys_, 8)
+    # the default window is ceil(sqrt(8/2) * 7) = 14 sites each side
+    assert lat.j_max == 14
     # spacing 0.5: site 1 at x = 0.5 is the lone frozen site in the window
     assert lat.gap_sites == (1,)
     assert lat.gap_neighbors(1) == (0, 2)
@@ -277,7 +274,3 @@ def test_gap_neighbors_rejects_interior_site():
     with pytest.raises(ValueError):
         lat.gap_neighbors(2)
 
-
-def test_x_of_vectorized():
-    lat = lattice_project(build_interval_system(TWO_GAPS), 8)
-    assert np.allclose(lat.x_of(np.array([-1, 0, 2])), [-0.5, 0.0, 1.0])
