@@ -531,6 +531,23 @@ def test_exp_samples_keep_unit_mean_and_velocity_structure():
     assert not system.contains_many(frozen_vals).any()
 
 
+def test_exp_query_order_only_permutes_columns():
+    # the engine runs on ascending times and no longer reorders them: an
+    # unsorted query is refused, and repeated times, t1 itself included,
+    # get identical columns back
+    t = (0.9, 0.2, 0.6, 0.5, 0.3, 0.9)
+    run = lambda q: simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, q, 200, seed=7, dt=2e-3)
+    with pytest.raises(ValueError, match="ascending"):
+        run(t)
+    ordered = run(tuple(sorted(t)))
+    assert ordered.t_queries == tuple(sorted(t))
+    assert np.array_equal(ordered.values[:, 4], ordered.values[:, 5])
+    assert np.array_equal(ordered.frozen[:, 4], ordered.frozen[:, 5])
+    repeated = run((0.3, 0.5, 0.5, 0.9))
+    assert np.array_equal(repeated.values[:, 1], repeated.values[:, 2])
+    assert np.array_equal(repeated.values[:, [0, 1, 3]], ordered.values[:, [1, 2, 4]])
+
+
 def test_exp_samples_deterministic():
     a = simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, (0.7,), 60, seed=4, dt=2e-3)
     b = simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, (0.7,), 60, seed=4, dt=2e-3)

@@ -211,6 +211,11 @@ def test_fat_cantor_rejects_bad_depth():
 # ---------- lattice projection ----------
 
 
+def test_default_j_max_value():
+    # the default window is ceil(sqrt(8/2) * 7) = 14 sites each side
+    assert lattice_project(build_interval_system(TWO_GAPS), 8).j_max == 14
+
+
 def test_lattice_spacing():
     sys_ = build_interval_system(TWO_GAPS)
     lat = lattice_project(sys_, 200)
@@ -261,8 +266,6 @@ def test_lattice_endpoint_sites_are_active():
 def test_lattice_site_activity_matches_membership_m8():
     sys_ = build_interval_system(TWO_GAPS)
     lat = lattice_project(sys_, 8)
-    # the default window is ceil(sqrt(8/2) * 7) = 14 sites each side
-    assert lat.j_max == 14
     # spacing 0.5: site 1 at x = 0.5 is the lone frozen site in the window
     assert lat.gap_sites == (1,)
     assert lat.gap_neighbors(1) == (0, 2)
