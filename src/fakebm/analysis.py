@@ -96,9 +96,6 @@ class BinStat:
 
 @dataclass(frozen=True)
 class MartingaleBinReport:
-    s: float
-    t: float
-    n_bins: int
     bins: tuple
     excluded: tuple
     z_max: float
@@ -142,9 +139,6 @@ def martingale_bin_test(
         raise ValueError("all bins were below the minimum occupancy")
     z = max(abs(b.mean_increment) / b.stderr for b in bins if b.stderr > 0)
     return MartingaleBinReport(
-        s=float(s),
-        t=float(t),
-        n_bins=n_bins,
         bins=tuple(bins),
         excluded=tuple(excluded),
         z_max=float(z),
@@ -212,7 +206,7 @@ def flux_experiment(
         raise ValueError("gap_index must pick a pair of consecutive intervals")
     left = system.bounded[gap_index]
     right = system.bounded[gap_index + 1]
-    b_pt, a_pt = left[1], right[0]
+    b_pt, a_pt = system.gaps()[gap_index + 1]
     n_grid = int(round(duration / dt))
     t_grid = t_start + np.arange(n_grid + 1) * dt
     count_in = 0

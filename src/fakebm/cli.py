@@ -226,7 +226,18 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         raise ConfigError("workers must be >= 1")
     if "dt" in cfg and cfg["dt"] <= 0:
         raise ConfigError("--dt must be > 0")
+    if cfg.get("cantor_depth") is not None and not 1 <= cfg["cantor_depth"] <= 20:
+        raise ConfigError("--cantor-depth must be between 1 and 20")
     return cfg
+
+
+def _flagged(flags: str, check, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError re-raised as a ConfigError that
+    opens with the flags whose values it checks."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{flags}: {exc}") from None
 
 
 def _floats(cfg: dict, key: str) -> list:
@@ -262,7 +273,7 @@ def _resolve_system(cfg: dict) -> IntervalSystem:
         return build_interval_system(fat_cantor_intervals(cfg["cantor_depth"]))
     if not cfg["intervals"]:
         raise ConfigError("provide either intervals or cantor_depth")
-    return build_interval_system(_intervals(cfg))
+    return _flagged("--intervals", build_interval_system, _intervals(cfg))
 
 
 def _ks_tests(result, t_queries: list, ks_max: float, family):
@@ -280,10 +291,13 @@ def _cmd_verify_discrete(cfg: dict):
     if cfg["backend"] not in ("rational", "float"):
         raise ConfigError("backend must be 'rational' or 'float'")
     if cfg["steps"] < 1:
-        raise ConfigError("steps must be >= 1")
+        raise ConfigError("--steps must be >= 1")
     system = _resolve_system(cfg)
-    j_max = cfg["m"] + cfg["steps"] if cfg["j_max"] is None else cfg["j_max"]
-    lattice = lattice_project(system, cfg["m"], j_max=j_max)
+    if cfg["j_max"] is None:
+        flags, j_max = "--m", cfg["m"] + cfg["steps"]
+    else:
+        flags, j_max = "--m, --j-max", cfg["j_max"]
+    lattice = _flagged(flags, lattice_project, system, cfg["m"], j_max=j_max)
     report = run_marginal_certification(lattice, cfg["steps"], backend=cfg["backend"])
     tol = 0.0 if cfg["backend"] == "rational" else FLOAT_DEVIATION_TOL
     report["tolerance"] = tol
@@ -498,11 +512,12 @@ def _cmd_exp_variant(cfg: dict):
     window = _floats(cfg, "window")
     if len(window) != 4:
         raise ConfigError("window must be [a, b, t1, t2]")
-    if not check_exp_window(*window):
-        raise ConfigError("window fails the validity check for the exponential variant")
+    if not _flagged("--window", check_exp_window, *window):
+        raise ConfigError("--window fails the validity check for the exponential variant")
     if not cfg["intervals"]:
         raise ConfigError("intervals are required")
     intervals = _intervals(cfg)
+    _flagged("--intervals", build_interval_system, intervals, domain=window[:2])
     t_queries = _t_queries(cfg, positive=True)
     n_paths = cfg["n_paths"]
     if n_paths < 100:

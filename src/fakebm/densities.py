@@ -2,8 +2,8 @@
 
 The driving diffusion starts from N(0, 1), so its time-t marginal is
 N(0, 1 + t).  Everything here is elementary calculus on that family (and on
-the lognormal family used by the exponential variant): densities, cdfs, time
-derivatives, the survival ratio p(x, t) / p(x, 0) that governs how long a
+the lognormal family used by the exponential variant): densities, cdfs, the
+survival ratio p(x, t) / p(x, 0) that governs how long a
 frozen particle may stay put, and its inverse, which turns a uniform draw
 into a switch time.  A MarginalFamily bundles one family with its driving
 path and its switch-time inverse, the two pieces the path engine needs.
@@ -26,7 +26,6 @@ __all__ = [
     "net_inflow",
     "lognormal_density",
     "lognormal_cdf",
-    "lognormal_time_derivative",
     "lognormal_survival_ratio",
     "check_exp_window",
     "MarginalFamily",
@@ -136,50 +135,32 @@ def lognormal_cdf(x, t):
     return out if out.shape else float(out)
 
 
-def lognormal_time_derivative(x, t):
-    """d/dt of the lognormal(-t/2, t) density; requires t > 0.
-
-    Equals p(x, t) * ((ln x)^2 - t^2/4 - t) / (2 t^2), negative exactly when
-    (ln x)^2 < t^2/4 + t.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("time derivative of the lognormal family needs t > 0")
-    x = np.asarray(x, dtype=float)
-    y = np.log(x)
-    return lognormal_density(x, t) * (np.square(y) - t * t / 4.0 - t) / (2.0 * t * t)
-
-
 def lognormal_survival_ratio(x, t, t0):
     """p(x, t) / p(x, t0) for the lognormal family, t >= t0 > 0."""
     return lognormal_density(x, t) / lognormal_density(x, t0)
 
 
-def check_exp_window(a, b, t1, t2, *, nx=201, nt=101):
+def check_exp_window(a, b, t1, t2):
     """Validity check for the exponential-variant window [a, b] x [t1, t2].
 
-    True iff on an nx-by-nt grid the map x -> x * p(t, x) has non-positive
-    second difference in x (concavity) and the lognormal density is strictly
-    decreasing in t throughout.  Both properties degenerate at t = 0 (point
-    mass), so any window starting at t1 <= 0 fails.
+    True iff throughout the window the lognormal density is strictly
+    decreasing in t and x -> x * p(t, x) is concave.  With y = ln x and
+    h(t) = sqrt(t^2 + 4t) / 2, the density decreases iff |y| < h(t), and
+    x * p(t, x) is concave iff -t - h(t) <= y <= -t + h(t).  h grows and
+    -t - h(t) falls with t, and -t + h(t) has a single maximum, so the
+    window's corners decide, exactly: ln a > -h(t1), and ln b <= -t + h(t)
+    at t1 and at t2.  These imply the other two corner bounds, ln a >=
+    -t1 - h(t1) and ln b < h(t1).  Both properties degenerate at t = 0
+    (point mass), so any window starting at t1 <= 0 fails.
     """
     if not (0.0 < a < b):
         raise ValueError("need 0 < a < b")
     if not (t1 < t2):
         raise ValueError("need t1 < t2")
-    if nx < 3 or nt < 2:
-        raise ValueError("grid too coarse")
     if t1 <= 0.0:
         return False
-    xs = np.linspace(a, b, nx)
-    ts = np.linspace(t1, t2, nt)
-    dens = lognormal_density(xs[None, :], ts[:, None])
-    g = xs[None, :] * dens
-    second = g[:, :-2] - 2.0 * g[:, 1:-1] + g[:, 2:]
-    if not np.all(second <= 0.0):
-        return False
-    ddt = lognormal_time_derivative(xs[None, :], ts[:, None])
-    return bool(np.all(ddt < 0.0))
+    h1, h2 = (math.sqrt(t * t + 4.0 * t) / 2.0 for t in (t1, t2))
+    return -h1 < math.log(a) and math.log(b) <= min(h1 - t1, h2 - t2)
 
 
 # width of the bracket at which a lognormal switch-time bisection stops
@@ -254,6 +235,8 @@ class MarginalFamily:
     switch_times(x, u, t1, t2) turns uniforms u into the times s after t1
     at which particles frozen at x are released: the survival ratio
     p(x, t1 + s) / p(x, t1) equals u, and s is inf past the window end t2.
+    GAUSSIAN freezes only at t1 = 0 and its switch_times ignores t1 and t2,
+    solving p(x, s) / p(x, 0) = u.
     """
 
     cdf: Callable

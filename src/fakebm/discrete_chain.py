@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import LatticeSystem
-from .lazy_walk import _binomial_row
+from .lazy_walk import _binomial_row, pmf
 
 __all__ = [
     "JointDistribution",
@@ -107,18 +107,16 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     Active sites start busy, gap sites start frozen.  Sites outside the
     lattice window are dropped; with the default window the lost tail mass is
     below 1e-12, and a full window (j_max >= m + steps) loses nothing.  The
-    masses are Fraction(c, 4^m), or c / 4^m in floats, over the row C(2m, k).
+    masses are the walk's law pmf(m, backend).
     """
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}: use 'rational' or 'float'")
     m = lattice.m
-    den = 4**m
     busy: dict = {}
     lazy: dict = {}
-    for j, c in zip(range(-m, m + 1), _binomial_row(m)):
+    for j, p in zip(range(-m, m + 1), pmf(m, backend).mass):
         if abs(j) > lattice.j_max:
             continue
-        p = Fraction(c, den) if backend == "rational" else c / den
         if lattice.is_active(j):
             busy[j] = p
         else:
@@ -245,15 +243,15 @@ def marginal(joint: JointDistribution) -> dict:
 def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     """Largest |site marginal - walk mass| over the lattice window.
 
-    The walk masses are read off one integer row C(2n, k), n = m + step.
-    Floats compare against c / 4^n, bit-identical to the float pmf.  Exact
-    masses g are tested by g.numerator 4^n == c g.denominator, and a
-    Fraction difference is formed only at a site that deviates.
+    Floats compare against the float pmf at n = m + step.  Exact masses g
+    are tested against the integer row C(2n, k) by g.numerator 4^n ==
+    c g.denominator, and a Fraction difference is formed only at a site that
+    deviates.
     """
     n = lattice.m + joint.step
-    row = _binomial_row(n)
     got = marginal(joint)
     if joint.backend == "rational":
+        row = _binomial_row(n)
         zero = worst = Fraction(0)
         shift = 2 * n
         for j in lattice.sites:
@@ -264,11 +262,10 @@ def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
                 if dev > worst:
                     worst = dev
         return worst
-    four_n = 4**n
+    law = pmf(n, "float").mass
     worst = 0.0
     for j in lattice.sites:
-        law = row[j + n] / four_n if -n <= j <= n else 0.0
-        dev = abs(got.get(j, 0.0) - law)
+        dev = abs(got.get(j, 0.0) - (law[j + n] if -n <= j <= n else 0.0))
         if dev > worst:
             worst = dev
     return worst
@@ -330,8 +327,7 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     for step in range(horizon_steps):
         for j in lattice.gap_sites:
             hazards[step, j + off] = float(lazy_hazard(j, step, m))
-    den = 4**m
-    start_cdf = np.cumsum([c / den for c in _binomial_row(m)])
+    start_cdf = np.cumsum(pmf(m, "float").mass)
 
     positions = np.empty((n_paths, horizon_steps + 1), dtype=np.int64)
     frozen = np.empty((n_paths, horizon_steps + 1), dtype=bool)

@@ -181,8 +181,8 @@ class LatticeSystem:
     """Projection of an IntervalSystem onto the lattice sqrt(2/m) * Z.
 
     Site j is active iff j * spacing lies in the active set (endpoints
-    snapped at 1e-12).  gap_sites are the inactive sites, boundary_sites the
-    active sites adjacent to a gap, and flanks maps each gap or boundary site
+    snapped at 1e-12).  gap_sites are the inactive sites, and flanks maps
+    each gap site and each boundary site (an active site adjacent to a gap)
     to the nearest active sites strictly left and right of its gap(s).
     """
 
@@ -191,7 +191,6 @@ class LatticeSystem:
     j_max: int
     spacing: float
     gap_sites: tuple[int, ...]
-    boundary_sites: tuple[int, ...]
     flanks: dict[int, tuple[int, int]]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
     _gap: frozenset = field(init=False, compare=False, repr=False)
@@ -248,9 +247,7 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
     active |= np.abs(xs - 1.0) <= ENDPOINT_SNAP
 
     gap_sites = [int(j) for j, a in zip(js, active) if not a]
-    for i in range(system.n_intervals - 1):
-        b_left = system.bounded[i][1]
-        a_right = system.bounded[i + 1][0]
+    for b_left, a_right in system.gaps()[1:-1]:
         lo_j = math.ceil((b_left - ENDPOINT_SNAP) / spacing)
         hi_j = math.floor((a_right + ENDPOINT_SNAP) / spacing)
         if lo_j > hi_j:
@@ -285,6 +282,5 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
         j_max=int(j_max),
         spacing=spacing,
         gap_sites=tuple(gap_sites),
-        boundary_sites=tuple(boundary),
         flanks=flanks,
     )

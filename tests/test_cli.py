@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -319,6 +320,36 @@ def test_verify_discrete_rejects_coarse_lattice(tmp_path, capsys):
                "--output-dir", str(tmp_path))
     assert code == 2
     assert "m too small" in capsys.readouterr().err
+
+
+# ---------- library range checks, named by their flag ----------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-discrete", "--m", "1"], "--m"),
+        (["verify-discrete", "--m", "2"], "--m"),
+        (["verify-discrete", "--j-max", "0"], "--j-max"),
+        (["verify-discrete", "--steps", "0"], "--steps"),
+        (["simulate", "--cantor-depth", "0"], "--cantor-depth"),
+        (["strong-markov", "--cantor-depth", "-1"], "--cantor-depth"),
+        (["convex-order", "--cantor-depth", "21"], "--cantor-depth"),
+        (["marginals", "--intervals", "[[0.5, 0.2]]"], "--intervals"),
+        (["marginals", "--intervals", "[[0.5, 1.5]]"], "--intervals"),
+        (["marginals", "--intervals", "[[0.1, 0.5], [0.4, 0.9]]"], "--intervals"),
+        (["exp-variant", "--window", "[-1, 1.1, 0.5, 1.0]"], "--window"),
+        (["exp-variant", "--intervals", "[[0.1, 0.2]]"], "--intervals"),
+    ],
+)
+def test_config_error_names_its_flag(tmp_path, capsys, argv, flag):
+    # each used to exit 2 with a library message naming a keyword, not a flag
+    code = run(*argv, "--seed", "1", "--output-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --")
+    assert flag in re.findall(r"--[a-z-]+", err)
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------- simulate ----------

@@ -20,7 +20,6 @@ from fakebm.densities import (
     lognormal_cdf,
     lognormal_density,
     lognormal_survival_ratio,
-    lognormal_time_derivative,
     net_inflow,
     survival_ratio,
 )
@@ -191,14 +190,6 @@ def test_lognormal_median():
         assert lognormal_cdf(math.exp(-t / 2.0), t) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_lognormal_time_derivative_matches_finite_difference():
-    h = 1e-6
-    for x in (0.5, 0.9, 1.4):
-        for t in (0.4, 1.0):
-            fd = (lognormal_density(x, t + h) - lognormal_density(x, t - h)) / (2 * h)
-            assert lognormal_time_derivative(x, t) == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-
 def test_lognormal_survival_ratio_is_density_ratio():
     for x in (0.7, 0.9, 1.05):
         r = lognormal_survival_ratio(x, 0.9, 0.5)
@@ -236,6 +227,51 @@ def test_exp_window_concavity_oracle():
             f = lambda v: v * lognormal_density(v, t)
             second = (f(x + hh) - 2 * f(x) + f(x - hh)) / hh**2
             assert second < 0
+
+
+def _dense_window_oracle(a, b, t1, t2, nx=2001, nt=1001):
+    # both conditions on a dense grid: the density falls from each time row
+    # to the next, and x * p(t, x) has non-positive second differences in x
+    xs = np.linspace(a, b, nx)
+    dens = lognormal_density(xs, np.linspace(t1, t2, nt)[:, None])
+    g = xs * dens
+    falls = np.all(np.diff(dens, axis=0) < 0.0)
+    concave = np.all(g[:, :-2] - 2.0 * g[:, 1:-1] + g[:, 2:] <= 0.0)
+    return bool(falls and concave)
+
+
+@pytest.mark.parametrize(
+    "ya, yb, t1, t2, admissible",
+    [
+        # t1 = 0.5, t2 = 1: need ln a > -h(0.5) = -0.75 and, with t2
+        # binding, ln b <= -1 + h(1) = 0.118
+        (-0.70, 0.00, 0.5, 1.0, True),
+        (-0.80, 0.00, 0.5, 1.0, False),  # density rises near a at t1
+        (-0.50, 0.08, 0.5, 1.0, True),
+        (-0.50, 0.16, 0.5, 1.0, False),  # convex near b at t2
+        # t1 = 0.05, t2 = 0.3: -t + h(t) peaks between them, so t1 binds:
+        # ln b <= -0.05 + h(0.05) = 0.175; ln a > -h(0.05) = -0.225
+        (-0.20, 0.15, 0.05, 0.3, True),
+        (-0.20, 0.20, 0.05, 0.3, False),  # convex near b at t1
+        (-0.25, 0.15, 0.05, 0.3, False),  # density rises near a at t1
+    ],
+)
+def test_exp_window_matches_dense_oracle(ya, yb, t1, t2, admissible):
+    window = (math.exp(ya), math.exp(yb), t1, t2)
+    assert check_exp_window(*window) is admissible
+    assert _dense_window_oracle(*window) is admissible
+
+
+def test_exp_window_rejects_window_a_coarse_grid_accepts():
+    # a 201 x 101 grid check accepts this window; but ln b = -0.41943 lies
+    # above -t2 + h(t2) = -0.42148, so x * p(t2, x) is convex just below b
+    a, b, t1, t2 = (0.3565954769491023, 0.6574240539730726,
+                    1.4405820760569081, 2.3567748843153176)
+    assert not check_exp_window(a, b, t1, t2)
+    hh = 1e-4
+    f = lambda v: v * lognormal_density(v, t2)
+    x = b - hh
+    assert (f(x + hh) - 2 * f(x) + f(x - hh)) / hh**2 > 0
 
 
 def test_lognormal_family_bundle():

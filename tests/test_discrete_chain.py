@@ -321,7 +321,7 @@ def test_sample_path_mode_and_move_legality(lat_m8):
             else:
                 assert not cur_frozen
                 legal = {prev - 1, prev, prev + 1}
-                if prev in lat_m8.boundary_sites:
+                if prev in lat_m8.flanks:
                     legal |= set(lat_m8.gap_neighbors(prev))
                 assert cur in legal
     assert seen_switch

@@ -227,7 +227,7 @@ def test_lattice_gap_and_boundary_sites_m200():
     # spacing 0.1: site 5 sits at 0.5 inside the gap, sites 4 and 6 flank it
     lat = lattice_project(build_interval_system(TWO_GAPS), 200)
     assert lat.gap_sites == (5,)
-    assert lat.boundary_sites == (4, 6)
+    assert sorted(lat.flanks) == [4, 5, 6]
     assert lat.gap_neighbors(5) == (4, 6)
     assert lat.gap_neighbors(4) == (3, 6)
     assert lat.gap_neighbors(6) == (4, 7)
@@ -237,7 +237,7 @@ def test_lattice_length_one_gap_is_legal_and_siteless():
     # spacing 0.2: the gap (0.4, 0.6) holds only its snapped endpoints
     lat = lattice_project(build_interval_system(TWO_GAPS), 50)
     assert lat.gap_sites == ()
-    assert lat.boundary_sites == ()
+    assert lat.flanks == {}
 
 
 def test_lattice_rejects_unseen_gap():
