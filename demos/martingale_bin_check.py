@@ -27,7 +27,7 @@ def show(tag, rep):
               f"+- {b.stderr:.4f}  (n = {b.n})")
 
 
-show("martingale samples", martingale_bin_test(x_s, x_t, s, t))
+show("martingale samples", martingale_bin_test(x_s, x_t))
 print()
 # add drift 0.15 t: every bin shifts by 0.15 (t - s) and the test flags it
-show("drifted control", martingale_bin_test(x_s + 0.15 * s, x_t + 0.15 * t, s, t))
+show("drifted control", martingale_bin_test(x_s + 0.15 * s, x_t + 0.15 * t))

@@ -102,10 +102,9 @@ class MartingaleBinReport:
     passed: bool
 
 
-def martingale_bin_test(
-    x_s, x_t, s: float, t: float, n_bins: int = 20, z_max: float = 4.0
-) -> MartingaleBinReport:
-    """Conditional-mean test of E[X_t - X_s | X_s].
+def martingale_bin_test(x_s, x_t, n_bins: int = 20, z_max: float = 4.0) -> MartingaleBinReport:
+    """Conditional-mean test of E[X_t - X_s | X_s], for the values of the
+    same paths at two times s < t.
 
     Bins are X_s quantile bins; the test passes iff every kept bin's mean
     increment lies within z_max standard errors of zero.  Bins with fewer
@@ -115,8 +114,6 @@ def martingale_bin_test(
     x_t = np.asarray(x_t, dtype=float)
     if x_s.shape != x_t.shape or x_s.ndim != 1:
         raise ValueError("x_s and x_t must be matching 1-d arrays")
-    if not s < t:
-        raise ValueError("need s < t")
     if n_bins < 1:
         raise ValueError("need at least one bin")
     edges = np.quantile(x_s, np.linspace(0.0, 1.0, n_bins + 1))

@@ -11,8 +11,10 @@ config-file value like the text of its flag, and float settings must be
 finite.  A subcommand body returns (report, {csv name: (header, rows)});
 main alone writes the files and turns report["passed"] into exit code 0/1.
 Exit code 0 means the run's check passed, 1 means it ran but failed or was
-inconclusive, 2 means the configuration was invalid, 3 means the run
-crashed.  A seed is mandatory; there is no wall-clock fallback.
+inconclusive, 2 means the configuration was invalid (a ConfigError: every
+range check a library call would make on a setting is made here first), 3
+means the run crashed (any other exception, a library ValueError
+included).  A seed is mandatory; there is no wall-clock fallback.
 """
 
 from __future__ import annotations
@@ -394,7 +396,7 @@ def _cmd_martingale(cfg: dict):
     if drift:
         x_s += drift * s
         x_t += drift * t
-    rep = martingale_bin_test(x_s, x_t, s, t, n_bins=cfg["n_bins"], z_max=cfg["z_max"])
+    rep = martingale_bin_test(x_s, x_t, n_bins=cfg["n_bins"], z_max=cfg["z_max"])
     report = {
         "s": s,
         "t": t,
@@ -419,6 +421,8 @@ def _cmd_strong_markov(cfg: dict):
         raise ConfigError("--t-horizon must be > 0")
     if cfg["t_offset"] < 0:
         raise ConfigError("--t-offset must be >= 0")
+    if cfg["n_pairs"] < 1:
+        raise ConfigError("--n-pairs must be >= 1")
     rep = coupling_experiment(
         cfg["cantor_depth"],
         cfg["t_offset"],
@@ -462,7 +466,11 @@ def _cmd_flux(cfg: dict):
         raise ConfigError("--tolerance must be >= 0")
     if cfg["t_start"] < 0:
         raise ConfigError("--t-start must be >= 0")
+    if cfg["n_paths"] < 1:
+        raise ConfigError("--n-paths must be >= 1")
     system = _resolve_system(cfg)
+    if not 0 <= cfg["gap_index"] < system.n_intervals - 1:
+        raise ConfigError("--gap-index must pick a pair of consecutive intervals")
     rep = flux_experiment(
         system,
         cfg["gap_index"],
@@ -499,6 +507,10 @@ def _cmd_convex_order(cfg: dict):
     n = int(round((x_max - x_min) / x_step))
     x_grid = x_min + np.arange(n + 1) * x_step
     t_grid = _floats(cfg, "t_grid")
+    if len(t_grid) < 2:
+        raise ConfigError("--t-grid must hold at least two times")
+    if min(t_grid) < 0:
+        raise ConfigError("--t-grid times must be >= 0")
     report = {
         "n_x_points": len(x_grid),
         "t_grid": t_grid,
@@ -519,6 +531,8 @@ def _cmd_exp_variant(cfg: dict):
     intervals = _intervals(cfg)
     _flagged("--intervals", build_interval_system, intervals, domain=window[:2])
     t_queries = _t_queries(cfg, positive=True)
+    if t_queries[-1] > window[3]:
+        raise ConfigError("--t-queries must not exceed t2, the last entry of --window")
     n_paths = cfg["n_paths"]
     if n_paths < 100:
         raise ConfigError("n_paths must be >= 100")
@@ -593,11 +607,12 @@ def main(argv=None) -> int:
         report["config"] = cfg
         write_report(os.path.join(out, "report.json"), report)
         return 0 if report["passed"] else 1
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # a crash is neither a failed check (1) nor a bad configuration (2)
+        # a crash, library ValueErrors included, is neither a failed check
+        # (1) nor a bad configuration (2)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import LatticeSystem
-from .lazy_walk import _binomial_row, pmf
+from .lazy_walk import _binomial_row, pmf, ratio_check
 
 __all__ = [
     "JointDistribution",
@@ -69,14 +69,14 @@ def busy_transition(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]
 def lazy_hazard(i: int, step: int, m: int) -> Fraction:
     """Switch probability of a frozen particle at site i during step l -> l+1.
 
-    1 - mass(m+l+1, i) / mass(m+l, i) = (n + 1 - 2 i^2) / (2 ((n+1)^2 - i^2))
-    with n = m + l; positive exactly while n >= 2 i^2, which holds for every
-    gap site because |i| * sqrt(2/m) < 1 forces 2 i^2 < m.
+    1 - mass(n+1, i) / mass(n, i) with n = m + l, i.e. one minus the
+    reciprocal of ratio_check(n, i); positive exactly while n >= 2 i^2, which
+    holds for every gap site because |i| * sqrt(2/m) < 1 forces 2 i^2 < m.
     """
     n = m + step
     if n < 2 * i * i:
         raise ValueError("hazard undefined: site mass is not yet shrinking")
-    return Fraction(n + 1 - 2 * i * i, 2 * ((n + 1) ** 2 - i * i))
+    return 1 - 1 / ratio_check(n, i)
 
 
 def switch_jump(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]]:
@@ -109,8 +109,6 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     below 1e-12, and a full window (j_max >= m + steps) loses nothing.  The
     masses are the walk's law pmf(m, backend).
     """
-    if backend not in ("rational", "float"):
-        raise ValueError(f"unknown backend {backend!r}: use 'rational' or 'float'")
     m = lattice.m
     busy: dict = {}
     lazy: dict = {}

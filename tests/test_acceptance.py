@@ -114,11 +114,11 @@ def test_a6_martingale_bins_with_negative_control(capsys, frozen_run):
     with criterion(capsys, "A6"):
         x_s = frozen_run.values[:, 0]
         x_t = frozen_run.values[:, 1]
-        null = martingale_bin_test(x_s, x_t, 0.5, 1.0, n_bins=20)
+        null = martingale_bin_test(x_s, x_t, n_bins=20)
         assert null.passed is True
         assert null.z_max <= 4.0
         # drift 0.1 t shifts every increment by 0.05; the test must notice
-        control = martingale_bin_test(x_s + 0.05, x_t + 0.10, 0.5, 1.0, n_bins=20)
+        control = martingale_bin_test(x_s + 0.05, x_t + 0.10, n_bins=20)
         assert control.passed is False
         assert control.z_max > 4.0
 

@@ -86,7 +86,7 @@ def test_martingale_bins_pass_on_true_martingale():
     rng = np.random.default_rng(7)
     x_s = rng.normal(0.0, math.sqrt(1.5), size=20000)
     x_t = x_s + rng.normal(0.0, math.sqrt(0.5), size=20000)
-    rep = martingale_bin_test(x_s, x_t, 0.5, 1.0)
+    rep = martingale_bin_test(x_s, x_t)
     assert rep.passed
     assert rep.z_max <= 4.0
     assert len(rep.bins) == 20
@@ -97,7 +97,7 @@ def test_martingale_bins_flag_drift():
     rng = np.random.default_rng(8)
     x_s = rng.normal(0.0, math.sqrt(1.5), size=20000)
     x_t = x_s + rng.normal(0.0, math.sqrt(0.5), size=20000) + 0.15
-    rep = martingale_bin_test(x_s, x_t, 0.5, 1.0)
+    rep = martingale_bin_test(x_s, x_t)
     assert not rep.passed
     assert rep.z_max > 5.0
 
@@ -106,7 +106,7 @@ def test_martingale_bins_flag_mean_reversion():
     rng = np.random.default_rng(9)
     x_s = rng.normal(0.0, math.sqrt(1.5), size=20000)
     x_t = 0.8 * x_s + rng.normal(0.0, math.sqrt(0.5), size=20000)
-    rep = martingale_bin_test(x_s, x_t, 0.5, 1.0)
+    rep = martingale_bin_test(x_s, x_t)
     assert not rep.passed
 
 
@@ -114,7 +114,7 @@ def test_martingale_bins_exclude_empty_quantile_bins():
     rng = np.random.default_rng(10)
     x_s = np.concatenate([np.zeros(600), rng.normal(size=1400)])
     x_t = x_s + rng.normal(0.0, 0.1, size=2000)
-    rep = martingale_bin_test(x_s, x_t, 0.5, 1.0)
+    rep = martingale_bin_test(x_s, x_t)
     assert len(rep.excluded) >= 1
     assert all(b.n < 30 for b in rep.excluded)
     assert sum(b.n for b in rep.bins) + sum(b.n for b in rep.excluded) == 2000
@@ -122,15 +122,13 @@ def test_martingale_bins_exclude_empty_quantile_bins():
 
 def test_martingale_bins_all_excluded_raises():
     with pytest.raises(ValueError, match="occupancy"):
-        martingale_bin_test(np.arange(100.0), np.arange(100.0), 0.5, 1.0, n_bins=20)
+        martingale_bin_test(np.arange(100.0), np.arange(100.0), n_bins=20)
 
 
 def test_martingale_bins_validates_arguments():
     x = np.zeros(1000)
     with pytest.raises(ValueError):
-        martingale_bin_test(x, x[:-1], 0.5, 1.0)
-    with pytest.raises(ValueError):
-        martingale_bin_test(x, x, 1.0, 0.5)
+        martingale_bin_test(x, x[:-1])
 
 
 # ---------- transitions and flux ----------

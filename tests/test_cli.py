@@ -157,14 +157,16 @@ def test_malformed_interval_names_the_pair_shape(tmp_path, capsys, command):
 
 
 def test_crash_exits_3_not_1(tmp_path, monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise RuntimeError("engine fault")
+    # a library ValueError is a crash too: only a ConfigError exits 2
+    for exc in (RuntimeError("engine fault"), ValueError("library fault")):
+        def boom(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(cli, "simulate_marginal_samples", boom)
-    code = run("simulate", "--seed", "1", "--n-paths", "2", "--output-dir", str(tmp_path))
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "engine fault" in err
+        monkeypatch.setattr(cli, "simulate_marginal_samples", boom)
+        code = run("simulate", "--seed", "1", "--n-paths", "2", "--output-dir", str(tmp_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {type(exc).__name__}: {exc}")
 
 
 _IMPORT_GRAPH_CHECK = """
@@ -177,6 +179,16 @@ for argv in (%r, %r):
 """
 
 
+def _fresh_python(code):
+    """Run code in a new interpreter that imports this fakebm."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_no_command_path_imports_scipy_stats(tmp_path):
     # scipy.stats alone doubles the start-up cost of every command, so
     # neither the import of the CLI nor a KS check may load it
@@ -186,13 +198,13 @@ def test_no_command_path_imports_scipy_stats(tmp_path):
         ["marginals", "--seed", "1", "--n-paths", "100", "--dt", "0.01",
          "--t-queries", "[0.5]", "--ks-max", "1.0", "--output-dir", str(tmp_path / "m")],
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH_CHECK % argvs],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _fresh_python(_IMPORT_GRAPH_CHECK % argvs)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_chain_import_leaves_out_scipy():
+    # the lattice leg needs neither scipy nor the Monte Carlo leg
+    proc = _fresh_python("import sys, fakebm.discrete_chain; assert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -209,16 +221,21 @@ def test_reports_have_sorted_keys(tmp_path):
 
 
 # (argv after the subcommand, exit code, sha256 of the sorted file names and
-# contents) per subcommand, every run at seed 1.  The Monte Carlo entries are
-# frozen from the block-extended driver's stream layout; the flux run counts
-# only 28 crossings at 400 paths, so whether it passes is chance.  The
-# verify-discrete and convex-order entries predate that layout and must not
-# move.
+# contents) per subcommand, or per "subcommand/variant", every run at seed
+# 1.  The Monte Carlo entries are frozen from the block-extended driver's
+# stream layout; the flux run counts only 28 crossings at 400 paths, so
+# whether it passes is chance.  The verify-discrete and convex-order entries
+# predate that layout and must not move.
 PINNED_RUNS = {
     "verify-discrete": (
         ["--m", "50", "--steps", "20"],
         0,
         "c63e5e85e816ffc6407177049bb78b07be05f3ee0b8357f3bbc81a93bf4d10da",
+    ),
+    "verify-discrete/rational": (
+        ["--m", "50", "--steps", "20", "--backend", "rational"],
+        0,
+        "1f248d84e64ea368abe96da6fcd7ef3ae6a4e74a29f92d6f7caad8042c639a7e",
     ),
     "simulate": (
         ["--n-paths", "6", "--dt", "0.001"],
@@ -271,7 +288,7 @@ def test_outputs_are_pinned(tmp_path, command):
     argv, code, digest = PINNED_RUNS[command]
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert run(command, "--seed", "1", *argv, "--output-dir", str(out)) == code
+        assert run(command.split("/")[0], "--seed", "1", *argv, "--output-dir", str(out)) == code
     assert sorted(os.listdir(a)) == sorted(os.listdir(b))
     for name in os.listdir(a):
         assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -340,6 +357,12 @@ def test_verify_discrete_rejects_coarse_lattice(tmp_path, capsys):
         (["marginals", "--intervals", "[[0.1, 0.5], [0.4, 0.9]]"], "--intervals"),
         (["exp-variant", "--window", "[-1, 1.1, 0.5, 1.0]"], "--window"),
         (["exp-variant", "--intervals", "[[0.1, 0.2]]"], "--intervals"),
+        (["flux", "--gap-index", "5"], "--gap-index"),
+        (["flux", "--n-paths", "0"], "--n-paths"),
+        (["strong-markov", "--n-pairs", "0"], "--n-pairs"),
+        (["convex-order", "--t-grid", "[1.0]"], "--t-grid"),
+        (["convex-order", "--t-grid", "[-1.0, 1.0]"], "--t-grid"),
+        (["exp-variant", "--t-queries", "[2.0]"], "--t-queries"),
     ],
 )
 def test_config_error_names_its_flag(tmp_path, capsys, argv, flag):
@@ -634,7 +657,7 @@ def test_flux_rejects_bad_gap_index(tmp_path, capsys):
     code = run("flux", "--seed", "1", "--gap-index", "3",
                "--output-dir", str(tmp_path))
     assert code == 2
-    assert "gap_index" in capsys.readouterr().err
+    assert "--gap-index" in capsys.readouterr().err
 
 
 # ---------- convex-order ----------
