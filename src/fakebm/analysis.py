@@ -107,8 +107,10 @@ def martingale_bin_test(x_s, x_t, n_bins: int = 20, z_max: float = 4.0) -> Marti
     same paths at two times s < t.
 
     Bins are X_s quantile bins; the test passes iff every kept bin's mean
-    increment lies within z_max standard errors of zero.  Bins with fewer
-    than _MIN_BIN samples are excluded and reported.
+    increment lies within z_max standard errors of zero, which for a bin
+    whose increments have no spread means a mean of exactly zero.  z_max of
+    the report is the worst z over the bins with spread (0 if there are
+    none).  Bins with fewer than _MIN_BIN samples are excluded and reported.
     """
     x_s = np.asarray(x_s, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
@@ -134,12 +136,13 @@ def martingale_bin_test(x_s, x_t, n_bins: int = 20, z_max: float = 4.0) -> Marti
         bins.append(BinStat(lo, hi, mean, stderr, n))
     if not bins:
         raise ValueError("all bins were below the minimum occupancy")
-    z = max(abs(b.mean_increment) / b.stderr for b in bins if b.stderr > 0)
+    z = max((abs(b.mean_increment) / b.stderr for b in bins if b.stderr > 0), default=0.0)
+    flat_ok = all(b.mean_increment == 0 for b in bins if b.stderr == 0)
     return MartingaleBinReport(
         bins=tuple(bins),
         excluded=tuple(excluded),
         z_max=float(z),
-        passed=z <= z_max,
+        passed=z <= z_max and flat_ok,
     )
 
 

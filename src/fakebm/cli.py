@@ -225,7 +225,7 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     if cfg["seed"] is None:
         raise ConfigError("a seed is required (pass --seed or set it in the config)")
     if cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
+        raise ConfigError("--workers must be >= 1")
     if "dt" in cfg and cfg["dt"] <= 0:
         raise ConfigError("--dt must be > 0")
     if cfg.get("cantor_depth") is not None and not 1 <= cfg["cantor_depth"] <= 20:
@@ -257,9 +257,9 @@ def _t_queries(cfg: dict, positive: bool) -> list:
     """The sorted query times: each > 0 if positive, else >= 0."""
     t_queries = sorted(_floats(cfg, "t_queries"))
     if not t_queries:
-        raise ConfigError("t_queries must not be empty")
+        raise ConfigError("--t-queries must not be empty")
     if t_queries[0] < 0 or positive and t_queries[0] == 0:
-        raise ConfigError("t_queries must be " + ("positive" if positive else "non-negative"))
+        raise ConfigError("--t-queries must be " + ("positive" if positive else "non-negative"))
     return t_queries
 
 
@@ -267,14 +267,14 @@ def _intervals(cfg: dict) -> list:
     try:
         return [(float(a), float(b)) for a, b in cfg["intervals"]]
     except (TypeError, ValueError):
-        raise ConfigError("intervals must be a list of [a, b] pairs")
+        raise ConfigError("--intervals must be a list of [a, b] pairs")
 
 
 def _resolve_system(cfg: dict) -> IntervalSystem:
     if cfg["cantor_depth"] is not None:
         return build_interval_system(fat_cantor_intervals(cfg["cantor_depth"]))
     if not cfg["intervals"]:
-        raise ConfigError("provide either intervals or cantor_depth")
+        raise ConfigError("--intervals, --cantor-depth: provide one of them")
     return _flagged("--intervals", build_interval_system, _intervals(cfg))
 
 
@@ -291,7 +291,7 @@ def _ks_tests(result, t_queries: list, ks_max: float, family):
 
 def _cmd_verify_discrete(cfg: dict):
     if cfg["backend"] not in ("rational", "float"):
-        raise ConfigError("backend must be 'rational' or 'float'")
+        raise ConfigError("--backend must be 'rational' or 'float'")
     if cfg["steps"] < 1:
         raise ConfigError("--steps must be >= 1")
     system = _resolve_system(cfg)
@@ -312,7 +312,7 @@ def _cmd_simulate(cfg: dict):
     t_queries = _t_queries(cfg, positive=False)
     n_paths = cfg["n_paths"]
     if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
+        raise ConfigError("--n-paths must be >= 1")
     result = simulate_marginal_samples(
         system,
         t_queries,
@@ -341,7 +341,7 @@ def _cmd_marginals(cfg: dict):
     t_queries = _t_queries(cfg, positive=True)
     n_paths = cfg["n_paths"]
     if n_paths < 100:
-        raise ConfigError("n_paths must be >= 100")
+        raise ConfigError("--n-paths must be >= 100")
     result = simulate_marginal_samples(
         system, t_queries, n_paths, cfg["seed"], dt=cfg["dt"], workers=cfg["workers"]
     )
@@ -379,7 +379,7 @@ def _cmd_martingale(cfg: dict):
     system = _resolve_system(cfg)
     s, t = cfg["s"], cfg["t"]
     if not 0 < s < t:
-        raise ConfigError("need 0 < s < t")
+        raise ConfigError("--s, --t: need 0 < s < t")
     if cfg["n_bins"] < 1:
         raise ConfigError("--n-bins must be >= 1")
     # so that, by pigeonhole, some quantile bin holds enough samples to be kept
@@ -501,7 +501,7 @@ def _cmd_flux(cfg: dict):
 def _cmd_convex_order(cfg: dict):
     x_min, x_max, x_step = cfg["x_min"], cfg["x_max"], cfg["x_step"]
     if not x_min < x_max or x_step <= 0:
-        raise ConfigError("need x_min < x_max and x_step > 0")
+        raise ConfigError("--x-min, --x-max, --x-step: need x_min < x_max and x_step > 0")
     if cfg["tol"] < 0:
         raise ConfigError("--tol must be >= 0")
     n = int(round((x_max - x_min) / x_step))
@@ -523,11 +523,11 @@ def _cmd_convex_order(cfg: dict):
 def _cmd_exp_variant(cfg: dict):
     window = _floats(cfg, "window")
     if len(window) != 4:
-        raise ConfigError("window must be [a, b, t1, t2]")
+        raise ConfigError("--window must be [a, b, t1, t2]")
     if not _flagged("--window", check_exp_window, *window):
         raise ConfigError("--window fails the validity check for the exponential variant")
     if not cfg["intervals"]:
-        raise ConfigError("intervals are required")
+        raise ConfigError("--intervals must not be empty")
     intervals = _intervals(cfg)
     _flagged("--intervals", build_interval_system, intervals, domain=window[:2])
     t_queries = _t_queries(cfg, positive=True)
@@ -535,7 +535,7 @@ def _cmd_exp_variant(cfg: dict):
         raise ConfigError("--t-queries must not exceed t2, the last entry of --window")
     n_paths = cfg["n_paths"]
     if n_paths < 100:
-        raise ConfigError("n_paths must be >= 100")
+        raise ConfigError("--n-paths must be >= 100")
     result = simulate_exp_marginal_samples(
         window, intervals, t_queries, n_paths, cfg["seed"], dt=cfg["dt"],
         workers=cfg["workers"],

@@ -7,12 +7,17 @@ busy with a hazard tuned so their site keeps exactly the walk's marginal
 mass; at the switch they jump to the flanking active sites with the
 gambler's-ruin split.  Evolving the joint law with exact rationals therefore
 reproduces the walk's law site by site with zero deviation, which is what
-run_marginal_certification checks.
+run_marginal_certification checks.  For exact rationals on a full window
+it checks this by induction instead: no kernel row lands on a gap site, so
+the joint law is a function of its site marginal, and each step reduces to
+one local integer identity over the binomial row C(2n, n + j).  Evolving
+the joint law stays the oracle, and the path for floats and for truncated
+windows.
 
 The chain's moves live in one kernel table per lattice: one row per window
 site, switch_jump's for a gap site and busy_transition's for an active one,
-held as integers over a common scale for the rational evolve and as floats
-for the float evolve and for sample_paths.
+held as integers over a common scale for the rational evolve and the
+induction, and as floats for the float evolve and for sample_paths.
 """
 
 from __future__ import annotations
@@ -109,17 +114,24 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     below 1e-12, and a full window (j_max >= m + steps) loses nothing.  The
     masses are the walk's law pmf(m, backend).
     """
-    m = lattice.m
+    return _walk_joint(lattice, 0, backend)
+
+
+def _walk_joint(lattice: LatticeSystem, step: int, backend: str) -> JointDistribution:
+    """The walk's law after m + step steps on the window, busy on active sites
+    and frozen on gap sites: the chain's joint law at that step whenever its
+    marginal is the walk's."""
+    n = lattice.m + step
     busy: dict = {}
     lazy: dict = {}
-    for j, p in zip(range(-m, m + 1), pmf(m, backend).mass):
+    for j, p in zip(range(-n, n + 1), pmf(n, backend).mass):
         if abs(j) > lattice.j_max:
             continue
         if lattice.is_active(j):
             busy[j] = p
         else:
             lazy[j] = p
-    return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
+    return JointDistribution(step=step, backend=backend, busy=busy, lazy=lazy)
 
 
 def _kernel(lattice: LatticeSystem):
@@ -269,18 +281,77 @@ def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     return worst
 
 
+def _proved_steps(lattice: LatticeSystem, steps: int) -> int:
+    """How many of the first `steps` steps provably keep the walk's law.
+
+    For a full window (j_max >= m + steps) and the rational chain.  No kernel
+    row lands on a gap site (checked first), so busy mass stays on active
+    sites and frozen mass on gap sites, and the joint law at step l is fixed
+    by its site marginal.  If that marginal is the walk's law c_n / 4^n, with
+    n = m + l and c_n = C(2n, n + .), step l -> l+1 keeps it exactly when,
+    in units of 4^-(n+1):
+
+    - at each gap site i, the frozen mass that stays, 4 c_n(i) (1 - h), is
+      c_{n+1}(i), h being lazy_hazard(i, l, m);
+    - at each active site d, sum_i src_i W(i, d) == K c_{n+1}(d), where src_i
+      is 4 c_n(i) at an active site and the switching mass 4 c_n(i) -
+      c_{n+1}(i) at a gap site, and W, K are the kernel's integer weights and
+      scale.
+
+    Returns the first step l whose identity fails, or `steps` if none does.
+    Each step is O(window) integer work; the joint law is never formed.
+    """
+    weights, scale, _ = _kernel(lattice)
+    for i, row in weights.items():
+        for dest, _w in row:
+            if not lattice.is_active(dest):
+                raise ValueError(f"kernel row of site {i} lands on gap site {dest}")
+    m = lattice.m
+    off = lattice.j_max + 1  # sums[d + off]; the two ends lie past the window
+    gaps = set(lattice.gap_sites)
+    row = _binomial_row(m)
+    for step in range(steps):
+        n = m + step
+        nxt = _binomial_row(n + 1)
+        sums = [0] * (2 * off + 1)
+        for i, c in zip(range(-n, n + 1), row):
+            src = 4 * c
+            if i in gaps:
+                stay = nxt[i + n + 1]
+                if src * (1 - lazy_hazard(i, step, m)) != stay:
+                    return step
+                src -= stay
+            for dest, w in weights[i]:
+                sums[dest + off] += src * w
+        want = [0] * (2 * off + 1)
+        want[off - n - 1 : off + n + 2] = [scale * c for c in nxt]
+        for i in lattice.gap_sites:
+            want[i + off] = 0
+        if sums[1:-1] != want[1:-1]:
+            return step
+        row = nxt
+    return steps
+
+
 def run_marginal_certification(
     lattice: LatticeSystem, steps: int, backend: str = "rational"
 ) -> dict:
-    """Evolve the joint law and report the worst site deviation over all steps.
+    """Report the worst site deviation from the walk's law over all steps.
 
     The rational backend certifies the marginal identity exactly (deviation
     is the Fraction 0); the float backend should stay within 1e-12 over
-    hundreds of steps.
+    hundreds of steps.  On a full window (j_max >= m + steps) the rational
+    backend proves the steps by _proved_steps' one-step identities and
+    evolves the joint law only from the first step, if any, whose identity
+    fails; otherwise, and for the float backend, it evolves the joint law
+    from step 0.  Either way the report is the one the evolution gives.
     """
-    joint = initial_joint(lattice, backend=backend)
+    start = 0
+    if backend == "rational" and lattice.j_max >= lattice.m + steps:
+        start = _proved_steps(lattice, steps)
+    joint = _walk_joint(lattice, start, backend)
     worst = max_marginal_deviation(joint, lattice)
-    for _ in range(steps):
+    for _ in range(start, steps):
         joint = evolve(joint, lattice)
         dev = max_marginal_deviation(joint, lattice)
         if dev > worst:

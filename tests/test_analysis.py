@@ -120,6 +120,23 @@ def test_martingale_bins_exclude_empty_quantile_bins():
     assert sum(b.n for b in rep.bins) + sum(b.n for b in rep.excluded) == 2000
 
 
+def test_martingale_bins_judge_a_flat_bin_by_its_mean():
+    # increments with no spread have no standard error: the bin passes iff
+    # its mean is exactly zero, and z_max covers only the bins with spread
+    x_s = np.arange(60.0)
+    for shift, passed in ((0.0, True), (0.25, False)):
+        rep = martingale_bin_test(x_s, x_s + shift, n_bins=2)
+        assert [b.stderr for b in rep.bins] == [0.0, 0.0]
+        assert rep.z_max == 0.0
+        assert rep.passed is passed
+    x_t = x_s.copy()
+    x_t[:30] += np.linspace(-1.0, 1.0, 30)
+    x_t[30:] += 0.25
+    rep = martingale_bin_test(x_s, x_t, n_bins=2)
+    assert rep.bins[0].stderr > 0 and rep.bins[1].stderr == 0.0
+    assert rep.z_max <= 4.0 and rep.passed is False
+
+
 def test_martingale_bins_all_excluded_raises():
     with pytest.raises(ValueError, match="occupancy"):
         martingale_bin_test(np.arange(100.0), np.arange(100.0), n_bins=20)

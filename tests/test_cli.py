@@ -144,7 +144,7 @@ def test_empty_t_queries_is_named_empty(tmp_path, capsys):
     code = run("simulate", "--seed", "1", "--t-queries", "[]", "--output-dir", str(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
-    assert "t_queries" in err and "empty" in err
+    assert "--t-queries" in err and "empty" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "exp-variant"])
@@ -363,6 +363,20 @@ def test_verify_discrete_rejects_coarse_lattice(tmp_path, capsys):
         (["convex-order", "--t-grid", "[1.0]"], "--t-grid"),
         (["convex-order", "--t-grid", "[-1.0, 1.0]"], "--t-grid"),
         (["exp-variant", "--t-queries", "[2.0]"], "--t-queries"),
+        (["marginals", "--n-paths", "50"], "--n-paths"),
+        (["exp-variant", "--n-paths", "50"], "--n-paths"),
+        (["verify-discrete", "--backend", "decimal"], "--backend"),
+        (["simulate", "--t-queries", "[]"], "--t-queries"),
+        (["simulate", "--t-queries", "[-0.5]"], "--t-queries"),
+        (["marginals", "--t-queries", "[0.0]"], "--t-queries"),
+        (["simulate", "--intervals", "[[0.7, 0.8, 0.9]]"], "--intervals"),
+        (["martingale", "--s", "1.0", "--t", "0.5"], "--s"),
+        (["simulate", "--workers", "0"], "--workers"),
+        (["simulate", "--n-paths", "0"], "--n-paths"),
+        (["convex-order", "--x-min", "1.0", "--x-max", "-1.0"], "--x-min"),
+        (["exp-variant", "--window", "[0.5, 2.0]"], "--window"),
+        (["exp-variant", "--intervals", "[]"], "--intervals"),
+        (["simulate", "--intervals", "[]"], "--intervals"),
     ],
 )
 def test_config_error_names_its_flag(tmp_path, capsys, argv, flag):
@@ -489,7 +503,7 @@ def test_marginals_rejects_tiny_n(tmp_path, capsys):
     code = run("marginals", "--seed", "2", "--n-paths", "50",
                "--output-dir", str(tmp_path))
     assert code == 2
-    assert "n_paths" in capsys.readouterr().err
+    assert "--n-paths" in capsys.readouterr().err
 
 
 # ---------- martingale ----------
@@ -521,6 +535,19 @@ def test_martingale_rejects_bad_times(tmp_path, capsys):
                "--output-dir", str(tmp_path))
     assert code == 2
     assert "0 < s < t" in capsys.readouterr().err
+
+
+def test_martingale_flat_bin_is_judged_not_a_crash(tmp_path):
+    # s and t on the same grid step: every increment is 0, so the one bin has
+    # no spread; it used to exit 3 with "max() arg is an empty sequence"
+    out = tmp_path / "o"
+    code = run("martingale", "--seed", "1", "--n-paths", "30", "--n-bins", "1",
+               "--dt", "0.01", "--s", "0.5", "--t", "0.5000001", "--output-dir", str(out))
+    assert code in (0, 1)
+    text = (out / "report.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    rep = json.loads(text)
+    assert rep["passed"] is (code == 0)
 
 
 def test_martingale_rejects_too_few_paths_per_bin(tmp_path, capsys):

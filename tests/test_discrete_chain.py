@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fakebm.discrete_chain as chain
 from fakebm.discrete_chain import (
+    _kernel,
     busy_transition,
     evolve,
     initial_joint,
@@ -263,6 +265,88 @@ def test_certification_pins_truncated_window_deviation(backend, deviation):
     report = run_marginal_certification(lat, steps=120, backend=backend)
     assert report["max_abs_deviation"] == deviation
     assert report["exactly_zero"] is False
+
+
+def dp_report(lattice, steps, backend="rational"):
+    """The certification report by evolving the joint law from step 0: the
+    oracle for the rational certificate's one-step induction."""
+    joint = initial_joint(lattice, backend=backend)
+    worst = max_marginal_deviation(joint, lattice)
+    for _ in range(steps):
+        joint = evolve(joint, lattice)
+        worst = max(worst, max_marginal_deviation(joint, lattice))
+    return {
+        "m": lattice.m,
+        "N": lattice.system.n_intervals,
+        "steps": steps,
+        "backend": backend,
+        "max_abs_deviation": float(worst),
+        "exactly_zero": worst == 0,
+        "mass_deficit": float(abs(1 - joint.total_mass())),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, steps", [("lat_m8", 40), ("lat_ragged", 20), ("cantor3_m400", 10)]
+)
+def test_induction_report_equals_dp(request, monkeypatch, name, steps):
+    # full windows: j_max >= m + steps
+    if name == "cantor3_m400":
+        lat = lattice_project(build_interval_system(fat_cantor_intervals(3)), 400, j_max=410)
+    else:
+        lat = request.getfixturevalue(name)
+    want = dp_report(lat, steps)
+    assert want["exactly_zero"] is True
+
+    def no_evolve(joint, lattice):
+        raise AssertionError("a full window must not evolve the joint law")
+
+    monkeypatch.setattr(chain, "evolve", no_evolve)
+    assert run_marginal_certification(lat, steps, backend="rational") == want
+
+
+def perturbed_lattice(site, row):
+    """A fresh m = 8 two-gap lattice whose cached kernel row at site is replaced."""
+    lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
+    weights, scale, _ = _kernel(lat)
+    weights[site] = row(scale)
+    assert sum(w for _, w in weights[site]) == scale
+    return lat
+
+
+def test_induction_detects_a_perturbed_kernel(monkeypatch):
+    # site -10 first holds mass at step 2 (n = 10); the shifted weight sends
+    # too much to -11, so step 2 -> 3 fails and the joint law is evolved from
+    # step 2 on
+    lat = perturbed_lattice(-10, lambda k: [(-11, k // 4 + 1), (-10, k // 2 - 1), (-9, k // 4)])
+    calls = []
+    real_evolve = chain.evolve
+
+    def counted(joint, lattice):
+        calls.append(joint.step)
+        return real_evolve(joint, lattice)
+
+    monkeypatch.setattr(chain, "evolve", counted)
+    report = run_marginal_certification(lat, 12, backend="rational")
+    assert calls == list(range(2, 12))
+    assert report["exactly_zero"] is False
+    assert report["max_abs_deviation"] > 0
+    assert report == dp_report(lat, 12)
+
+
+def test_induction_rejects_a_row_landing_on_a_gap_site():
+    # site 1 is the only gap site of the m = 8 lattice
+    lat = perturbed_lattice(-3, lambda k: [(-4, k // 4), (-3, k // 2), (1, k // 4)])
+    with pytest.raises(ValueError, match="lands on gap site 1"):
+        run_marginal_certification(lat, 12, backend="rational")
+
+
+def test_rational_certification_reaches_m200_with_800_steps():
+    lat = lattice_project(build_interval_system(TWO_GAPS), 200, j_max=1000)
+    report = run_marginal_certification(lat, 800, backend="rational")
+    assert report["exactly_zero"] is True
+    assert report["max_abs_deviation"] == 0.0
+    assert report["mass_deficit"] == 0.0
 
 
 def test_certification_report_exact_backend(lat_m8):
