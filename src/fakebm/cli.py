@@ -14,7 +14,8 @@ Exit code 0 means the run's check passed, 1 means it ran but failed or was
 inconclusive, 2 means the configuration was invalid (a ConfigError: every
 range check a library call would make on a setting is made here first), 3
 means the run crashed (any other exception, a library ValueError
-included).  A seed is mandatory; there is no wall-clock fallback.
+included).  A seed is mandatory and non-negative; there is no wall-clock
+fallback.
 """
 
 from __future__ import annotations
@@ -224,6 +225,8 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     cfg = {key: _typed(key, value, defaults[key]) for key, value in cfg.items()}
     if cfg["seed"] is None:
         raise ConfigError("a seed is required (pass --seed or set it in the config)")
+    if cfg["seed"] < 0:
+        raise ConfigError("--seed must be >= 0")
     if cfg["workers"] < 1:
         raise ConfigError("--workers must be >= 1")
     if "dt" in cfg and cfg["dt"] <= 0:

@@ -11,13 +11,13 @@ run_marginal_certification checks.  For exact rationals on a full window
 it checks this by induction instead: no kernel row lands on a gap site, so
 the joint law is a function of its site marginal, and each step reduces to
 one local integer identity over the binomial row C(2n, n + j).  Evolving
-the joint law stays the oracle, and the path for floats and for truncated
-windows.
+the joint law stays the oracle, and the path for floats, for truncated
+windows and for a lattice whose induction fails.
 
 The chain's moves live in one kernel table per lattice: one row per window
 site, switch_jump's for a gap site and busy_transition's for an active one,
-held as integers over a common scale for the rational evolve and the
-induction, and as floats for the float evolve and for sample_paths.
+held as Fraction rows for the rational evolve and the induction, and as
+float rows for the float evolve and for sample_paths.
 """
 
 from __future__ import annotations
@@ -114,24 +114,17 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     below 1e-12, and a full window (j_max >= m + steps) loses nothing.  The
     masses are the walk's law pmf(m, backend).
     """
-    return _walk_joint(lattice, 0, backend)
-
-
-def _walk_joint(lattice: LatticeSystem, step: int, backend: str) -> JointDistribution:
-    """The walk's law after m + step steps on the window, busy on active sites
-    and frozen on gap sites: the chain's joint law at that step whenever its
-    marginal is the walk's."""
-    n = lattice.m + step
+    m = lattice.m
     busy: dict = {}
     lazy: dict = {}
-    for j, p in zip(range(-n, n + 1), pmf(n, backend).mass):
+    for j, p in zip(range(-m, m + 1), pmf(m, backend)):
         if abs(j) > lattice.j_max:
             continue
         if lattice.is_active(j):
             busy[j] = p
         else:
             lazy[j] = p
-    return JointDistribution(step=step, backend=backend, busy=busy, lazy=lazy)
+    return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
 
 
 def _kernel(lattice: LatticeSystem):
@@ -139,24 +132,18 @@ def _kernel(lattice: LatticeSystem):
 
     One row per window site: switch_jump for a gap site, busy_transition for
     an active site.  Busy mass never sits on a gap site and frozen mass only
-    does, so one table serves both.  Returns (weights, scale, floats):
-    weights[j] holds row j with each probability p as the integer p * scale,
-    scale being the lcm of the rows' denominators; floats[j] holds w / scale,
-    the correctly rounded value of the same rational, so float(p) bit for bit.
+    does, so one table serves both.  Returns (rows, floats): rows[j] holds
+    row j as (dest, Fraction) pairs, floats[j] the same row with each
+    probability p as float(p).
     """
     table = lattice._cache.get("kernel")
     if table is None:
-        rows = [
-            (j, busy_transition(lattice, j) if lattice.is_active(j) else switch_jump(lattice, j))
+        rows = {
+            j: busy_transition(lattice, j) if lattice.is_active(j) else switch_jump(lattice, j)
             for j in lattice.sites
-        ]
-        scale = math.lcm(*{p.denominator for _, row in rows for _, p in row})
-        weights = {
-            j: [(dest, p.numerator * (scale // p.denominator)) for dest, p in row]
-            for j, row in rows
         }
-        floats = {j: [(dest, w / scale) for dest, w in row] for j, row in weights.items()}
-        table = lattice._cache["kernel"] = (weights, scale, floats)
+        floats = {j: [(dest, float(p)) for dest, p in row] for j, row in rows.items()}
+        table = lattice._cache["kernel"] = (rows, floats)
     return table
 
 
@@ -168,20 +155,15 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     pushed beyond the lattice window is dropped (track total_mass to see it;
     a full window never drops any).
 
-    The rational backend computes the step in integers: the busy masses and
-    the switching masses are written as numerators over their common
-    denominator D, weighted by the kernel rows scaled to integers over their
-    common scale K, summed per site, and turned into one Fraction(sum, D K)
-    per site.  Every sum is the exact numerator of the same rational the
-    Fraction-by-Fraction step gives, so the reduced Fractions are identical.
-    The float backend adds in a fixed order, which fixes its bits.
+    Both backends run the same loop over the kernel table, the rational one
+    on its Fraction rows and the float one on its float rows; adding in a
+    fixed order fixes the float bits.
     """
-    if joint.backend == "rational":
-        return _evolve_rational(joint, lattice)
-    rows = _kernel(lattice)[2]
+    exact = joint.backend == "rational"
+    rows = _kernel(lattice)[0 if exact else 1]
     j_max = lattice.j_max
 
-    new_busy: dict = defaultdict(float)
+    new_busy: dict = defaultdict(Fraction if exact else float)
     for i, mass in joint.busy.items():
         for dest, p in rows[i]:
             if -j_max <= dest <= j_max:
@@ -189,56 +171,17 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
 
     new_lazy: dict = {}
     for i, mass in joint.lazy.items():
-        h = float(lazy_hazard(i, joint.step, lattice.m))
-        switching = mass * h
+        h = lazy_hazard(i, joint.step, lattice.m)
+        switching = mass * (h if exact else float(h))
         staying = mass - switching
-        if staying != 0.0:
+        if staying != 0:
             new_lazy[i] = staying
-        if switching != 0.0:
+        if switching != 0:
             for dest, p in rows[i]:
                 new_busy[dest] += switching * p
 
     return JointDistribution(
-        step=joint.step + 1, backend="float", busy=dict(new_busy), lazy=new_lazy
-    )
-
-
-def _evolve_rational(joint: JointDistribution, lattice: LatticeSystem) -> JointDistribution:
-    rows, scale, _ = _kernel(lattice)
-    j_max = lattice.j_max
-
-    new_lazy: dict = {}
-    switching: dict = {}
-    for i, mass in joint.lazy.items():
-        moving = mass * lazy_hazard(i, joint.step, lattice.m)
-        staying = mass - moving
-        if staying != 0:
-            new_lazy[i] = staying
-        if moving != 0:
-            switching[i] = moving
-
-    dens = {f.denominator for f in joint.busy.values()}
-    dens.update(f.denominator for f in switching.values())
-    den = math.lcm(*dens)
-    lift = {d: den // d for d in dens}
-
-    # same visiting order as the float loop, so the dict keys come out in
-    # the same order
-    sums: dict = {}
-    for i, mass in joint.busy.items():
-        a = mass.numerator * lift[mass.denominator]
-        for dest, w in rows[i]:
-            if -j_max <= dest <= j_max:
-                sums[dest] = sums.get(dest, 0) + a * w
-    for i, mass in switching.items():
-        a = mass.numerator * lift[mass.denominator]
-        for dest, w in rows[i]:
-            sums[dest] = sums.get(dest, 0) + a * w
-
-    den *= scale
-    new_busy = {dest: Fraction(x, den) for dest, x in sums.items()}
-    return JointDistribution(
-        step=joint.step + 1, backend="rational", busy=new_busy, lazy=new_lazy
+        step=joint.step + 1, backend=joint.backend, busy=dict(new_busy), lazy=new_lazy
     )
 
 
@@ -251,38 +194,21 @@ def marginal(joint: JointDistribution) -> dict:
 
 
 def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
-    """Largest |site marginal - walk mass| over the lattice window.
-
-    Floats compare against the float pmf at n = m + step.  Exact masses g
-    are tested against the integer row C(2n, k) by g.numerator 4^n ==
-    c g.denominator, and a Fraction difference is formed only at a site that
-    deviates.
-    """
+    """Largest |site marginal - walk mass| over the lattice window, against
+    the walk's law pmf(n, backend) at n = m + step."""
     n = lattice.m + joint.step
     got = marginal(joint)
-    if joint.backend == "rational":
-        row = _binomial_row(n)
-        zero = worst = Fraction(0)
-        shift = 2 * n
-        for j in lattice.sites:
-            g = got.get(j, zero)
-            c = row[j + n] if -n <= j <= n else 0
-            if g.numerator << shift != c * g.denominator:
-                dev = abs(g - Fraction(c, 4**n))
-                if dev > worst:
-                    worst = dev
-        return worst
-    law = pmf(n, "float").mass
-    worst = 0.0
+    law = pmf(n, joint.backend)
+    zero = worst = Fraction(0) if joint.backend == "rational" else 0.0
     for j in lattice.sites:
-        dev = abs(got.get(j, 0.0) - (law[j + n] if -n <= j <= n else 0.0))
+        dev = abs(got.get(j, zero) - (law[j + n] if -n <= j <= n else zero))
         if dev > worst:
             worst = dev
     return worst
 
 
-def _proved_steps(lattice: LatticeSystem, steps: int) -> int:
-    """How many of the first `steps` steps provably keep the walk's law.
+def _proved(lattice: LatticeSystem, steps: int) -> bool:
+    """Whether the first `steps` steps provably keep the walk's law.
 
     For a full window (j_max >= m + steps) and the rational chain.  No kernel
     row lands on a gap site (checked first), so busy mass stays on active
@@ -295,17 +221,20 @@ def _proved_steps(lattice: LatticeSystem, steps: int) -> int:
       c_{n+1}(i), h being lazy_hazard(i, l, m);
     - at each active site d, sum_i src_i W(i, d) == K c_{n+1}(d), where src_i
       is 4 c_n(i) at an active site and the switching mass 4 c_n(i) -
-      c_{n+1}(i) at a gap site, and W, K are the kernel's integer weights and
-      scale.
+      c_{n+1}(i) at a gap site, and W(i, d) = K p is the kernel row's
+      probability p written as an integer over the lcm K of the rows'
+      denominators.
 
-    Returns the first step l whose identity fails, or `steps` if none does.
     Each step is O(window) integer work; the joint law is never formed.
     """
-    weights, scale, _ = _kernel(lattice)
-    for i, row in weights.items():
-        for dest, _w in row:
+    rows = _kernel(lattice)[0]
+    scale = math.lcm(*{p.denominator for row in rows.values() for _, p in row})
+    weights = {}
+    for i, row in rows.items():
+        for dest, _p in row:
             if not lattice.is_active(dest):
                 raise ValueError(f"kernel row of site {i} lands on gap site {dest}")
+        weights[i] = [(dest, p.numerator * (scale // p.denominator)) for dest, p in row]
     m = lattice.m
     off = lattice.j_max + 1  # sums[d + off]; the two ends lie past the window
     gaps = set(lattice.gap_sites)
@@ -319,7 +248,7 @@ def _proved_steps(lattice: LatticeSystem, steps: int) -> int:
             if i in gaps:
                 stay = nxt[i + n + 1]
                 if src * (1 - lazy_hazard(i, step, m)) != stay:
-                    return step
+                    return False
                 src -= stay
             for dest, w in weights[i]:
                 sums[dest + off] += src * w
@@ -328,9 +257,9 @@ def _proved_steps(lattice: LatticeSystem, steps: int) -> int:
         for i in lattice.gap_sites:
             want[i + off] = 0
         if sums[1:-1] != want[1:-1]:
-            return step
+            return False
         row = nxt
-    return steps
+    return True
 
 
 def run_marginal_certification(
@@ -341,30 +270,33 @@ def run_marginal_certification(
     The rational backend certifies the marginal identity exactly (deviation
     is the Fraction 0); the float backend should stay within 1e-12 over
     hundreds of steps.  On a full window (j_max >= m + steps) the rational
-    backend proves the steps by _proved_steps' one-step identities and
-    evolves the joint law only from the first step, if any, whose identity
-    fails; otherwise, and for the float backend, it evolves the joint law
-    from step 0.  Either way the report is the one the evolution gives.
+    backend proves the steps by _proved's one-step identities, and a proved
+    run's report is zero deviation and no lost mass.  Otherwise, and for the
+    float backend, it evolves the joint law from step 0.  Either way the
+    report is the one the evolution gives.
     """
-    start = 0
-    if backend == "rational" and lattice.j_max >= lattice.m + steps:
-        start = _proved_steps(lattice, steps)
-    joint = _walk_joint(lattice, start, backend)
-    worst = max_marginal_deviation(joint, lattice)
-    for _ in range(start, steps):
-        joint = evolve(joint, lattice)
-        dev = max_marginal_deviation(joint, lattice)
-        if dev > worst:
-            worst = dev
-    one = Fraction(1) if backend == "rational" else 1.0
-    return {
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    report = {
         "m": lattice.m,
         "N": lattice.system.n_intervals,
         "steps": steps,
         "backend": backend,
+    }
+    if backend == "rational" and lattice.j_max >= lattice.m + steps and _proved(lattice, steps):
+        return {**report, "max_abs_deviation": 0.0, "exactly_zero": True, "mass_deficit": 0.0}
+    joint = initial_joint(lattice, backend)
+    worst = max_marginal_deviation(joint, lattice)
+    for _ in range(steps):
+        joint = evolve(joint, lattice)
+        dev = max_marginal_deviation(joint, lattice)
+        if dev > worst:
+            worst = dev
+    return {
+        **report,
         "max_abs_deviation": float(worst),
         "exactly_zero": worst == 0,
-        "mass_deficit": float(abs(one - joint.total_mass())),
+        "mass_deficit": float(abs(1 - joint.total_mass())),
     }
 
 
@@ -388,7 +320,7 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     off = lattice.j_max
     dest = np.zeros((2 * off + 1, 3), dtype=np.int64)
     cum = np.ones((2 * off + 1, 3), dtype=float)
-    for j, row in _kernel(lattice)[2].items():
+    for j, row in _kernel(lattice)[1].items():
         dest[j + off, : len(row)] = [d for d, _ in row]
         cum[j + off, : len(row)] = np.cumsum([p for _, p in row])
     is_gap = np.array([not lattice.is_active(j) for j in lattice.sites])
@@ -396,7 +328,7 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     for step in range(horizon_steps):
         for j in lattice.gap_sites:
             hazards[step, j + off] = float(lazy_hazard(j, step, m))
-    start_cdf = np.cumsum(pmf(m, "float").mass)
+    start_cdf = np.cumsum(pmf(m, "float"))
 
     positions = np.empty((n_paths, horizon_steps + 1), dtype=np.int64)
     frozen = np.empty((n_paths, horizon_steps + 1), dtype=bool)

@@ -1,4 +1,4 @@
-"""Exact law of the lazy +/-1 walk and its diffusively scaled embedding.
+"""Exact law of the lazy +/-1 walk.
 
 One step of the walk is ζ with P(ζ = ±1) = 1/4 and P(ζ = 0) = 1/2, i.e. the
 mean of two fair coin flips, so after l steps the position j has probability
@@ -10,56 +10,14 @@ closed form implemented by ratio_check below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
-    "increment_pmf",
-    "LazyWalkPmf",
     "pmf",
     "pmf_value",
     "heat_step_residual",
     "ratio_check",
-    "scaled_marginal",
 ]
-
-def increment_pmf() -> dict[int, Fraction]:
-    """One-step law: P(-1) = P(+1) = 1/4, P(0) = 1/2."""
-    return {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}
-
-
-@dataclass(frozen=True)
-class LazyWalkPmf:
-    """Law of the lazy walk after a fixed number of steps.
-
-    mass is indexed by j + steps for j in [-steps, steps]; rational backend
-    stores Fractions, float backend float64.
-    """
-
-    steps: int
-    backend: str
-    mass: tuple
-
-    def prob(self, j: int):
-        if abs(j) > self.steps:
-            return Fraction(0) if self.backend == "rational" else 0.0
-        return self.mass[j + self.steps]
-
-    @property
-    def support(self) -> range:
-        return range(-self.steps, self.steps + 1)
-
-    def total(self):
-        return sum(self.mass)
-
-    def variance(self):
-        """Sum of j^2 * mass(j); equals steps / 2 exactly."""
-        return sum(j * j * p for j, p in zip(self.support, self.mass))
-
-    def to_float_array(self) -> np.ndarray:
-        return np.array([float(p) for p in self.mass], dtype=float)
 
 
 def pmf_value(steps: int, j: int) -> Fraction:
@@ -86,11 +44,13 @@ def _binomial_row(steps: int) -> list[int]:
     return row
 
 
-def pmf(steps: int, backend: str = "rational") -> LazyWalkPmf:
+def pmf(steps: int, backend: str = "rational") -> tuple:
     """Full law after `steps` steps in the requested backend.
 
-    Both backends divide one integer row C(2n, k) by 4^n.  The rational
-    masses are Fraction(c, 4^n), the same reduced rationals as pmf_value.
+    Returns the tuple of masses of sites -steps..steps, site j at index
+    j + steps.  Both backends divide one integer row C(2n, k) by 4^n.  The
+    rational masses are Fraction(c, 4^n), the same reduced rationals as
+    pmf_value.
     The float masses are c / 4^n: Python's int / int division is correctly
     rounded, and Fraction.__float__ performs that same division on the
     reduced pair, so every float is bit-identical to
@@ -100,12 +60,10 @@ def pmf(steps: int, backend: str = "rational") -> LazyWalkPmf:
         raise ValueError("steps must be >= 0")
     den = 4**steps
     if backend == "rational":
-        mass = tuple(Fraction(c, den) for c in _binomial_row(steps))
-    elif backend == "float":
-        mass = tuple(c / den for c in _binomial_row(steps))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return LazyWalkPmf(steps=steps, backend=backend, mass=mass)
+        return tuple(Fraction(c, den) for c in _binomial_row(steps))
+    if backend == "float":
+        return tuple(c / den for c in _binomial_row(steps))
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def heat_step_residual(steps: int, j: int) -> Fraction:
@@ -140,17 +98,3 @@ def ratio_check(steps: int, j: int) -> Fraction:
     if abs(j) > l:
         raise ValueError("site outside the support")
     return Fraction(2 * ((l + 1) ** 2 - j * j), (2 * l + 1) * (l + 1))
-
-
-def scaled_marginal(m: int, t: float, backend: str = "float"):
-    """Law of the scaled walk at time t: spacing sqrt(2/m), floor(m (1+t)) steps.
-
-    Returns (spacing, pmf).  The variance of the scaled law is
-    floor(m (1 + t)) / m, which converges to 1 + t.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    steps = math.floor(m * (1.0 + t))
-    return math.sqrt(2.0 / m), pmf(steps, backend=backend)

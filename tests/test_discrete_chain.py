@@ -306,19 +306,18 @@ def test_induction_report_equals_dp(request, monkeypatch, name, steps):
 
 
 def perturbed_lattice(site, row):
-    """A fresh m = 8 two-gap lattice whose cached kernel row at site is replaced."""
+    """A fresh m = 8 two-gap lattice whose cached Fraction kernel row at site
+    is replaced by row, given as (dest, numerator over 8) pairs."""
     lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
-    weights, scale, _ = _kernel(lat)
-    weights[site] = row(scale)
-    assert sum(w for _, w in weights[site]) == scale
+    rows = _kernel(lat)[0]
+    rows[site] = [(dest, Fraction(w, 8)) for dest, w in row]
+    assert sum(p for _, p in rows[site]) == 1
     return lat
 
 
-def test_induction_detects_a_perturbed_kernel(monkeypatch):
-    # site -10 first holds mass at step 2 (n = 10); the shifted weight sends
-    # too much to -11, so step 2 -> 3 fails and the joint law is evolved from
-    # step 2 on
-    lat = perturbed_lattice(-10, lambda k: [(-11, k // 4 + 1), (-10, k // 2 - 1), (-9, k // 4)])
+@pytest.fixture
+def evolve_steps(monkeypatch):
+    """The step of every joint law the certification evolves, in call order."""
     calls = []
     real_evolve = chain.evolve
 
@@ -327,8 +326,16 @@ def test_induction_detects_a_perturbed_kernel(monkeypatch):
         return real_evolve(joint, lattice)
 
     monkeypatch.setattr(chain, "evolve", counted)
+    return calls
+
+
+def test_induction_detects_a_perturbed_kernel(evolve_steps):
+    # site -10 first holds mass at step 2 (n = 10); the shifted weight sends
+    # too much to -11, so step 2 -> 3 fails and the joint law is evolved
+    # from step 0, as for any lattice the induction does not prove
+    lat = perturbed_lattice(-10, [(-11, 3), (-10, 3), (-9, 2)])
     report = run_marginal_certification(lat, 12, backend="rational")
-    assert calls == list(range(2, 12))
+    assert evolve_steps == list(range(12))
     assert report["exactly_zero"] is False
     assert report["max_abs_deviation"] > 0
     assert report == dp_report(lat, 12)
@@ -336,9 +343,41 @@ def test_induction_detects_a_perturbed_kernel(monkeypatch):
 
 def test_induction_rejects_a_row_landing_on_a_gap_site():
     # site 1 is the only gap site of the m = 8 lattice
-    lat = perturbed_lattice(-3, lambda k: [(-4, k // 4), (-3, k // 2), (1, k // 4)])
+    lat = perturbed_lattice(-3, [(-4, 2), (-3, 4), (1, 2)])
     with pytest.raises(ValueError, match="lands on gap site 1"):
         run_marginal_certification(lat, 12, backend="rational")
+
+
+@pytest.mark.parametrize(
+    "backend, j_max, evolved, deviation, deficit",
+    [
+        ("rational", 170, 0, 0.0, 0.0),
+        ("rational", 169, 120, 0.0, 8.929588994392773e-103),
+        ("rational", 168, 120, 4.464794497196387e-103, 3.0539194360823285e-100),
+        ("float", 170, 120, 4.163336342344337e-17, 2.220446049250313e-16),
+        ("float", 169, 120, 4.163336342344337e-17, 2.220446049250313e-16),
+        ("float", 168, 120, 4.163336342344337e-17, 2.220446049250313e-16),
+    ],
+    ids=[f"{b}-{j}" for b in ("rational", "float") for j in (170, 169, 168)],
+)
+def test_window_boundary_between_induction_and_dp(evolve_steps, backend, j_max, evolved,
+                                                 deviation, deficit):
+    # m + steps = 170: only the rational backend on a full window skips the
+    # DP.  At 169 the mass that reaches +-170 at the last step is dropped but
+    # every window site still holds the walk's mass; at 168 it is dropped a
+    # step earlier and the sites +-168 fall short
+    lat = lattice_project(build_interval_system(TWO_GAPS), 50, j_max=j_max)
+    report = run_marginal_certification(lat, 120, backend=backend)
+    assert len(evolve_steps) == evolved
+    assert report["max_abs_deviation"] == deviation
+    assert report["exactly_zero"] is (backend == "rational" and j_max >= 169)
+    assert report["mass_deficit"] == deficit
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_certification_rejects_negative_steps(lat_m8, backend):
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        run_marginal_certification(lat_m8, -3, backend=backend)
 
 
 def test_rational_certification_reaches_m200_with_800_steps():

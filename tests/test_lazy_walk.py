@@ -1,25 +1,16 @@
 """Exact lazy-walk law: binomial closed form, heat identity, mass ratios."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
-from fakebm.densities import gaussian_density
-from fakebm.lazy_walk import (
-    heat_step_residual,
-    increment_pmf,
-    pmf,
-    pmf_value,
-    ratio_check,
-    scaled_marginal,
-)
+from fakebm.lazy_walk import heat_step_residual, pmf, pmf_value, ratio_check
 
 
 def convolve_law(steps):
     """Independent oracle: fold the one-step law over itself `steps` times."""
     law = {0: Fraction(1)}
-    inc = increment_pmf()
+    inc = {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}
     for _ in range(steps):
         nxt = {}
         for j, p in law.items():
@@ -27,11 +18,6 @@ def convolve_law(steps):
                 nxt[j + dj] = nxt.get(j + dj, Fraction(0)) + p * q
         law = nxt
     return law
-
-
-def test_increment_law():
-    inc = increment_pmf()
-    assert inc == {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}
 
 
 def test_pmf_value_small_cases():
@@ -52,36 +38,32 @@ def test_pmf_matches_convolution_oracle():
 def test_pmf_total_and_variance_exact():
     for steps in (0, 1, 7, 30):
         p = pmf(steps, backend="rational")
-        assert p.total() == 1
-        assert p.variance() == Fraction(steps, 2)
+        assert len(p) == 2 * steps + 1
+        assert sum(p) == 1
+        assert sum(j * j * q for j, q in zip(range(-steps, steps + 1), p)) == Fraction(steps, 2)
 
 
 def test_pmf_symmetry():
     p = pmf(9, backend="rational")
-    for j in range(10):
-        assert p.prob(j) == p.prob(-j)
+    assert p == p[::-1]
 
 
 def test_pmf_float_backend_matches_rational():
-    exact = pmf(40, backend="rational")
-    approx = pmf(40, backend="float")
-    for j in exact.support:
-        assert approx.prob(j) == float(exact.prob(j))
+    assert pmf(40, backend="float") == tuple(float(p) for p in pmf(40, backend="rational"))
 
 
 def test_pmf_float_backend_large_steps():
     p = pmf(3000, backend="float")
-    arr = p.to_float_array()
-    assert arr.sum() == pytest.approx(1.0, abs=1e-10)
-    var = sum(j * j * q for j, q in zip(p.support, arr))
+    assert sum(p) == pytest.approx(1.0, abs=1e-10)
+    var = sum(j * j * q for j, q in zip(range(-3000, 3001), p))
     assert var == pytest.approx(1500.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("steps", [*range(61), 399, 777, 2000, 3000])
 def test_pmf_is_bit_identical_to_pmf_value(steps):
     exact = [pmf_value(steps, j) for j in range(-steps, steps + 1)]
-    assert pmf(steps, backend="rational").mass == tuple(exact)
-    assert pmf(steps, backend="float").mass == tuple(float(p) for p in exact)
+    assert pmf(steps, backend="rational") == tuple(exact)
+    assert pmf(steps, backend="float") == tuple(float(p) for p in exact)
 
 
 def test_pmf_rejects_unknown_backend():
@@ -119,22 +101,3 @@ def test_ratio_check_rejects_bad_arguments():
         ratio_check(0, 0)
     with pytest.raises(ValueError):
         ratio_check(3, 4)
-
-
-def test_scaled_marginal_spacing_and_variance():
-    spacing, law = scaled_marginal(200, 1.0, backend="rational")
-    assert spacing == pytest.approx(0.1, rel=1e-15)
-    assert law.steps == 400
-    # scaled variance is spacing^2 * steps / 2 = floor(m (1+t)) / m exactly
-    assert Fraction(2, 200) * law.variance() == Fraction(400, 200)
-
-
-def test_scaled_marginal_peak_approaches_gaussian():
-    spacing, law = scaled_marginal(200, 1.0, backend="float")
-    peak = law.prob(0) / spacing
-    assert peak == pytest.approx(gaussian_density(0.0, 1.0), rel=5e-3)
-
-
-def test_scaled_marginal_fractional_time_floors():
-    _, law = scaled_marginal(8, 0.9)
-    assert law.steps == math.floor(8 * 1.9)
