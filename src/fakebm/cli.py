@@ -298,10 +298,13 @@ def _cmd_verify_discrete(cfg: dict):
     if cfg["steps"] < 1:
         raise ConfigError("--steps must be >= 1")
     system = _resolve_system(cfg)
+    # no site beyond m + steps ever holds mass, so a wider window adds only
+    # empty sites: clamp it, as the window is held densely
+    reach = cfg["m"] + cfg["steps"]
     if cfg["j_max"] is None:
-        flags, j_max = "--m", cfg["m"] + cfg["steps"]
+        flags, j_max = "--m", reach
     else:
-        flags, j_max = "--m, --j-max", cfg["j_max"]
+        flags, j_max = "--m, --j-max", min(cfg["j_max"], reach)
     lattice = _flagged(flags, lattice_project, system, cfg["m"], j_max=j_max)
     report = run_marginal_certification(lattice, cfg["steps"], backend=cfg["backend"])
     tol = 0.0 if cfg["backend"] == "rational" else FLOAT_DEVIATION_TOL

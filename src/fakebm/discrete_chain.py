@@ -16,14 +16,17 @@ windows and for a lattice whose induction fails.
 
 The chain's moves live in one kernel table per lattice: one row per window
 site, switch_jump's for a gap site and busy_transition's for an active one,
-held as Fraction rows for the rational evolve and the induction, and as
-float rows for the float evolve and for sample_paths.
+held as Fraction rows for the induction and copied into a dense
+(3, window) band, of float64 or of Fraction objects, for the joint-law step
+of either backend and for sample_paths.  The step scatters each slot's
+moves in one numpy operation, right moves, then stays, then left moves:
+the order in which a loop over the sources adds them, so a float step
+gives the same bits as that loop.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,24 +130,68 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
 
 
-def _kernel(lattice: LatticeSystem):
+def _kernel(lattice: LatticeSystem) -> dict:
     """The chain's kernel table, built once per lattice and cached on it.
 
     One row per window site: switch_jump for a gap site, busy_transition for
     an active site.  Busy mass never sits on a gap site and frozen mass only
-    does, so one table serves both.  Returns (rows, floats): rows[j] holds
-    row j as (dest, Fraction) pairs, floats[j] the same row with each
-    probability p as float(p).
+    does, so one table serves both.  rows[j] holds row j as (dest, Fraction)
+    pairs.
     """
-    table = lattice._cache.get("kernel")
-    if table is None:
-        rows = {
+    rows = lattice._cache.get("kernel")
+    if rows is None:
+        rows = lattice._cache["kernel"] = {
             j: busy_transition(lattice, j) if lattice.is_active(j) else switch_jump(lattice, j)
             for j in lattice.sites
         }
-        floats = {j: [(dest, float(p)) for dest, p in row] for j, row in rows.items()}
-        table = lattice._cache["kernel"] = (rows, floats)
-    return table
+    return rows
+
+
+def _band(lattice: LatticeSystem, backend: str):
+    """The kernel table as a dense band over the window, cached per backend.
+
+    Column c is site c - j_max.  Returns (dest, prob, cols, active): dest and
+    prob are (3, window) arrays whose slots 0, 1, 2 hold each row's left
+    move, stay and right move; a gap site's switch_jump row fills slots 0
+    and 2 and stays with probability 0.  prob holds float(p) for the float
+    backend and the Fractions p, as objects, for the rational one.  cols is
+    the busy scatter's target column of each move: dest's column, or the
+    discard column window for a move that leaves the window and for every
+    slot of a gap site's row, which only frozen mass takes.  active holds
+    the ascending columns of the active sites.  Built from _kernel's rows on
+    first use.
+    """
+    band = lattice._cache.get(("band", backend))
+    if band is None:
+        exact = backend == "rational"
+        off = lattice.j_max
+        width = 2 * off + 1
+        dest = np.tile(np.arange(-off, off + 1), (3, 1))
+        prob = _zeros((3, width), exact)
+        for j, row in _kernel(lattice).items():
+            slots = (0, 1, 2) if len(row) == 3 else (0, 2)
+            for s, (d, p) in zip(slots, row):
+                dest[s, j + off] = d
+                prob[s, j + off] = p if exact else float(p)
+        active = np.array([j + off for j in lattice.sites if lattice.is_active(j)], dtype=np.int64)
+        cols = np.full((3, width), width)
+        inside = (np.abs(dest) <= off)[:, active]
+        cols[:, active] = np.where(inside, dest[:, active] + off, width)
+        band = lattice._cache[("band", backend)] = (dest, prob, cols, active)
+    return band
+
+
+def _zeros(shape, exact: bool) -> np.ndarray:
+    """Zero masses: Fraction objects for the rational backend, else float64."""
+    return np.full(shape, Fraction(0) if exact else 0.0, dtype=object if exact else float)
+
+
+def _dense(masses: dict, lattice: LatticeSystem, exact: bool) -> np.ndarray:
+    """A site -> mass map as an array over the window plus one discard column."""
+    off = lattice.j_max
+    out = _zeros(2 * off + 2, exact)
+    out[np.fromiter(masses, np.int64, len(masses)) + off] = list(masses.values())
+    return out
 
 
 def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistribution:
@@ -155,19 +202,26 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     pushed beyond the lattice window is dropped (track total_mass to see it;
     a full window never drops any).
 
-    Both backends run the same loop over the kernel table, the rational one
-    on its Fraction rows and the float one on its float rows; adding in a
-    fixed order fixes the float bits.
+    Both backends take the same banded step over _band's table, in float64
+    or in Fraction objects.  No busy row lands on a gap site, so each active
+    site receives at most one move per slot; scattering the right moves,
+    then the stays, then the left moves, and then each gap site's switching
+    mass in ascending site order, adds every site's mass in ascending
+    source order, which fixes the float bits.  Busy mass at step l lies
+    within the walk's reach |j| <= m + l, so only those sources are
+    scattered, and the new busy map holds every active window site with
+    |j| <= m + l + 1, ascending, zero-mass tail sites included.
     """
     exact = joint.backend == "rational"
-    rows = _kernel(lattice)[0 if exact else 1]
-    j_max = lattice.j_max
+    dest, prob, cols, active = _band(lattice, joint.backend)
+    off = lattice.j_max
+    reach = lattice.m + joint.step
+    lo, hi = max(off - reach, 0), min(off + reach + 1, 2 * off + 1)
 
-    new_busy: dict = defaultdict(Fraction if exact else float)
-    for i, mass in joint.busy.items():
-        for dest, p in rows[i]:
-            if -j_max <= dest <= j_max:
-                new_busy[dest] += mass * p
+    src = _dense(joint.busy, lattice, exact)[lo:hi]
+    new = _zeros(2 * off + 2, exact)
+    for s in (2, 1, 0):
+        new[cols[s, lo:hi]] += prob[s, lo:hi] * src
 
     new_lazy: dict = {}
     for i, mass in joint.lazy.items():
@@ -177,12 +231,12 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
         if staying != 0:
             new_lazy[i] = staying
         if switching != 0:
-            for dest, p in rows[i]:
-                new_busy[dest] += switching * p
+            for s in (0, 2):
+                new[dest[s, i + off] + off] += switching * prob[s, i + off]
 
-    return JointDistribution(
-        step=joint.step + 1, backend=joint.backend, busy=dict(new_busy), lazy=new_lazy
-    )
+    keys = active[np.abs(active - off) <= reach + 1]
+    busy = dict(zip((keys - off).tolist(), new[keys].tolist()))
+    return JointDistribution(step=joint.step + 1, backend=joint.backend, busy=busy, lazy=new_lazy)
 
 
 def marginal(joint: JointDistribution) -> dict:
@@ -196,15 +250,14 @@ def marginal(joint: JointDistribution) -> dict:
 def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     """Largest |site marginal - walk mass| over the lattice window, against
     the walk's law pmf(n, backend) at n = m + step."""
+    exact = joint.backend == "rational"
     n = lattice.m + joint.step
-    got = marginal(joint)
-    law = pmf(n, joint.backend)
-    zero = worst = Fraction(0) if joint.backend == "rational" else 0.0
-    for j in lattice.sites:
-        dev = abs(got.get(j, zero) - (law[j + n] if -n <= j <= n else zero))
-        if dev > worst:
-            worst = dev
-    return worst
+    off = lattice.j_max
+    got = _dense(marginal(joint), lattice, exact)
+    law = _zeros(2 * off + 2, exact)
+    lo, hi = max(-n, -off), min(n, off)
+    law[lo + off : hi + off + 1] = pmf(n, joint.backend)[lo + n : hi + n + 1]
+    return max(np.abs(got - law).tolist())
 
 
 def _proved(lattice: LatticeSystem, steps: int) -> bool:
@@ -227,7 +280,7 @@ def _proved(lattice: LatticeSystem, steps: int) -> bool:
 
     Each step is O(window) integer work; the joint law is never formed.
     """
-    rows = _kernel(lattice)[0]
+    rows = _kernel(lattice)
     scale = math.lcm(*{p.denominator for row in rows.values() for _, p in row})
     weights = {}
     for i, row in rows.items():
@@ -315,14 +368,11 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     m = lattice.m
     if lattice.j_max < m + horizon_steps:
         raise ValueError("lattice window too small for this horizon")
-    # dense rows: a busy row's three outcomes, or a gap site's two landing
-    # sites with P(left) = cum[., 0]
+    # a busy row's three outcomes, or a gap site's two landing sites with
+    # P(left) = cum[0, .]
     off = lattice.j_max
-    dest = np.zeros((2 * off + 1, 3), dtype=np.int64)
-    cum = np.ones((2 * off + 1, 3), dtype=float)
-    for j, row in _kernel(lattice)[1].items():
-        dest[j + off, : len(row)] = [d for d, _ in row]
-        cum[j + off, : len(row)] = np.cumsum([p for _, p in row])
+    dest, prob = _band(lattice, "float")[:2]
+    cum = np.cumsum(prob, axis=0)
     is_gap = np.array([not lattice.is_active(j) for j in lattice.sites])
     hazards = np.zeros((horizon_steps, 2 * off + 1), dtype=float)
     for step in range(horizon_steps):
@@ -348,16 +398,16 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
             u = rng.random(count)
             idx = pos + off
             switching = lazy & (u < hazards[step, idx])
-            side = rng.random(count) < cum[idx, 0]
-            landed = np.where(side, dest[idx, 0], dest[idx, 1])
+            side = rng.random(count) < cum[0, idx]
+            landed = np.where(side, dest[0, idx], dest[2, idx])
             pos = np.where(switching, landed, pos)
             lazy = lazy & ~switching
             idx = pos + off
             u2 = rng.random(count)
             step_to = np.where(
-                u2 < cum[idx, 0],
-                dest[idx, 0],
-                np.where(u2 < cum[idx, 1], dest[idx, 1], dest[idx, 2]),
+                u2 < cum[0, idx],
+                dest[0, idx],
+                np.where(u2 < cum[1, idx], dest[1, idx], dest[2, idx]),
             )
             pos = np.where(busy_before, step_to, pos)
             positions[rows, step + 1] = pos

@@ -48,9 +48,10 @@ def pmf(steps: int, backend: str = "rational") -> tuple:
     """Full law after `steps` steps in the requested backend.
 
     Returns the tuple of masses of sites -steps..steps, site j at index
-    j + steps.  Both backends divide one integer row C(2n, k) by 4^n.  The
-    rational masses are Fraction(c, 4^n), the same reduced rationals as
-    pmf_value.
+    j + steps.  Both backends divide one integer row C(2n, k) by 4^n; the
+    row is symmetric, so only its half k <= n is divided and the masses are
+    mirrored.  The rational masses are Fraction(c, 4^n), the same reduced
+    rationals as pmf_value.
     The float masses are c / 4^n: Python's int / int division is correctly
     rounded, and Fraction.__float__ performs that same division on the
     reduced pair, so every float is bit-identical to
@@ -58,12 +59,15 @@ def pmf(steps: int, backend: str = "rational") -> tuple:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if backend not in ("rational", "float"):
+        raise ValueError(f"unknown backend {backend!r}")
     den = 4**steps
+    half = _binomial_row(steps)[: steps + 1]
     if backend == "rational":
-        return tuple(Fraction(c, den) for c in _binomial_row(steps))
-    if backend == "float":
-        return tuple(c / den for c in _binomial_row(steps))
-    raise ValueError(f"unknown backend {backend!r}")
+        masses = [Fraction(c, den) for c in half]
+    else:
+        masses = [c / den for c in half]
+    return tuple(masses + masses[-2::-1])
 
 
 def heat_step_residual(steps: int, j: int) -> Fraction:

@@ -339,6 +339,22 @@ def test_verify_discrete_rejects_coarse_lattice(tmp_path, capsys):
     assert "m too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_verify_discrete_huge_window_reports_like_the_full_one(tmp_path, backend):
+    # no site beyond m + steps = 60 ever holds mass, so a 10^10 window is
+    # certified on 60 and only the echoed setting differs
+    reports = {}
+    for j_max in ("60", "10000000000"):
+        out = tmp_path / j_max
+        assert run("verify-discrete", "--seed", "1", "--m", "50", "--steps", "10",
+                   "--backend", backend, "--j-max", j_max, "--output-dir", str(out)) == 0
+        reports[j_max] = read_json(out / "report.json")
+    huge = reports["10000000000"]
+    assert huge["config"]["j_max"] == 10000000000
+    huge["config"]["j_max"] = 60
+    assert huge == reports["60"]
+
+
 # ---------- library range checks, named by their flag ----------
 
 

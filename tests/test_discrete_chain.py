@@ -210,41 +210,61 @@ def test_float_backend_tracks_rational(lat_m8):
 
 
 def reference_step(joint, lattice, m):
-    """One Fraction-by-Fraction step of the joint law: the oracle for evolve."""
+    """One row-by-row step of the joint law, adding in the order of a dict
+    loop over the sources: the oracle for evolve.  The float backend takes
+    each probability p as float(p) and each hazard h as float(h)."""
+    num = (lambda p: p) if joint.backend == "rational" else float
+    zero = num(Fraction(0))
     busy, lazy = {}, {}
     for i, mass in joint.busy.items():
         for dest, p in busy_transition(lattice, i):
             if abs(dest) <= lattice.j_max:
-                busy[dest] = busy.get(dest, Fraction(0)) + mass * p
+                busy[dest] = busy.get(dest, zero) + mass * num(p)
     for i, mass in joint.lazy.items():
-        moving = mass * lazy_hazard(i, joint.step, m)
+        moving = mass * num(lazy_hazard(i, joint.step, m))
         if mass != moving:
             lazy[i] = mass - moving
         if moving != 0:
             for dest, p in switch_jump(lattice, i):
-                busy[dest] = busy.get(dest, Fraction(0)) + moving * p
+                busy[dest] = busy.get(dest, zero) + moving * num(p)
     return busy, lazy
 
 
-@pytest.mark.parametrize(
-    "name, steps",
-    [("lat_m8", 20), ("lat_ragged", 8), ("cantor3_m400", 8), ("truncated_m50", 120)],
-)
-def test_rational_evolve_matches_fraction_reference(request, name, steps):
+REFERENCE_CASES = [("lat_m8", 20), ("lat_ragged", 8), ("cantor3_m400", 8), ("truncated_m50", 120)]
+
+
+def assert_evolve_matches_reference(request, name, steps, backend):
     if name == "cantor3_m400":
         lat = lattice_project(build_interval_system(fat_cantor_intervals(3)), 400)
+    elif name == "cantor4_m2000":
+        # a full window: the walk's tails underflow to 0.0 far out
+        lat = lattice_project(build_interval_system(fat_cantor_intervals(4)), 2000, j_max=2003)
     elif name == "truncated_m50":
         lat = lattice_project(build_interval_system(TWO_GAPS), 50, j_max=60)
     else:
         lat = request.getfixturevalue(name)
-    joint = initial_joint(lat)
+    kind = Fraction if backend == "rational" else float
+    joint = initial_joint(lat, backend)
     for _ in range(steps):
         nxt = evolve(joint, lat)
         busy, lazy = reference_step(joint, lat, lat.m)
         assert list(nxt.busy.items()) == list(busy.items())
         assert list(nxt.lazy.items()) == list(lazy.items())
-        assert all(type(p) is Fraction for p in [*nxt.busy.values(), *nxt.lazy.values()])
+        assert all(type(p) is kind for p in [*nxt.busy.values(), *nxt.lazy.values()])
         joint = nxt
+    return joint
+
+
+@pytest.mark.parametrize("name, steps", REFERENCE_CASES)
+def test_rational_evolve_matches_fraction_reference(request, name, steps):
+    assert_evolve_matches_reference(request, name, steps, "rational")
+
+
+@pytest.mark.parametrize("name, steps", [*REFERENCE_CASES, ("cantor4_m2000", 3)])
+def test_float_evolve_matches_float_reference(request, name, steps):
+    joint = assert_evolve_matches_reference(request, name, steps, "float")
+    if name == "cantor4_m2000":
+        assert 0.0 in joint.busy.values()
 
 
 def test_certification_pins_float_two_gap_values():
@@ -309,7 +329,7 @@ def perturbed_lattice(site, row):
     """A fresh m = 8 two-gap lattice whose cached Fraction kernel row at site
     is replaced by row, given as (dest, numerator over 8) pairs."""
     lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
-    rows = _kernel(lat)[0]
+    rows = _kernel(lat)
     rows[site] = [(dest, Fraction(w, 8)) for dest, w in row]
     assert sum(p for _, p in rows[site]) == 1
     return lat
