@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .densities import GAUSSIAN, MarginalFamily, gaussian_density
+from .densities import GAUSSIAN, MarginalFamily, _ndtr, gaussian_density
 from .intervals import IntervalSystem, build_interval_system, fat_cantor_intervals
 from .continuous_sim import iter_fake_grid_chunks
 
@@ -211,8 +210,13 @@ def flux_experiment(
     t_grid = t_start + np.arange(n_grid + 1) * dt
     count_in = 0
     count_out = 0
-    for part in iter_fake_grid_chunks(system, t_grid, n_paths, seed, dt=dt, workers=workers):
-        fwd, bwd = count_interval_transitions(part["values"], left, right)
+
+    def transitions(part):
+        return count_interval_transitions(part["values"], left, right)
+
+    # map lets go of each chunk before the engine builds the next one
+    chunks = iter_fake_grid_chunks(system, t_grid, n_paths, seed, dt=dt, workers=workers)
+    for fwd, bwd in map(transitions, chunks):
         count_in += fwd
         count_out += bwd
     observed_time = n_paths * n_grid * dt
@@ -318,14 +322,14 @@ def coupling_experiment(
     offset_steps = int(round(t_offset / dt))
     last_meet = n_grid - offset_steps
 
-    n_meetings = n_a = n_b = n_bb = n_ll = 0
-    hits_a = hits_b = 0
-    gap_sum = 0.0
-    for part in iter_fake_grid_chunks(system, t_grid, 2 * n_pairs, seed, dt=dt, workers=workers):
+    def meetings(part):
+        """Each pair's first crossing in the chunk, in pair order: |X - X'|
+        there, whether each copy is busy, and, when exactly one is, whether
+        X sits in the frozen set offset_steps later."""
         vals = part["values"]
         t_switch = part["switch_times"]
-        count = len(vals)
-        for p in range(0, count - 1, 2):
+        found = []
+        for p in range(0, len(vals) - 1, 2):
             x = vals[p]
             y = vals[p + 1]
             d = x - y
@@ -333,19 +337,28 @@ def coupling_experiment(
             if len(crossings) == 0 or crossings[0] + 1 > last_meet:
                 continue
             k = int(crossings[0]) + 1
-            n_meetings += 1
-            gap_sum += abs(float(d[k]))
             tau = k * dt
             x_busy = t_switch[p] <= tau
             y_busy = t_switch[p + 1] <= tau
+            in_frozen = x_busy != y_busy and not system.contains(float(x[k + offset_steps]))
+            found.append((abs(float(d[k])), x_busy, y_busy, in_frozen))
+        return found
+
+    n_meetings = n_a = n_b = n_bb = n_ll = 0
+    hits_a = hits_b = 0
+    gap_sum = 0.0
+    # map lets go of each chunk before the engine builds the next; a for loop
+    # over the chunks would hold two of them (33 MB each at the defaults)
+    chunks = iter_fake_grid_chunks(system, t_grid, 2 * n_pairs, seed, dt=dt, workers=workers)
+    for found in map(meetings, chunks):
+        for gap, x_busy, y_busy, in_frozen in found:
+            n_meetings += 1
+            gap_sum += gap
             if x_busy and y_busy:
                 n_bb += 1
-                continue
-            if not x_busy and not y_busy:
+            elif not x_busy and not y_busy:
                 n_ll += 1
-                continue
-            in_frozen = not system.contains(float(x[k + offset_steps]))
-            if x_busy:
+            elif x_busy:
                 n_a += 1
                 hits_a += in_frozen
             else:
@@ -394,7 +407,7 @@ def potential_function(x_grid, t: float, pieces) -> np.ndarray:
         return np.abs(x_grid)
     lo = np.array([p[0] for p in pieces])
     hi = np.array([p[1] for p in pieces])
-    mass = np.sum(ndtr(hi) - ndtr(lo))
+    mass = np.sum(_ndtr(hi) - _ndtr(lo))
     if mass <= 0:
         raise ValueError("conditioning set has zero Gaussian mass")
     root = math.sqrt(t)
@@ -403,7 +416,7 @@ def potential_function(x_grid, t: float, pieces) -> np.ndarray:
     def seg(a, b, sign):
         # integral of sign * (x - sqrt(t) u) phi(u) over [a, b]
         return sign * (
-            x_grid[:, None] * (ndtr(b) - ndtr(a))
+            x_grid[:, None] * (_ndtr(b) - _ndtr(a))
             + root * (gaussian_density(b, 0.0) - gaussian_density(a, 0.0))
         )
 

@@ -277,7 +277,9 @@ def iter_fake_grid_chunks(
     Each yielded dict holds one chunk of _CHUNK paths (fewer in the last):
     their values on t_grid plus per-path switch times, starts and busy
     landing values.  Path i always draws from the substream (seed, i): chunk
-    size and worker count change scheduling only, never the numbers.
+    size and worker count change scheduling only, never the numbers.  A
+    consumer that still holds a chunk when it asks for the next keeps two
+    chunks' arrays alive while the next is built.
     """
     yield from _chunks(
         GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, fixed_start, workers

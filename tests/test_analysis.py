@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import binomtest, kstest
 
+from fakebm import analysis
 from fakebm.analysis import (
     convex_order_check,
     count_interval_transitions,
@@ -228,6 +230,26 @@ def test_coupling_small_run_structure():
         assert 0.0 <= rep.p_hat_b <= 1.0
         assert 0.0 <= rep.ci_b[0] <= rep.ci_b[1] <= 1.0
     assert rep.meeting_gap_mean < 0.2
+
+
+def test_chunk_consumers_let_go_of_each_chunk(monkeypatch):
+    # a chunk of the coupling run is 33 MB at the CLI defaults: a consumer
+    # that still holds one while the engine builds the next doubles the peak
+    real = analysis.iter_fake_grid_chunks
+    held = []
+
+    def watched(*args, **kwargs):
+        seen = []
+        for part in real(*args, **kwargs):
+            held.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(part["values"]))
+            yield part
+            del part
+
+    monkeypatch.setattr(analysis, "iter_fake_grid_chunks", watched)
+    coupling_experiment(depth=3, t_offset=0.05, n_pairs=300, seed=5, dt=1e-3, t_horizon=0.2)
+    flux_experiment(build_interval_system(TWO_GAPS), 0, 0.3, 0.02, 600, seed=17, dt=1e-3)
+    assert held == [0, 0, 0] * 2
 
 
 def test_coupling_min_class_controls_status():

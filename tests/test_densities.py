@@ -1,7 +1,8 @@
 """Marginal density layer: closed forms against independent oracles.
 
 Finite differences use h = 1e-5 (central, error O(h^2) ~ 1e-10 at these
-scales); quadrature oracles use scipy.integrate.quad.
+scales); quadrature oracles use scipy.integrate.quad.  The in-house normal
+cdf and Lambert's W are compared with scipy.special bit for bit.
 """
 
 import math
@@ -13,6 +14,10 @@ from scipy.integrate import quad
 from fakebm.densities import (
     GAUSSIAN,
     LOGNORMAL,
+    _EXPN1,
+    _fma,
+    _lambertw0,
+    _ndtr,
     check_exp_window,
     gaussian_cdf,
     gaussian_density,
@@ -304,3 +309,74 @@ def test_lognormal_switch_times_match_scalar_bisection_bit_for_bit():
     expect = [_scalar_lognormal_switch_time(xi, 0.5, 1.0, ui) for xi, ui in zip(x, u)]
     assert np.isinf(s).sum() > 100  # survivors of the window
     assert np.array_equal(s, expect)
+
+
+# ---------- the in-house ports of scipy.special ----------
+
+
+def _assert_same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours, dtype=float), np.asarray(theirs, dtype=float)
+    assert ours.shape == theirs.shape
+    nan = np.isnan(theirs)
+    assert np.array_equal(np.isnan(ours), nan)
+    mismatch = ours[~nan].view(np.uint64) != theirs[~nan].view(np.uint64)
+    assert not mismatch.any(), (ours[~nan][mismatch][:5], theirs[~nan][mismatch][:5])
+
+
+def test_fma_rounds_once():
+    # 0.1 * 10 is 1 + 2^-54 exactly; a separate multiply rounds it to 1
+    assert 0.1 * 10.0 - 1.0 == 0.0
+    assert _fma(0.1, 10.0, -1.0) == 2.0**-54
+    assert _fma(5e-324, 0.5, 0.0) == 0.0 and _fma(5e-324, 0.75, 0.0) == 5e-324
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(16)
+    root2 = math.sqrt(2.0)
+    x = np.concatenate([
+        3.0 * rng.standard_normal(50_000),
+        rng.uniform(-40.0, 40.0, 20_000),
+        rng.uniform(37.5, 38.5, 5_000),  # ndtr underflows to 0 (or 1) here
+        -rng.uniform(37.5, 38.5, 5_000),
+        rng.uniform(1.0, root2, 5_000),  # erfc's erf branch: its argument is in [sqrt(1/2), 1)
+        -rng.uniform(1.0, root2, 5_000),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, np.nextafter(1.0, 0.0),
+         root2, -root2, np.nextafter(root2, 0.0), 8.0 * root2, -8.0 * root2, 5e-324, -5e-324, 1e308],
+    ])
+    _assert_same_bits(_ndtr(x), special.ndtr(x))
+    _assert_same_bits(_ndtr(x[:600].reshape(20, 30)), special.ndtr(x[:600].reshape(20, 30)))
+    for v in (-1.25, 0.0, 39.0):
+        assert type(_ndtr(v)) is np.float64 and _ndtr(v) == special.ndtr(v)
+
+
+def test_gaussian_and_lognormal_cdf_equal_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(17)
+    x, t = rng.normal(0.0, 2.0, 5_000), rng.uniform(0.0, 3.0, 5_000)
+    _assert_same_bits(gaussian_cdf(x, t), special.ndtr(x / np.sqrt(1.0 + t)))
+    y = rng.lognormal(0.0, 1.0, 5_000)
+    _assert_same_bits(lognormal_cdf(y, t), special.ndtr((np.log(y) + t / 2.0) / np.sqrt(t)))
+
+
+def test_lambertw_equals_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(16)
+    x, u = rng.uniform(-1.0, 1.0, 20_000), 1.0 - rng.random(20_000)
+    u[u == 1.0] = 0.5
+    x2 = np.square(x)
+    switch = 0.3 - _EXPN1  # the guess is the branch-point series below, the Pade form above
+    near_branch = [-_EXPN1]  # W's step is 0 / 0 there: NaN, in scipy too
+    for _ in range(100):
+        near_branch.append(np.nextafter(near_branch[-1], 0.0))
+    z = np.concatenate([
+        -x2 * np.square(u) * np.exp(-x2),  # as invert_survival_ratio builds it
+        -rng.uniform(0.0, _EXPN1, 20_000),
+        switch + rng.uniform(-1e-3, 1e-3, 2_000),
+        [switch, np.nextafter(switch, 0.0), np.nextafter(switch, -1.0)],
+        near_branch,
+        [-0.0, 0.0, -5e-324, -1e-310, -2.2250738585072014e-308, -1e-300, math.nan],
+    ])
+    ours = _lambertw0(z)
+    _assert_same_bits(ours, special.lambertw(z).real)
+    assert np.isnan(ours[z == -_EXPN1]).all() and np.isnan(ours).sum() == 2
