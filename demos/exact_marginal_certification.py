@@ -20,7 +20,7 @@ joint = initial_joint(lattice, backend="rational")
 print("step   frozen mass          max |marginal - walk law|")
 for step in range(1, 21):
     joint = evolve(joint, lattice)
-    frozen = sum(joint.lazy.values())
+    frozen = sum(joint.lazy.tolist())
     dev = max_marginal_deviation(joint, lattice)
     print(f"{step:4d}   {float(frozen):.15f}    {dev!r}")
 

@@ -24,7 +24,6 @@ __all__ = [
     "gaussian_cdf",
     "survival_ratio",
     "invert_survival_ratio",
-    "net_inflow",
     "lognormal_density",
     "lognormal_cdf",
     "lognormal_survival_ratio",
@@ -64,11 +63,12 @@ def survival_ratio(x, t):
 
     Used as the survival function of a frozen particle sitting at x: it is 1
     at t = 0 and strictly decreasing to 0 for |x| <= 1, the only region where
-    particles ever freeze.
+    particles ever freeze.  NaN in x is rejected with the other x outside
+    that band.
     """
     t = _as_time(t)
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):
         raise ValueError("survival ratio is only defined for |x| <= 1")
     v = 1.0 + t
     return np.exp(np.square(x) * t / (2.0 * v)) / np.sqrt(v)
@@ -81,29 +81,19 @@ def invert_survival_ratio(x, u):
     so w = -W(-x^2 u^2 e^{-x^2}) for the principal branch W of Lambert's W
     (w <= 1 picks it), and t = e^{x^2 - w} / u^2 - 1.  W is the in-house
     port of scipy.special.lambertw's real branch, equal to it bit for bit.
-    Accepts scalars or arrays (x and u broadcast together).
+    Accepts scalars or arrays (x and u broadcast together).  NaN in x or in
+    u fails the range checks, as W would pass it through as a NaN time.
     """
     scalar = np.isscalar(x) and np.isscalar(u)
     x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):
         raise ValueError("survival ratio is only defined for |x| <= 1")
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("u must lie strictly between 0 and 1")
     x2 = np.square(x)
     w = -_lambertw0((-x2 * np.square(u) * np.exp(-x2)).ravel()).reshape(x.shape)
     t = np.exp(x2 - w) / np.square(u) - 1.0
     return float(t) if scalar else t
-
-
-def net_inflow(a, t):
-    """Net probability inflow rate into [a, inf) for the N(0, 1 + t) family.
-
-    Equals -p'(x=a, t) / 2 = a * p(a, t) / (2 (1 + t)): the rate at which the
-    flat density current pushes mass rightward across level a.
-    """
-    t = _as_time(t)
-    a = np.asarray(a, dtype=float)
-    return a * gaussian_density(a, t) / (2.0 * (1.0 + t))
 
 
 # ---------- lognormal family (exponential variant) ----------
@@ -231,8 +221,10 @@ def _lognormal_driver(x0: float, b: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
-    # the Gaussian family freezes at t1 = 0 and has no window end
-    return invert_survival_ratio(x, u)
+    """Solve p(x, t1 + s) / p(x, t1) = u for s: p(x, t1 + s) / p(x, 0) is
+    u times the survival ratio at t1.  The family has no window end, so t2
+    is not read; at t1 = 0 that ratio is exactly 1.0."""
+    return invert_survival_ratio(x, u * survival_ratio(x, t1)) - t1
 
 
 @dataclass(frozen=True)
@@ -245,8 +237,7 @@ class MarginalFamily:
     switch_times(x, u, t1, t2) turns uniforms u into the times s after t1
     at which particles frozen at x are released: the survival ratio
     p(x, t1 + s) / p(x, t1) equals u, and s is inf past the window end t2.
-    GAUSSIAN freezes only at t1 = 0 and its switch_times ignores t1 and t2,
-    solving p(x, s) / p(x, 0) = u.
+    GAUSSIAN has no window end and ignores t2.
     """
 
     cdf: Callable

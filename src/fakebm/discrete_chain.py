@@ -14,14 +14,16 @@ one local integer identity over the binomial row C(2n, n + j).  Evolving
 the joint law stays the oracle, and the path for floats, for truncated
 windows and for a lattice whose induction fails.
 
-The chain's moves live in one kernel table per lattice: one row per window
-site, switch_jump's for a gap site and busy_transition's for an active one,
-held as Fraction rows for the induction and copied into a dense
-(3, window) band, of float64 or of Fraction objects, for the joint-law step
-of either backend and for sample_paths.  The step scatters each slot's
-moves in one numpy operation, right moves, then stays, then left moves:
-the order in which a loop over the sources adds them, so a float step
-gives the same bits as that loop.
+The chain has one dense form.  Its kernel is a (3, window) band per
+lattice: one column per window site, holding switch_jump's row for a gap
+site and busy_transition's for an active one, as Fraction objects; the
+float band is that band cast to float64.  The induction reads its integer
+weights from the Fraction band, and sample_paths its moves from the float
+one.  Its joint law is a pair of arrays over the window, busy and frozen
+mass, of the same element type.  The step scatters each slot's moves in
+one numpy operation, right moves, then stays, then left moves: the order
+in which a loop over the sources adds them, so a float step gives the same
+bits as that loop.
 """
 
 from __future__ import annotations
@@ -98,15 +100,38 @@ def switch_jump(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]]:
 
 @dataclass
 class JointDistribution:
-    """Joint law over (site, mode) at a given step, as sparse site -> mass maps."""
+    """Joint law over (site, mode) at a given step, as arrays over the window.
+
+    busy[c] and lazy[c] hold the busy and the frozen mass at site c - j_max,
+    in float64 or as Fraction objects.  Busy mass sits only on active sites
+    and frozen mass only on gap sites, so each column is 0 in one of them.
+    """
 
     step: int
     backend: str
-    busy: dict
-    lazy: dict
+    busy: np.ndarray
+    lazy: np.ndarray
 
     def total_mass(self):
-        return sum(self.busy.values()) + sum(self.lazy.values())
+        # a Python sum in ascending site order, as the float bits of the
+        # reported mass deficit are pinned to it
+        return sum(self.busy.tolist()) + sum(self.lazy.tolist())
+
+
+def _zeros(shape, exact: bool) -> np.ndarray:
+    """Zero masses: Fraction objects for the rational backend, else float64."""
+    return np.full(shape, Fraction(0) if exact else 0.0, dtype=object if exact else float)
+
+
+def _walk_law(lattice: LatticeSystem, n: int, backend: str) -> np.ndarray:
+    """The walk's law pmf(n, backend) as an array over the window; the sites
+    beyond the window are dropped."""
+    law = pmf(n, backend)
+    off = lattice.j_max
+    out = _zeros(2 * off + 1, backend == "rational")
+    lo, hi = max(-n, -off), min(n, off)
+    out[lo + off : hi + off + 1] = law[lo + n : hi + n + 1]
+    return out
 
 
 def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDistribution:
@@ -117,81 +142,52 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     below 1e-12, and a full window (j_max >= m + steps) loses nothing.  The
     masses are the walk's law pmf(m, backend).
     """
-    m = lattice.m
-    busy: dict = {}
-    lazy: dict = {}
-    for j, p in zip(range(-m, m + 1), pmf(m, backend)):
-        if abs(j) > lattice.j_max:
-            continue
-        if lattice.is_active(j):
-            busy[j] = p
-        else:
-            lazy[j] = p
+    busy = _walk_law(lattice, lattice.m, backend)
+    lazy = _zeros(busy.shape, backend == "rational")
+    gaps = np.array(lattice.gap_sites, dtype=np.int64) + lattice.j_max
+    busy[gaps], lazy[gaps] = lazy[gaps], busy[gaps]
     return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
 
 
-def _kernel(lattice: LatticeSystem) -> dict:
-    """The chain's kernel table, built once per lattice and cached on it.
-
-    One row per window site: switch_jump for a gap site, busy_transition for
-    an active site.  Busy mass never sits on a gap site and frozen mass only
-    does, so one table serves both.  rows[j] holds row j as (dest, Fraction)
-    pairs.
-    """
-    rows = lattice._cache.get("kernel")
-    if rows is None:
-        rows = lattice._cache["kernel"] = {
-            j: busy_transition(lattice, j) if lattice.is_active(j) else switch_jump(lattice, j)
-            for j in lattice.sites
-        }
-    return rows
-
-
 def _band(lattice: LatticeSystem, backend: str):
-    """The kernel table as a dense band over the window, cached per backend.
+    """The chain's kernel as a dense band over the window, cached per backend.
 
-    Column c is site c - j_max.  Returns (dest, prob, cols, active): dest and
-    prob are (3, window) arrays whose slots 0, 1, 2 hold each row's left
-    move, stay and right move; a gap site's switch_jump row fills slots 0
-    and 2 and stays with probability 0.  prob holds float(p) for the float
-    backend and the Fractions p, as objects, for the rational one.  cols is
-    the busy scatter's target column of each move: dest's column, or the
+    Column c is site c - j_max and holds that site's row: switch_jump's for a
+    gap site and busy_transition's for an active one.  Busy mass never sits
+    on a gap site and frozen mass only does, so one band serves both.
+    Returns (dest, prob, cols, gaps): dest and prob are (3, window) arrays
+    whose slots 0, 1, 2 hold each row's left move, stay and right move; a
+    gap site's row fills slots 0 and 2 and stays with probability 0.  prob
+    holds the Fractions p, as objects, for the rational backend, and for the
+    float one that band's astype(float), which is float(p).  cols is the
+    busy scatter's target column of each move: dest's column, or the
     discard column window for a move that leaves the window and for every
-    slot of a gap site's row, which only frozen mass takes.  active holds
-    the ascending columns of the active sites.  Built from _kernel's rows on
-    first use.
+    slot of a gap site's row, which only frozen mass takes.  gaps holds the
+    ascending columns of the gap sites.
     """
     band = lattice._cache.get(("band", backend))
     if band is None:
-        exact = backend == "rational"
-        off = lattice.j_max
-        width = 2 * off + 1
-        dest = np.tile(np.arange(-off, off + 1), (3, 1))
-        prob = _zeros((3, width), exact)
-        for j, row in _kernel(lattice).items():
-            slots = (0, 1, 2) if len(row) == 3 else (0, 2)
-            for s, (d, p) in zip(slots, row):
-                dest[s, j + off] = d
-                prob[s, j + off] = p if exact else float(p)
-        active = np.array([j + off for j in lattice.sites if lattice.is_active(j)], dtype=np.int64)
-        cols = np.full((3, width), width)
-        inside = (np.abs(dest) <= off)[:, active]
-        cols[:, active] = np.where(inside, dest[:, active] + off, width)
-        band = lattice._cache[("band", backend)] = (dest, prob, cols, active)
+        if backend == "rational":
+            off = lattice.j_max
+            width = 2 * off + 1
+            dest = np.tile(np.arange(-off, off + 1), (3, 1))
+            prob = _zeros((3, width), True)
+            for j in lattice.sites:
+                if lattice.is_active(j):
+                    slots, row = (0, 1, 2), busy_transition(lattice, j)
+                else:
+                    slots, row = (0, 2), switch_jump(lattice, j)
+                for s, (d, p) in zip(slots, row):
+                    dest[s, j + off] = d
+                    prob[s, j + off] = p
+            gaps = np.array(lattice.gap_sites, dtype=np.int64) + off
+            cols = np.where(np.abs(dest) <= off, dest + off, width)
+            cols[:, gaps] = width
+        else:
+            dest, prob, cols, gaps = _band(lattice, "rational")
+            prob = prob.astype(float)
+        band = lattice._cache[("band", backend)] = (dest, prob, cols, gaps)
     return band
-
-
-def _zeros(shape, exact: bool) -> np.ndarray:
-    """Zero masses: Fraction objects for the rational backend, else float64."""
-    return np.full(shape, Fraction(0) if exact else 0.0, dtype=object if exact else float)
-
-
-def _dense(masses: dict, lattice: LatticeSystem, exact: bool) -> np.ndarray:
-    """A site -> mass map as an array over the window plus one discard column."""
-    off = lattice.j_max
-    out = _zeros(2 * off + 2, exact)
-    out[np.fromiter(masses, np.int64, len(masses)) + off] = list(masses.values())
-    return out
 
 
 def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistribution:
@@ -209,55 +205,38 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     mass in ascending site order, adds every site's mass in ascending
     source order, which fixes the float bits.  Busy mass at step l lies
     within the walk's reach |j| <= m + l, so only those sources are
-    scattered, and the new busy map holds every active window site with
-    |j| <= m + l + 1, ascending, zero-mass tail sites included.
+    scattered.
     """
     exact = joint.backend == "rational"
-    dest, prob, cols, active = _band(lattice, joint.backend)
+    dest, prob, cols, gaps = _band(lattice, joint.backend)
     off = lattice.j_max
     reach = lattice.m + joint.step
     lo, hi = max(off - reach, 0), min(off + reach + 1, 2 * off + 1)
 
-    src = _dense(joint.busy, lattice, exact)[lo:hi]
     new = _zeros(2 * off + 2, exact)
     for s in (2, 1, 0):
-        new[cols[s, lo:hi]] += prob[s, lo:hi] * src
+        new[cols[s, lo:hi]] += prob[s, lo:hi] * joint.busy[lo:hi]
 
-    new_lazy: dict = {}
-    for i, mass in joint.lazy.items():
-        h = lazy_hazard(i, joint.step, lattice.m)
-        switching = mass * (h if exact else float(h))
-        staying = mass - switching
-        if staying != 0:
-            new_lazy[i] = staying
-        if switching != 0:
-            for s in (0, 2):
-                new[dest[s, i + off] + off] += switching * prob[s, i + off]
-
-    keys = active[np.abs(active - off) <= reach + 1]
-    busy = dict(zip((keys - off).tolist(), new[keys].tolist()))
-    return JointDistribution(step=joint.step + 1, backend=joint.backend, busy=busy, lazy=new_lazy)
+    lazy = _zeros(2 * off + 1, exact)
+    for c in gaps.tolist():
+        h = lazy_hazard(c - off, joint.step, lattice.m)
+        switching = joint.lazy[c] * (h if exact else float(h))
+        lazy[c] = joint.lazy[c] - switching
+        for s in (0, 2):
+            new[dest[s, c] + off] += switching * prob[s, c]
+    return JointDistribution(step=joint.step + 1, backend=joint.backend, busy=new[:-1], lazy=lazy)
 
 
-def marginal(joint: JointDistribution) -> dict:
-    """Site marginal: busy plus frozen mass per site."""
-    out = dict(joint.busy)
-    for i, mass in joint.lazy.items():
-        out[i] = out.get(i, 0) + mass
-    return out
+def marginal(joint: JointDistribution) -> np.ndarray:
+    """Site marginal over the window: busy plus frozen mass per site."""
+    return joint.busy + joint.lazy
 
 
 def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     """Largest |site marginal - walk mass| over the lattice window, against
     the walk's law pmf(n, backend) at n = m + step."""
-    exact = joint.backend == "rational"
-    n = lattice.m + joint.step
-    off = lattice.j_max
-    got = _dense(marginal(joint), lattice, exact)
-    law = _zeros(2 * off + 2, exact)
-    lo, hi = max(-n, -off), min(n, off)
-    law[lo + off : hi + off + 1] = pmf(n, joint.backend)[lo + n : hi + n + 1]
-    return max(np.abs(got - law).tolist())
+    law = _walk_law(lattice, lattice.m + joint.step, joint.backend)
+    return max(np.abs(marginal(joint) - law).tolist())
 
 
 def _proved(lattice: LatticeSystem, steps: int) -> bool:
@@ -280,14 +259,15 @@ def _proved(lattice: LatticeSystem, steps: int) -> bool:
 
     Each step is O(window) integer work; the joint law is never formed.
     """
-    rows = _kernel(lattice)
-    scale = math.lcm(*{p.denominator for row in rows.values() for _, p in row})
+    dest, prob = _band(lattice, "rational")[:2]
+    scale = math.lcm(*{p.denominator for p in prob.flat})
     weights = {}
-    for i, row in rows.items():
-        for dest, _p in row:
-            if not lattice.is_active(dest):
-                raise ValueError(f"kernel row of site {i} lands on gap site {dest}")
-        weights[i] = [(dest, p.numerator * (scale // p.denominator)) for dest, p in row]
+    for i, ds, ps in zip(lattice.sites, dest.T.tolist(), prob.T.tolist()):
+        row = [(d, p.numerator * (scale // p.denominator)) for d, p in zip(ds, ps) if p]
+        for d, _w in row:
+            if not lattice.is_active(d):
+                raise ValueError(f"kernel row of site {i} lands on gap site {d}")
+        weights[i] = row
     m = lattice.m
     off = lattice.j_max + 1  # sums[d + off]; the two ends lie past the window
     gaps = set(lattice.gap_sites)
@@ -303,8 +283,8 @@ def _proved(lattice: LatticeSystem, steps: int) -> bool:
                 if src * (1 - lazy_hazard(i, step, m)) != stay:
                     return False
                 src -= stay
-            for dest, w in weights[i]:
-                sums[dest + off] += src * w
+            for d, w in weights[i]:
+                sums[d + off] += src * w
         want = [0] * (2 * off + 1)
         want[off - n - 1 : off + n + 2] = [scale * c for c in nxt]
         for i in lattice.gap_sites:
@@ -371,9 +351,10 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     # a busy row's three outcomes, or a gap site's two landing sites with
     # P(left) = cum[0, .]
     off = lattice.j_max
-    dest, prob = _band(lattice, "float")[:2]
+    dest, prob, _, gaps = _band(lattice, "float")
     cum = np.cumsum(prob, axis=0)
-    is_gap = np.array([not lattice.is_active(j) for j in lattice.sites])
+    is_gap = np.zeros(2 * off + 1, dtype=bool)
+    is_gap[gaps] = True
     hazards = np.zeros((horizon_steps, 2 * off + 1), dtype=float)
     for step in range(horizon_steps):
         for j in lattice.gap_sites:

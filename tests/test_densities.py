@@ -25,7 +25,6 @@ from fakebm.densities import (
     lognormal_cdf,
     lognormal_density,
     lognormal_survival_ratio,
-    net_inflow,
     survival_ratio,
 )
 
@@ -66,24 +65,6 @@ def test_density_initially_increasing_outside_unit_band():
     assert np.all(np.diff(gaussian_density(1.5, ts)) > 0)
 
 
-def test_net_inflow_value():
-    # a p(a, t) / (2 (1 + t)) at a=0.5, t=0
-    expect = 0.5 * gaussian_density(0.5, 0.0) / 2.0
-    assert net_inflow(0.5, 0.0) == pytest.approx(expect, rel=1e-14)
-    assert net_inflow(0.5, 0.0) == pytest.approx(0.0880163316910667, rel=1e-12)
-
-
-def test_net_inflow_is_tail_mass_derivative():
-    # d/dt P(B_t >= a) equals the net inflow a p(a,t) / (2 (1+t))
-    h = 1e-5
-    for a in (0.3, 0.7):
-        for t in (0.2, 1.0):
-            tail_hi = 1.0 - gaussian_cdf(a, t + h)
-            tail_lo = 1.0 - gaussian_cdf(a, t - h)
-            fd = (tail_hi - tail_lo) / (2 * h)
-            assert net_inflow(a, t) == pytest.approx(fd, abs=1e-6)
-
-
 def test_survival_ratio_explicit_value():
     # (1+t)^{-1/2} exp(x^2 t / (2 (1+t))) at x=0.5, t=1:
     # 2^{-1/2} e^{1/16} = 0.7527112504363229
@@ -100,6 +81,25 @@ def test_survival_ratio_is_density_ratio():
 def test_survival_ratio_rejects_outside_band():
     with pytest.raises(ValueError):
         survival_ratio(1.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: survival_ratio(math.nan, 1.0), r"\|x\| <= 1"),
+        (lambda: survival_ratio(np.array([0.5, math.nan]), 1.0), r"\|x\| <= 1"),
+        (lambda: invert_survival_ratio(math.nan, 0.5), r"\|x\| <= 1"),
+        (lambda: invert_survival_ratio(np.array([0.5, math.nan]), 0.5), r"\|x\| <= 1"),
+        (lambda: invert_survival_ratio(0.5, math.nan), "strictly between 0 and 1"),
+        (lambda: invert_survival_ratio(0.5, np.array([0.5, math.nan])), "strictly between 0 and 1"),
+    ],
+    ids=["ratio-x", "ratio-x-array", "invert-x", "invert-x-array", "invert-u", "invert-u-array"],
+)
+def test_survival_ratio_and_inverse_reject_nan(call, message):
+    # NaN fails no order comparison, so it must fail the range checks
+    # rather than come back as a NaN ratio or switch time
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_invert_survival_ratio_at_origin():
@@ -178,6 +178,25 @@ def test_invert_survival_ratio_monotone_in_u():
 
 def test_marginal_family_gaussian_bundle():
     assert GAUSSIAN.cdf(0.3, 1.0) == pytest.approx(gaussian_cdf(0.3, 1.0))
+
+
+@pytest.mark.parametrize("t1", [0.25, 1.0, 3.0])
+def test_gaussian_switch_times_condition_on_t1(t1):
+    # s solves p(x, t1 + s) / p(x, t1) = u, the MarginalFamily contract
+    x, u = _seeded_pairs(2_000, 21)
+    u = np.minimum(u, 1.0 - 1e-6)
+    s = GAUSSIAN.switch_times(x, u, t1, math.inf)
+    assert np.all(s > 0.0)
+    ratio = gaussian_density(x, t1 + s) / gaussian_density(x, t1)
+    assert np.allclose(ratio, u, rtol=1e-9, atol=0.0)
+
+
+def test_gaussian_switch_times_at_t1_zero_are_the_plain_inverse():
+    # the survival ratio at t1 = 0 is exactly 1.0, so the engine's switch
+    # times, drawn at t1 = 0, keep every bit
+    x, u = _seeded_pairs(20_000, 22)
+    assert np.array_equal(GAUSSIAN.switch_times(x, u, 0.0, math.inf), invert_survival_ratio(x, u))
+    assert np.array_equal(survival_ratio(x, 0.0), np.ones_like(x))
 
 
 # ---------- exponential-martingale variant ----------

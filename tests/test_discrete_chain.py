@@ -1,4 +1,4 @@
-"""Two-mode lattice chain: kernel rows, hazards, exact DP, and the sampler."""
+"""Two-mode lattice chain: kernel rows and band, hazards, exact DP, and the sampler."""
 
 import hashlib
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 
 import fakebm.discrete_chain as chain
 from fakebm.discrete_chain import (
-    _kernel,
+    _band,
     busy_transition,
     evolve,
     initial_joint,
@@ -37,6 +37,11 @@ def lat_ragged():
     # (active flank at 1) and length 3 on the right (active flank at 6)
     sys_ = build_interval_system([(0.05, 0.15), (0.25, 0.35), (0.55, 0.95)])
     return lattice_project(sys_, 200, j_max=260)
+
+
+@pytest.fixture(scope="module")
+def lat_cantor3():
+    return lattice_project(build_interval_system(fat_cantor_intervals(3)), 400)
 
 
 # ---------- busy kernel ----------
@@ -151,14 +156,47 @@ def test_switch_jump_rejects_active_site(lat_m8):
         switch_jump(lat_m8, 0)
 
 
+# ---------- kernel band ----------
+
+
+@pytest.mark.parametrize("name", ["lat_m8", "lat_ragged", "lat_cantor3"])
+def test_band_columns_are_the_kernel_rows(request, name):
+    lat = request.getfixturevalue(name)
+    dest, prob, cols, gaps = _band(lat, "rational")
+    off = lat.j_max
+    assert (gaps - off).tolist() == list(lat.gap_sites)
+    for j in lat.sites:
+        c = j + off
+        if lat.is_active(j):
+            row = busy_transition(lat, j)
+            want = [d + off if abs(d) <= off else 2 * off + 1 for d, _ in row]
+        else:
+            left, right = switch_jump(lat, j)
+            row = [left, (j, Fraction(0)), right]
+            want = [2 * off + 1] * 3
+        assert list(zip(dest[:, c].tolist(), prob[:, c].tolist())) == row
+        assert cols[:, c].tolist() == want
+
+
+def test_float_band_is_the_fraction_band_rounded(lat_ragged):
+    dest, prob, cols, gaps = _band(lat_ragged, "rational")
+    f_dest, f_prob, f_cols, f_gaps = _band(lat_ragged, "float")
+    assert f_prob.dtype == np.float64
+    assert f_prob.ravel().tolist() == [float(p) for p in prob.ravel().tolist()]
+    assert f_dest is dest and f_cols is cols and f_gaps is gaps
+
+
 # ---------- exact DP evolution ----------
 
 
 def test_initial_joint_splits_modes(lat_m8):
     joint = initial_joint(lat_m8)
-    assert set(joint.lazy) == {1}
-    assert joint.lazy[1] == pmf_value(8, 1)
-    assert joint.busy[0] == pmf_value(8, 0)
+    off = lat_m8.j_max
+    assert (np.flatnonzero(joint.lazy) - off).tolist() == [1]
+    assert joint.lazy[1 + off] == pmf_value(8, 1)
+    assert joint.busy[1 + off] == 0
+    assert joint.busy[off] == pmf_value(8, 0)
+    assert joint.busy.shape == joint.lazy.shape == (2 * off + 1,)
     assert joint.total_mass() == 1
 
 
@@ -174,25 +212,32 @@ def test_evolve_keeps_global_mean_zero(lat_m8):
     joint = initial_joint(lat_m8)
     for _ in range(10):
         joint = evolve(joint, lat_m8)
-    mean = sum(j * p for j, p in marginal(joint).items())
+    mean = sum(j * p for j, p in zip(lat_m8.sites, marginal(joint)))
     assert mean == 0
 
 
-def test_evolve_mode_supports_stay_disjoint(lat_m8):
-    joint = initial_joint(lat_m8)
-    gap = set(lat_m8.gap_sites)
-    for _ in range(8):
-        joint = evolve(joint, lat_m8)
-        assert set(joint.lazy) <= gap
-        assert not (set(joint.busy) & gap)
+def test_evolve_mode_supports_stay_disjoint(request):
+    # busy mass is 0 on every gap column and frozen mass on every active one
+    for name in ("lat_m8", "lat_ragged", "lat_cantor3"):
+        lat = request.getfixturevalue(name)
+        gap = np.zeros(2 * lat.j_max + 1, dtype=bool)
+        gap[np.array(lat.gap_sites) + lat.j_max] = True
+        for backend in ("rational", "float"):
+            joint = initial_joint(lat, backend)
+            for _ in range(9):
+                assert not joint.busy[gap].any()
+                assert not joint.lazy[~gap].any()
+                assert joint.lazy[gap].all()
+                joint = evolve(joint, lat)
 
 
 def test_lazy_mass_decays_but_persists(lat_m8):
     joint = initial_joint(lat_m8)
-    masses = [joint.lazy[1]]
+    c = 1 + lat_m8.j_max
+    masses = [joint.lazy[c]]
     for _ in range(15):
         joint = evolve(joint, lat_m8)
-        masses.append(joint.lazy[1])
+        masses.append(joint.lazy[c])
     assert all(b < a for a, b in zip(masses, masses[1:]))
     assert masses[-1] > 0
 
@@ -203,30 +248,31 @@ def test_float_backend_tracks_rational(lat_m8):
     for _ in range(10):
         jr = evolve(jr, lat_m8)
         jf = evolve(jf, lat_m8)
-    mr = marginal(jr)
-    mf = marginal(jf)
-    for j, p in mr.items():
-        assert mf[j] == pytest.approx(float(p), abs=1e-14)
+    mf = marginal(jf).tolist()
+    for p_r, p_f in zip(marginal(jr).tolist(), mf):
+        assert p_f == pytest.approx(float(p_r), abs=1e-14)
 
 
 def reference_step(joint, lattice, m):
-    """One row-by-row step of the joint law, adding in the order of a dict
-    loop over the sources: the oracle for evolve.  The float backend takes
-    each probability p as float(p) and each hazard h as float(h)."""
+    """One row-by-row step of the joint law, adding in the order of a loop
+    over the sources in ascending site order: the oracle for evolve.
+    Returns the new busy and frozen masses as {site: mass} over the window.
+    The float backend takes each probability p as float(p) and each hazard
+    h as float(h)."""
     num = (lambda p: p) if joint.backend == "rational" else float
-    zero = num(Fraction(0))
-    busy, lazy = {}, {}
-    for i, mass in joint.busy.items():
-        for dest, p in busy_transition(lattice, i):
-            if abs(dest) <= lattice.j_max:
-                busy[dest] = busy.get(dest, zero) + mass * num(p)
-    for i, mass in joint.lazy.items():
-        moving = mass * num(lazy_hazard(i, joint.step, m))
-        if mass != moving:
-            lazy[i] = mass - moving
-        if moving != 0:
-            for dest, p in switch_jump(lattice, i):
-                busy[dest] = busy.get(dest, zero) + moving * num(p)
+    busy = {j: num(Fraction(0)) for j in lattice.sites}
+    lazy = dict(busy)
+    for i, mass in zip(lattice.sites, joint.busy.tolist()):
+        if lattice.is_active(i):
+            for dest, p in busy_transition(lattice, i):
+                if abs(dest) <= lattice.j_max:
+                    busy[dest] += mass * num(p)
+    for i in lattice.gap_sites:
+        frozen = joint.lazy[i + lattice.j_max]
+        moving = frozen * num(lazy_hazard(i, joint.step, m))
+        lazy[i] = frozen - moving
+        for dest, p in switch_jump(lattice, i):
+            busy[dest] += moving * num(p)
     return busy, lazy
 
 
@@ -248,9 +294,9 @@ def assert_evolve_matches_reference(request, name, steps, backend):
     for _ in range(steps):
         nxt = evolve(joint, lat)
         busy, lazy = reference_step(joint, lat, lat.m)
-        assert list(nxt.busy.items()) == list(busy.items())
-        assert list(nxt.lazy.items()) == list(lazy.items())
-        assert all(type(p) is kind for p in [*nxt.busy.values(), *nxt.lazy.values()])
+        assert nxt.busy.tolist() == list(busy.values())
+        assert nxt.lazy.tolist() == list(lazy.values())
+        assert all(type(p) is kind for p in [*nxt.busy.tolist(), *nxt.lazy.tolist()])
         joint = nxt
     return joint
 
@@ -264,7 +310,9 @@ def test_rational_evolve_matches_fraction_reference(request, name, steps):
 def test_float_evolve_matches_float_reference(request, name, steps):
     joint = assert_evolve_matches_reference(request, name, steps, "float")
     if name == "cantor4_m2000":
-        assert 0.0 in joint.busy.values()
+        # site -2003 is within the walk's reach m + 3, and its mass 4^-2003
+        # underflows to 0.0
+        assert joint.busy[0] == 0.0
 
 
 def test_certification_pins_float_two_gap_values():
@@ -326,12 +374,15 @@ def test_induction_report_equals_dp(request, monkeypatch, name, steps):
 
 
 def perturbed_lattice(site, row):
-    """A fresh m = 8 two-gap lattice whose cached Fraction kernel row at site
-    is replaced by row, given as (dest, numerator over 8) pairs."""
+    """A fresh m = 8 two-gap lattice whose cached Fraction band column at the
+    active site is replaced by row, given as (dest, numerator over 8) pairs
+    for the left move, the stay and the right move."""
     lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
-    rows = _kernel(lat)
-    rows[site] = [(dest, Fraction(w, 8)) for dest, w in row]
-    assert sum(p for _, p in rows[site]) == 1
+    dest, prob, cols, _ = _band(lat, "rational")
+    c = site + lat.j_max
+    for s, (d, w) in enumerate(row):
+        dest[s, c], prob[s, c], cols[s, c] = d, Fraction(w, 8), d + lat.j_max
+    assert sum(prob[:, c]) == 1
     return lat
 
 
@@ -533,7 +584,7 @@ def test_sample_endpoints_matches_dp_marginal(lat_m8):
     joint = initial_joint(lat_m8, backend="float")
     for _ in range(horizon):
         joint = evolve(joint, lat_m8)
-    law = marginal(joint)
+    law = dict(zip(lat_m8.sites, marginal(joint).tolist()))
 
     counts = {}
     for j in pos:
@@ -548,7 +599,7 @@ def test_sample_endpoints_matches_dp_marginal(lat_m8):
         assert abs(counts.get(j, 0) - n * p) <= 4 * sd
 
     # frozen fraction matches the DP lazy mass
-    p_lazy = sum(joint.lazy.values())
+    p_lazy = sum(joint.lazy.tolist())
     sd = (n * p_lazy * (1 - p_lazy)) ** 0.5
     assert abs(frozen.sum() - n * p_lazy) <= 4 * sd
     # frozen particles sit on gap sites, busy ones on active sites
