@@ -36,8 +36,9 @@ __all__ = [
 
 def _as_time(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be non-negative")
+    # NaN fails every comparison, so the check is that each time is >= 0
+    if not np.all(t >= 0.0):
+        raise ValueError("time must be non-negative and not NaN")
     return t
 
 

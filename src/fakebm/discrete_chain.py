@@ -17,13 +17,16 @@ windows and for a lattice whose induction fails.
 The chain has one dense form.  Its kernel is a (3, window) band per
 lattice: one column per window site, holding switch_jump's row for a gap
 site and busy_transition's for an active one, as Fraction objects; the
-float band is that band cast to float64.  The induction reads its integer
-weights from the Fraction band, and sample_paths its moves from the float
-one.  Its joint law is a pair of arrays over the window, busy and frozen
-mass, of the same element type.  The step scatters each slot's moves in
-one numpy operation, right moves, then stays, then left moves: the order
-in which a loop over the sources adds them, so a float step gives the same
-bits as that loop.
+float band is that band cast to float64.  Every column but those of the
+gap and boundary sites holds the walk's row (1/4, 1/2, 1/4), so only those
+are built row by row.  The induction reads its integer weights from the
+Fraction band, and sample_paths its moves from the float one.  Its joint
+law is a pair of arrays over the window, busy and frozen mass, of the same
+element type.  The step scatters each slot's moves in one numpy operation,
+right moves, then stays, then left moves: the order in which a loop over
+the sources adds them, so a float step gives the same bits as that loop.
+The induction adds its integer sums over the same band, in one np.add.at
+per step.
 """
 
 from __future__ import annotations
@@ -168,15 +171,19 @@ def _band(lattice: LatticeSystem, backend: str):
     band = lattice._cache.get(("band", backend))
     if band is None:
         if backend == "rational":
+            # every column starts as the walk's row; only the gap and
+            # boundary sites, the keys of flanks, hold other rows
             off = lattice.j_max
             width = 2 * off + 1
-            dest = np.tile(np.arange(-off, off + 1), (3, 1))
-            prob = _zeros((3, width), True)
-            for j in lattice.sites:
+            dest = np.arange(-off, off + 1) + np.arange(-1, 2)[:, None]
+            prob = np.full((3, width), Fraction(1, 4), dtype=object)
+            prob[1] = Fraction(1, 2)
+            for j in lattice.flanks:
                 if lattice.is_active(j):
                     slots, row = (0, 1, 2), busy_transition(lattice, j)
                 else:
                     slots, row = (0, 2), switch_jump(lattice, j)
+                    dest[1, j + off], prob[1, j + off] = j, Fraction(0)
                 for s, (d, p) in zip(slots, row):
                     dest[s, j + off] = d
                     prob[s, j + off] = p
@@ -257,39 +264,44 @@ def _proved(lattice: LatticeSystem, steps: int) -> bool:
       probability p written as an integer over the lcm K of the rows'
       denominators.
 
-    Each step is O(window) integer work; the joint law is never formed.
+    The sums are scattered like evolve's step, over a (3, window) band of
+    the integer weights W: one np.add.at over all three slots of the active
+    sources within the walk's reach, which adds every move even where two
+    land on one site, and then each gap site's switching mass onto its
+    flanks.  Each step is O(window) integer work; the joint law is never
+    formed.
     """
-    dest, prob = _band(lattice, "rational")[:2]
+    dest, prob, cols, gaps = _band(lattice, "rational")
+    off = lattice.j_max
+    width = 2 * off + 1
+    landing = np.isin(dest, gaps - off) & (prob != 0)
+    if landing.any():
+        c, s = np.argwhere(landing.T)[0]
+        raise ValueError(f"kernel row of site {c - off} lands on gap site {dest[s, c]}")
     scale = math.lcm(*{p.denominator for p in prob.flat})
-    weights = {}
-    for i, ds, ps in zip(lattice.sites, dest.T.tolist(), prob.T.tolist()):
-        row = [(d, p.numerator * (scale // p.denominator)) for d, p in zip(ds, ps) if p]
-        for d, _w in row:
-            if not lattice.is_active(d):
-                raise ValueError(f"kernel row of site {i} lands on gap site {d}")
-        weights[i] = row
+    weights = np.array(
+        [p.numerator * (scale // p.denominator) for p in prob.flat], dtype=object
+    ).reshape(prob.shape)
+    quad = 4 * weights  # an active source sends 4 c_n(i)
     m = lattice.m
-    off = lattice.j_max + 1  # sums[d + off]; the two ends lie past the window
-    gaps = set(lattice.gap_sites)
     row = _binomial_row(m)
     for step in range(steps):
         n = m + step
+        lo, hi = off - n, off + n + 1
         nxt = _binomial_row(n + 1)
-        sums = [0] * (2 * off + 1)
-        for i, c in zip(range(-n, n + 1), row):
-            src = 4 * c
-            if i in gaps:
-                stay = nxt[i + n + 1]
-                if src * (1 - lazy_hazard(i, step, m)) != stay:
-                    return False
-                src -= stay
-            for d, w in weights[i]:
-                sums[d + off] += src * w
-        want = [0] * (2 * off + 1)
-        want[off - n - 1 : off + n + 2] = [scale * c for c in nxt]
-        for i in lattice.gap_sites:
-            want[i + off] = 0
-        if sums[1:-1] != want[1:-1]:
+        sums = np.zeros(width + 1, dtype=object)  # the last entry is discarded
+        np.add.at(sums, cols[:, lo:hi], quad[:, lo:hi] * np.array(row, dtype=object))
+        for c in gaps.tolist():
+            i = c - off
+            src, stay = 4 * row[i + n], nxt[i + n + 1]
+            if src * (1 - lazy_hazard(i, step, m)) != stay:
+                return False
+            for s in (0, 2):
+                sums[dest[s, c] + off] += (src - stay) * weights[s, c]
+        want = np.zeros(width, dtype=object)
+        want[lo - 1 : hi + 1] = nxt
+        want[gaps] = 0
+        if sums[:-1].tolist() != (scale * want).tolist():
             return False
         row = nxt
     return True

@@ -5,6 +5,11 @@ mean of two fair coin flips, so after l steps the position j has probability
 2^(-2l) C(2l, l + j).  That law satisfies the discrete heat equation with
 one-quarter weights, and the one-step mass ratio at a fixed site has the
 closed form implemented by ratio_check below.
+
+The lattice chain asks for the law after n, n + 1, n + 2, ... steps in
+turn, so the integer row C(2n, .) behind pmf is kept and the next one built
+from it by one Pascal step, additions only; pmf scales it to floats by an
+exact power of two where that is one correct rounding.
 """
 
 from __future__ import annotations
@@ -29,18 +34,39 @@ def pmf_value(steps: int, j: int) -> Fraction:
     return Fraction(math.comb(2 * steps, steps + j), 4**steps)
 
 
-def _binomial_row(steps: int) -> list[int]:
+# the last row _binomial_row built, as (n, row)
+_kept = (0, (1,))
+
+
+def _binomial_row(steps: int) -> tuple[int, ...]:
     """Row C(2n, k), k = 0..2n, for n = steps: index j + n holds 4^n mass(n, j).
 
-    Built from c_0 = 1 by the recurrence c_{k+1} = c_k (2n - k) // (k + 1),
-    whose divisions are exact, and mirrored about k = n.
+    The chain asks for n, n + 1, n + 2, ... in turn, so the last row built is
+    kept.  Row n + 1 is one Pascal step from it, two rows of Pascal's
+    triangle at once: C(2n + 2, k) = C(2n, k - 2) + 2 C(2n, k - 1) + C(2n, k),
+    summed on the half k <= n + 1.  Any other row is built from c_0 = 1 by
+    the recurrence c_{k+1} = c_k (2n - k) // (k + 1), whose divisions are
+    exact.  Either half is mirrored about its middle.  Rows are tuples, so
+    no caller can alter the kept row, and the kept (n, row) pair is replaced
+    in one assignment and exact for its n: the order of the calls changes
+    their speed, never a row.
     """
-    two_n = 2 * steps
-    row = [1] * (two_n + 1)
-    c = 1
-    for k in range(steps):
-        c = c * (two_n - k) // (k + 1)
-        row[k + 1] = row[two_n - k - 1] = c
+    global _kept
+    n, row = _kept
+    if steps == n:
+        return row
+    if steps == n + 1:
+        old = row + (0,)
+        half = [a + 2 * b + c for a, b, c in zip((0, 0) + old, (0,) + old, old[: n + 2])]
+    else:
+        two_n = 2 * steps
+        half = [1] * (steps + 1)
+        c = 1
+        for k in range(steps):
+            c = c * (two_n - k) // (k + 1)
+            half[k + 1] = c
+    row = tuple(half + half[-2::-1])
+    _kept = (steps, row)
     return row
 
 
@@ -48,14 +74,19 @@ def pmf(steps: int, backend: str = "rational") -> tuple:
     """Full law after `steps` steps in the requested backend.
 
     Returns the tuple of masses of sites -steps..steps, site j at index
-    j + steps.  Both backends divide one integer row C(2n, k) by 4^n; the
-    row is symmetric, so only its half k <= n is divided and the masses are
+    j + steps.  Both backends scale one integer row C(2n, k) by 4^-n; the
+    row is symmetric, so only its half k <= n is scaled and the masses are
     mirrored.  The rational masses are Fraction(c, 4^n), the same reduced
     rationals as pmf_value.
-    The float masses are c / 4^n: Python's int / int division is correctly
-    rounded, and Fraction.__float__ performs that same division on the
-    reduced pair, so every float is bit-identical to
-    float(pmf_value(steps, j)).
+    The float masses are c / 4^n, correctly rounded, so every float is
+    bit-identical to float(pmf_value(steps, j)): Python's int / int division
+    is correctly rounded, and Fraction.__float__ performs that same division
+    on the reduced pair.  For n <= 511 they are computed as ldexp(c, -2n):
+    c <= C(2n, n) <= 4^n <= 2^1022, so float(c) is one correct rounding, and
+    c / 4^n >= 4^-n >= 2^-1022 is a normal float, so scaling it by a power
+    of two is exact and ldexp(c, -2n) is c / 4^n rounded once.  From n = 512
+    on, float(c) may overflow and c / 4^n may be subnormal, where ldexp would
+    round twice, so the masses are the division itself.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -65,6 +96,9 @@ def pmf(steps: int, backend: str = "rational") -> tuple:
     half = _binomial_row(steps)[: steps + 1]
     if backend == "rational":
         masses = [Fraction(c, den) for c in half]
+    elif steps <= 511:
+        e = -2 * steps
+        masses = [math.ldexp(c, e) for c in half]
     else:
         masses = [c / den for c in half]
     return tuple(masses + masses[-2::-1])

@@ -102,6 +102,23 @@ def test_survival_ratio_and_inverse_reject_nan(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gaussian_density(0.5, math.nan),
+        lambda: survival_ratio(0.5, math.nan),
+        lambda: survival_ratio(0.5, np.array([1.0, math.nan])),
+        lambda: GAUSSIAN.switch_times(np.array([0.5]), np.array([0.5]), math.nan, math.inf),
+    ],
+    ids=["density", "ratio", "ratio-array", "gaussian-switch-times"],
+)
+def test_nan_time_is_rejected_naming_the_time(call):
+    # a NaN time used to come back as a NaN density or ratio, and the switch
+    # times blamed u for it
+    with pytest.raises(ValueError, match="time must be non-negative and not NaN"):
+        call()
+
+
 def test_invert_survival_ratio_at_origin():
     # at x=0 the ratio is (1+t)^{-1/2}, so t = 1/u^2 - 1, exact for these u
     assert invert_survival_ratio(0.0, 0.5) == 3.0

@@ -44,6 +44,12 @@ def lat_cantor3():
     return lattice_project(build_interval_system(fat_cantor_intervals(3)), 400)
 
 
+@pytest.fixture(scope="module")
+def lat_m50_window60():
+    # a truncated window: the edge rows' outer moves leave it
+    return lattice_project(build_interval_system(TWO_GAPS), 50, j_max=60)
+
+
 # ---------- busy kernel ----------
 
 
@@ -159,7 +165,7 @@ def test_switch_jump_rejects_active_site(lat_m8):
 # ---------- kernel band ----------
 
 
-@pytest.mark.parametrize("name", ["lat_m8", "lat_ragged", "lat_cantor3"])
+@pytest.mark.parametrize("name", ["lat_m8", "lat_ragged", "lat_cantor3", "lat_m50_window60"])
 def test_band_columns_are_the_kernel_rows(request, name):
     lat = request.getfixturevalue(name)
     dest, prob, cols, gaps = _band(lat, "rational")

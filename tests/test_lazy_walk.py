@@ -1,10 +1,11 @@
 """Exact lazy-walk law: binomial closed form, heat identity, mass ratios."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from fakebm.lazy_walk import heat_step_residual, pmf, pmf_value, ratio_check
+from fakebm.lazy_walk import _binomial_row, heat_step_residual, pmf, pmf_value, ratio_check
 
 
 def convolve_law(steps):
@@ -64,6 +65,27 @@ def test_pmf_is_bit_identical_to_pmf_value(steps):
     exact = [pmf_value(steps, j) for j in range(-steps, steps + 1)]
     assert pmf(steps, backend="rational") == tuple(exact)
     assert pmf(steps, backend="float") == tuple(float(p) for p in exact)
+
+
+@pytest.mark.parametrize(
+    "steps", [0, 1, 2, 100, 400, 510, 511, 512, 513, 514, 515, 537, 538, 700]
+)
+def test_pmf_float_is_the_correctly_rounded_division(steps):
+    # up to n = 511 the masses are ldexp(c, -2n), from 512 on c / 4^n: from
+    # n = 512 the edge masses 4^-n are subnormal, from 515 C(2n, n) does not
+    # convert to a finite float, and from 538 4^-n rounds to 0
+    want = tuple(math.comb(2 * steps, k) / 4**steps for k in range(2 * steps + 1))
+    assert pmf(steps, backend="float") == want
+
+
+def test_binomial_row_is_the_comb_row_in_any_call_order():
+    # ascending (Pascal steps, on small rows and on rows past 2^64),
+    # repeated, one step back, a jump forward and back, 0 and 1: the kept
+    # row must never serve a stale n
+    for n in (5, 6, 7, 7, 8, 7, 8, 40, 41, 3, 0, 0, 1, 2, 1, 0, 400, 401, 402, 401):
+        row = _binomial_row(n)
+        assert isinstance(row, tuple)
+        assert row == tuple(math.comb(2 * n, k) for k in range(2 * n + 1))
 
 
 def test_pmf_rejects_unknown_backend():
