@@ -36,6 +36,7 @@ __all__ = [
 
 _Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 _MIN_BIN = 30  # fewest samples a martingale bin needs to be kept
+_MIN_KS = 100  # fewest samples ks_marginal_test accepts
 
 
 # ---------- marginal KS ----------
@@ -57,7 +58,7 @@ def ks_marginal_test(samples, t: float, family: MarginalFamily = GAUSSIAN) -> KS
     same arithmetic as scipy.stats.kstest, so it equals kstest's statistic
     bit for bit.  critical_value_5pct is the asymptotic 5% value
     1.36 / sqrt(n); passed compares the statistic against it.  Small samples
-    run but have little power; n below 100 is rejected.
+    run but have little power; n below _MIN_KS = 100 is rejected.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
@@ -65,8 +66,8 @@ def ks_marginal_test(samples, t: float, family: MarginalFamily = GAUSSIAN) -> KS
         raise ValueError("samples must be a 1-d array")
     if n == 0:
         raise ValueError("empty sample")
-    if n < 100:
-        raise ValueError("need at least 100 samples")
+    if n < _MIN_KS:
+        raise ValueError(f"need at least {_MIN_KS} samples")
     cdf = family.cdf(np.sort(samples), t)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
@@ -203,6 +204,10 @@ def flux_experiment(
     """
     if not 0 <= gap_index < system.n_intervals - 1:
         raise ValueError("gap_index must pick a pair of consecutive intervals")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError("dt must be positive and finite")
+    if duration < dt:
+        raise ValueError("duration must be at least dt")
     left = system.bounded[gap_index]
     right = system.bounded[gap_index + 1]
     b_pt, a_pt = system.gaps()[gap_index + 1]
@@ -316,6 +321,8 @@ def coupling_experiment(
         raise ValueError("need at least one pair")
     if t_offset < 0:
         raise ValueError("t_offset must be >= 0")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError("dt must be positive and finite")
     system = build_interval_system(fat_cantor_intervals(depth))
     n_grid = int(round((t_horizon + t_offset) / dt))
     t_grid = np.arange(n_grid + 1) * dt

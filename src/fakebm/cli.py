@@ -7,15 +7,15 @@ Identical inputs give byte-identical artifacts: no report holds a timing or
 the output directory.  A setting comes from its flag, else the config file,
 else (workers only) the FAKEBM_WORKERS environment variable, else the
 default.  Every setting is converted to its type and checked once, a
-config-file value like the text of its flag, and float settings must be
-finite.  A subcommand body returns (report, {csv name: (header, rows)});
-main alone writes the files and turns report["passed"] into exit code 0/1.
-Exit code 0 means the run's check passed, 1 means it ran but failed or was
-inconclusive, 2 means the configuration was invalid (a ConfigError: every
-range check a library call would make on a setting is made here first), 3
-means the run crashed (any other exception, a library ValueError
-included).  A seed is mandatory and non-negative; there is no wall-clock
-fallback.
+config-file value like the text of its flag: floats must be finite, plain
+lower bounds come from one table (_LOWER), and relational and per-command
+rules from the command bodies.  A body returns (report, {csv name: (header,
+rows)}); main alone writes the files and turns report["passed"] into exit
+code 0/1.  Exit code 0 means the run's check passed, 1 means it ran but
+failed or was inconclusive, 2 means the configuration was invalid (a
+ConfigError: every range check a library call would make on a setting is
+made here first), 3 means the run crashed (any other exception, a library
+ValueError included).  A seed is mandatory: there is no wall-clock fallback.
 """
 
 from __future__ import annotations
@@ -40,23 +40,25 @@ from .analysis import (
     ks_marginal_test,
     martingale_bin_test,
     _MIN_BIN,
+    _MIN_KS,
 )
 
 __all__ = ["main"]
 
 FLOAT_DEVIATION_TOL = 1e-12
+_SYSTEM = [[0.1, 0.4], [0.6, 0.9]]  # the default two-gap interval system
 
 _DEFAULTS = {
     "verify-discrete": {
         "m": 50,
         "steps": 200,
         "backend": "float",
-        "intervals": [[0.1, 0.4], [0.6, 0.9]],
+        "intervals": _SYSTEM,
         "cantor_depth": None,
         "j_max": None,
     },
     "simulate": {
-        "intervals": [[0.1, 0.4], [0.6, 0.9]],
+        "intervals": _SYSTEM,
         "cantor_depth": None,
         "n_paths": 10,
         "t_queries": [0.25, 0.5, 1.0],
@@ -64,7 +66,7 @@ _DEFAULTS = {
         "fixed_start": None,
     },
     "marginals": {
-        "intervals": [[0.1, 0.4], [0.6, 0.9]],
+        "intervals": _SYSTEM,
         "cantor_depth": None,
         "n_paths": 2000,
         "t_queries": [0.5, 1.0],
@@ -72,7 +74,7 @@ _DEFAULTS = {
         "ks_max": 0.015,
     },
     "martingale": {
-        "intervals": [[0.1, 0.4], [0.6, 0.9]],
+        "intervals": _SYSTEM,
         "cantor_depth": None,
         "n_paths": 2000,
         "s": 0.5,
@@ -91,7 +93,7 @@ _DEFAULTS = {
         "min_class": 200,
     },
     "flux": {
-        "intervals": [[0.1, 0.4], [0.6, 0.9]],
+        "intervals": _SYSTEM,
         "cantor_depth": None,
         "gap_index": 0,
         "t_start": 1.0,
@@ -172,6 +174,14 @@ class ConfigError(Exception):
 # type of its default, and a list setting takes a JSON literal as its flag
 _NONE_DEFAULT_TYPES = {"seed": int, "cantor_depth": int, "j_max": int, "fixed_start": float}
 
+# plain lower bounds, checked in this order: key -> (lowest value, strict)
+_LOWER = {
+    "seed": (0, False), "workers": (1, False), "dt": (0, True), "t_horizon": (0, True),
+    "steps": (1, False), "n_paths": (1, False), "n_pairs": (1, False), "n_bins": (1, False),
+    "min_class": (1, False), "t_offset": (0, False), "t_start": (0, False),
+    "z_max": (0, False), "tolerance": (0, False), "tol": (0, False),
+}
+
 
 def _kind(key: str, default) -> type:
     return _NONE_DEFAULT_TYPES[key] if default is None else type(default)
@@ -225,12 +235,9 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     cfg = {key: _typed(key, value, defaults[key]) for key, value in cfg.items()}
     if cfg["seed"] is None:
         raise ConfigError("a seed is required (pass --seed or set it in the config)")
-    if cfg["seed"] < 0:
-        raise ConfigError("--seed must be >= 0")
-    if cfg["workers"] < 1:
-        raise ConfigError("--workers must be >= 1")
-    if "dt" in cfg and cfg["dt"] <= 0:
-        raise ConfigError("--dt must be > 0")
+    for key, (low, strict) in _LOWER.items():
+        if key in cfg and (cfg[key] <= low if strict else cfg[key] < low):
+            raise ConfigError(f"--{key.replace('_', '-')} must be {'>' if strict else '>='} {low}")
     if cfg.get("cantor_depth") is not None and not 1 <= cfg["cantor_depth"] <= 20:
         raise ConfigError("--cantor-depth must be between 1 and 20")
     return cfg
@@ -295,8 +302,6 @@ def _ks_tests(result, t_queries: list, ks_max: float, family):
 def _cmd_verify_discrete(cfg: dict):
     if cfg["backend"] not in ("rational", "float"):
         raise ConfigError("--backend must be 'rational' or 'float'")
-    if cfg["steps"] < 1:
-        raise ConfigError("--steps must be >= 1")
     system = _resolve_system(cfg)
     # no site beyond m + steps ever holds mass, so a wider window adds only
     # empty sites: clamp it, as the window is held densely
@@ -317,8 +322,6 @@ def _cmd_simulate(cfg: dict):
     system = _resolve_system(cfg)
     t_queries = _t_queries(cfg, positive=False)
     n_paths = cfg["n_paths"]
-    if n_paths < 1:
-        raise ConfigError("--n-paths must be >= 1")
     result = simulate_marginal_samples(
         system,
         t_queries,
@@ -346,8 +349,8 @@ def _cmd_marginals(cfg: dict):
     system = _resolve_system(cfg)
     t_queries = _t_queries(cfg, positive=True)
     n_paths = cfg["n_paths"]
-    if n_paths < 100:
-        raise ConfigError("--n-paths must be >= 100")
+    if n_paths < _MIN_KS:
+        raise ConfigError(f"--n-paths must be >= {_MIN_KS}")
     result = simulate_marginal_samples(
         system, t_queries, n_paths, cfg["seed"], dt=cfg["dt"], workers=cfg["workers"]
     )
@@ -386,13 +389,9 @@ def _cmd_martingale(cfg: dict):
     s, t = cfg["s"], cfg["t"]
     if not 0 < s < t:
         raise ConfigError("--s, --t: need 0 < s < t")
-    if cfg["n_bins"] < 1:
-        raise ConfigError("--n-bins must be >= 1")
     # so that, by pigeonhole, some quantile bin holds enough samples to be kept
     if cfg["n_paths"] < _MIN_BIN * cfg["n_bins"]:
         raise ConfigError(f"--n-paths must be at least {_MIN_BIN} times --n-bins")
-    if cfg["z_max"] < 0:
-        raise ConfigError("--z-max must be >= 0")
     result = simulate_marginal_samples(
         system, [s, t], cfg["n_paths"], cfg["seed"], dt=cfg["dt"], workers=cfg["workers"]
     )
@@ -421,14 +420,6 @@ def _cmd_martingale(cfg: dict):
 
 
 def _cmd_strong_markov(cfg: dict):
-    if cfg["min_class"] < 1:
-        raise ConfigError("--min-class must be >= 1")
-    if cfg["t_horizon"] <= 0:
-        raise ConfigError("--t-horizon must be > 0")
-    if cfg["t_offset"] < 0:
-        raise ConfigError("--t-offset must be >= 0")
-    if cfg["n_pairs"] < 1:
-        raise ConfigError("--n-pairs must be >= 1")
     rep = coupling_experiment(
         cfg["cantor_depth"],
         cfg["t_offset"],
@@ -438,11 +429,6 @@ def _cmd_strong_markov(cfg: dict):
         t_horizon=cfg["t_horizon"],
         min_class=cfg["min_class"],
         workers=cfg["workers"],
-    )
-    separated = (
-        rep.status == "ok"
-        and not math.isnan(rep.p_hat_a)
-        and rep.ci_a[1] < rep.ci_b[0]
     )
     report = {
         "status": rep.status,
@@ -456,7 +442,7 @@ def _cmd_strong_markov(cfg: dict):
         "ci_a": list(rep.ci_a),
         "ci_b": list(rep.ci_b),
         "meeting_gap_mean": rep.meeting_gap_mean,
-        "passed": separated,
+        "passed": rep.status == "ok" and rep.ci_a[1] < rep.ci_b[0],
     }
     rows = [
         ("A", rep.n_class_a, rep.p_hat_a, rep.ci_a[0], rep.ci_a[1]),
@@ -468,12 +454,6 @@ def _cmd_strong_markov(cfg: dict):
 def _cmd_flux(cfg: dict):
     if cfg["duration"] < cfg["dt"]:
         raise ConfigError("--duration must be at least --dt")
-    if cfg["tolerance"] < 0:
-        raise ConfigError("--tolerance must be >= 0")
-    if cfg["t_start"] < 0:
-        raise ConfigError("--t-start must be >= 0")
-    if cfg["n_paths"] < 1:
-        raise ConfigError("--n-paths must be >= 1")
     system = _resolve_system(cfg)
     if not 0 <= cfg["gap_index"] < system.n_intervals - 1:
         raise ConfigError("--gap-index must pick a pair of consecutive intervals")
@@ -508,8 +488,6 @@ def _cmd_convex_order(cfg: dict):
     x_min, x_max, x_step = cfg["x_min"], cfg["x_max"], cfg["x_step"]
     if not x_min < x_max or x_step <= 0:
         raise ConfigError("--x-min, --x-max, --x-step: need x_min < x_max and x_step > 0")
-    if cfg["tol"] < 0:
-        raise ConfigError("--tol must be >= 0")
     n = int(round((x_max - x_min) / x_step))
     x_grid = x_min + np.arange(n + 1) * x_step
     t_grid = _floats(cfg, "t_grid")
@@ -540,8 +518,8 @@ def _cmd_exp_variant(cfg: dict):
     if t_queries[-1] > window[3]:
         raise ConfigError("--t-queries must not exceed t2, the last entry of --window")
     n_paths = cfg["n_paths"]
-    if n_paths < 100:
-        raise ConfigError("--n-paths must be >= 100")
+    if n_paths < _MIN_KS:
+        raise ConfigError(f"--n-paths must be >= {_MIN_KS}")
     result = simulate_exp_marginal_samples(
         window, intervals, t_queries, n_paths, cfg["seed"], dt=cfg["dt"],
         workers=cfg["workers"],

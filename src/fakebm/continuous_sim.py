@@ -230,7 +230,7 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
 
 
 def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, workers):
-    # the query-time checks of both samplers
+    # the query-time and step checks of both samplers
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or not np.all(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be a non-empty ascending 1-d array")
@@ -238,6 +238,8 @@ def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, work
         raise ValueError("query times must be finite and non-negative")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError("dt must be positive and finite")
     payloads = [
         (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(_CHUNK, n_paths - start))
         for start in range(0, n_paths, _CHUNK)

@@ -152,13 +152,14 @@ def check_exp_window(a, b, t1, t2):
     window's corners decide, exactly: ln a > -h(t1), and ln b <= -t + h(t)
     at t1 and at t2.  These imply the other two corner bounds, ln a >=
     -t1 - h(t1) and ln b < h(t1).  Both properties degenerate at t = 0
-    (point mass), so any window starting at t1 <= 0 fails.
+    (point mass), so any window starting at t1 <= 0 fails, and -t + h(t)
+    falls to -inf as t grows, so any window with t2 = inf fails.
     """
     if not (0.0 < a < b):
         raise ValueError("need 0 < a < b")
     if not (t1 < t2):
         raise ValueError("need t1 < t2")
-    if t1 <= 0.0:
+    if t1 <= 0.0 or t2 == math.inf:
         return False
     h1, h2 = (math.sqrt(t * t + 4.0 * t) / 2.0 for t in (t1, t2))
     return -h1 < math.log(a) and math.log(b) <= min(h1 - t1, h2 - t2)

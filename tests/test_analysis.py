@@ -189,6 +189,30 @@ def test_flux_rejects_bad_gap_index():
         flux_experiment(sys_, 1, 0.3, 0.05, 10, seed=1)
 
 
+def test_flux_rejects_window_shorter_than_a_step():
+    # the window rounds to 0 grid steps, which used to divide by an observed
+    # time of 0
+    sys_ = build_interval_system(TWO_GAPS)
+    with pytest.raises(ValueError, match="duration"):
+        flux_experiment(sys_, 0, 1.0, 1e-6, 10, 1, dt=1e-4)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda dt: flux_experiment(build_interval_system(TWO_GAPS), 0, 0.3, 0.05, 10, 1, dt=dt),
+        lambda dt: coupling_experiment(3, 0.05, 10, 1, dt=dt, t_horizon=0.5),
+    ],
+    ids=["flux", "coupling"],
+)
+def test_experiments_reject_a_bad_step_naming_dt(run, dt):
+    # both size their grids from dt before the engine sees it: 0 used to
+    # divide by zero, a negative dt to fail in math, NaN in int()
+    with pytest.raises(ValueError, match="^dt must be"):
+        run(dt)
+
+
 # ---------- Wilson interval ----------
 
 

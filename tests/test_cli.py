@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -436,6 +437,35 @@ def test_config_error_names_its_flag(tmp_path, capsys, argv, flag):
     assert err.startswith("error: --")
     assert flag in re.findall(r"--[a-z-]+", err)
     assert not (tmp_path / "report.json").exists()
+
+
+SETTINGS = {
+    command: set(vars(cli._build_parser().parse_args([command]))) for command in cli._COMMANDS
+}
+LOWER_CASES = [
+    (command, key) for command in cli._COMMANDS for key in cli._LOWER if key in SETTINGS[command]
+]
+
+
+@pytest.mark.parametrize("command, key", LOWER_CASES)
+def test_value_just_past_a_lower_bound_names_its_flag(tmp_path, capsys, command, key):
+    low, strict = cli._LOWER[key]
+    if strict:
+        value = low
+    elif cli._kind(key, cli._DEFAULTS[command].get(key, 0)) is int:
+        value = low - 1
+    else:
+        value = math.nextafter(low, -math.inf)
+    flag = "--" + key.replace("_", "-")
+    code = run(command, "--seed", "1", f"{flag}={value!r}", "--output-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.findall(r"--[a-z-]+", err)[0] == flag
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_every_lower_bound_is_a_setting_of_some_command():
+    assert set(cli._LOWER) <= set().union(*SETTINGS.values())
 
 
 # ---------- simulate ----------

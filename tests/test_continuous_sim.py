@@ -23,7 +23,7 @@ from fakebm.continuous_sim import (
     simulate_exp_marginal_samples,
     simulate_marginal_samples,
 )
-from fakebm.densities import GAUSSIAN, LOGNORMAL, survival_ratio
+from fakebm.densities import GAUSSIAN, LOGNORMAL, check_exp_window, survival_ratio
 from fakebm.intervals import build_interval_system, fat_cantor_intervals
 
 TWO_GAPS = [(0.1, 0.4), (0.6, 0.9)]
@@ -510,6 +510,32 @@ def test_exp_path_rejects_bad_window():
         )
     with pytest.raises(ValueError):
         simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, (1.5,), 10, seed=1, dt=2e-3)
+
+
+def test_exp_path_rejects_unbounded_window():
+    # -t + h(t) falls to -inf, so no window reaching t2 = inf is valid; the
+    # check used to accept it, and the switch-time bisection never ended
+    window = (0.6, 1.1, 0.5, math.inf)
+    assert check_exp_window(*window) is False
+    with pytest.raises(ValueError, match="window fails"):
+        simulate_exp_marginal_samples(window, EXP_INTERVALS, (0.9,), 10, seed=1, dt=2e-3)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda dt: simulate_marginal_samples(
+            build_interval_system(TWO_GAPS), (0.5,), 10, seed=1, dt=dt),
+        lambda dt: simulate_exp_marginal_samples(
+            EXP_WINDOW, EXP_INTERVALS, (0.9,), 10, seed=1, dt=dt),
+    ],
+    ids=["gaussian", "lognormal"],
+)
+def test_samplers_reject_a_bad_step_naming_dt(run, dt):
+    # 0 used to divide by zero, a negative dt to fail in math, NaN in int()
+    with pytest.raises(ValueError, match="^dt must be"):
+        run(dt)
 
 
 def test_exp_samples_keep_unit_mean_and_velocity_structure():
