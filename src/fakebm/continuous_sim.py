@@ -29,6 +29,14 @@ the active set.  A path that survives the whole window (s = inf) draws
 nothing more.  Chunk size and worker count change no number, and a path's
 values at given times do not depend on which later times are also queried:
 a later time only appends steps.
+
+A chunk seeds its paths' generators at once: _substreams runs numpy's
+SeedSequence arithmetic for all of the chunk's path indices together, and
+each generator equals path_rng(seed, i) bit for bit.  A path is built in
+place: its driver steps and their active flags fill one buffer each, which
+doubles when a top-up does not fit, and the time change writes straight
+into the chunk's row.  The paths of a chunk that are busy from t1 on read
+their query times' tick counts from one computation.
 """
 
 from __future__ import annotations
@@ -64,6 +72,74 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_U32 = 0xFFFFFFFF
+
+
+class _State:
+    """The PCG64 state words of one substream, handed over as they are.
+
+    _substreams registers it as numpy's ISeedSequence at first use, so that
+    importing this module does not load numpy.random.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _substreams(seed, start: int, count: int) -> list:
+    """The generators path_rng(seed, i) of the paths start .. start + count - 1.
+
+    SeedSequence(entropy=seed, spawn_key=(i,)) hashes the seed's 32-bit
+    words, padded with zeros to its pool of four, into the pool, and then
+    the word i.  The pool after the seed's words is SeedSequence(seed).pool,
+    and building it rejects every seed path_rng rejects.  The hash
+    multiplier advances by the same steps whatever the data, so mixing in i
+    and generate_state(4, np.uint64) are the same uint32 arithmetic for
+    every path; here they run for the whole chunk at once.  A seed given as
+    a sequence, or a path index of 2**32 or more, takes path_rng itself.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_State)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    if not isinstance(seed, (int, np.integer)) or start + count > 2**32:
+        return [path_rng(seed, i) for i in range(start, start + count)]
+    n_words = max(1, -(-int(seed).bit_length() // 32))
+    # hashmix calls so far: the pool's words, their 12 pairwise mixes, and
+    # the seed words past the pool, each mixed into all four
+    hashes = 16 + 4 * max(n_words - 4, 0)
+    mult = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _U32
+    index = np.arange(start, start + count, dtype=np.uint32)
+    mixed = []
+    for word in pool:
+        h = index ^ np.uint32(mult)
+        mult = mult * _MULT_A & _U32
+        h *= np.uint32(mult)
+        h ^= h >> np.uint32(16)
+        h *= np.uint32(_MIX_R)
+        w = np.uint32(_MIX_L * word & _U32) - h
+        w ^= w >> np.uint32(16)
+        mixed.append(w)
+    state = np.empty((count, 8), dtype=np.uint32)
+    mult = _INIT_B
+    for j in range(8):
+        w = mixed[j % 4] ^ np.uint32(mult)
+        mult = mult * _MULT_B & _U32
+        w *= np.uint32(mult)
+        w ^= w >> np.uint32(16)
+        state[:, j] = w
+    # word pairs read little-endian, as generate_state does
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_State(row))) for row in words]
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Values of many paths at the query times.
@@ -87,7 +163,7 @@ class SimulationResult:
 # ---------- one path ----------
 
 
-def _brownian(rng, state: tuple, n: int, dt: float):
+def _brownian(rng, state: tuple, n: int, dt: float, out: np.ndarray | None = None):
     """The next n grid values of the driver's Brownian motion, and its state.
 
     state is (b0, psum, pos): the Brownian value at the last _BLOCK boundary,
@@ -95,23 +171,25 @@ def _brownian(rng, state: tuple, n: int, dt: float):
     the values are b0 + cumsum(z) * sqrt(dt); a continued block adds psum to
     its first new increment before the cumsum, so the values are bit for bit
     those of whole-block draws however the n steps are split into calls.
+    The values fill out[:n] if out is given, else a new array.
     """
     b0, psum, pos = state
-    parts = [np.empty(0)]
-    while n > 0:
-        take = min(n, _BLOCK - pos)
-        z = rng.standard_normal(take)
+    b = np.empty(n) if out is None else out[:n]
+    done = 0
+    while done < n:
+        take = min(n - done, _BLOCK - pos)
+        z = b[done : done + take]
+        rng.standard_normal(out=z)
         z[0] += psum
-        b = np.cumsum(z)
-        psum = b[-1]
-        b *= math.sqrt(dt)
-        b += b0
-        parts.append(b)
-        n -= take
+        np.cumsum(z, out=z)
+        psum = z[-1]
+        z *= math.sqrt(dt)
+        z += b0
+        done += take
         pos += take
         if pos == _BLOCK:
-            b0, psum, pos = b[-1], 0.0, 0
-    return np.concatenate(parts), (b0, psum, pos)
+            b0, psum, pos = z[-1], 0.0, 0
+    return b, (b0, psum, pos)
 
 
 def _ticks_within(q: np.ndarray, dt: float) -> np.ndarray:
@@ -121,13 +199,18 @@ def _ticks_within(q: np.ndarray, dt: float) -> np.ndarray:
     c * dt overshoots q and one step up where (c + 1) * dt still fits settle
     it.  fl(c * dt) grows with c, so the answer is unique.
     """
-    c = np.floor(q / dt)
-    c -= c * dt > q
-    c += (c + 1.0) * dt <= q
+    c = q / dt
+    np.floor(c, out=c)
+    step = c * dt
+    np.subtract(c, 1.0, out=c, where=step > q)
+    np.add(c, 1.0, out=step)
+    step *= dt
+    np.add(c, 1.0, out=c, where=step <= q)
     return c.astype(np.intp)
 
 
-def _time_change(tail: np.ndarray, ticks: np.ndarray, s: float, rel: np.ndarray, dt: float):
+def _time_change(tail: np.ndarray, ticks: np.ndarray, s: float, rel: np.ndarray, dt: float,
+                 out: tuple | None = None, counts: np.ndarray | None = None):
     """Values and frozen flags at the ascending times rel after the freeze time.
 
     The path holds tail[0] while rel < s.  At busy time q = rel - s it is
@@ -136,14 +219,19 @@ def _time_change(tail: np.ndarray, ticks: np.ndarray, s: float, rel: np.ndarray,
     ticks the left-endpoint clock reads fl(c * dt) and that point is
     tail[ticks[c]] for the largest c with fl(c * dt) <= q: a point of the
     active set, and for an always-active driver the time change is the
-    identity on the grid.
+    identity on the grid.  out, if given, is the (values, frozen) pair of
+    arrays to fill; counts, if given, are those c for the busy times, which
+    depend on rel and s alone.
     """
+    values, frozen = (np.empty(len(rel)), np.empty(len(rel), dtype=bool)) if out is None else out
     n_frozen = int(np.searchsorted(rel, s))
-    frozen = np.zeros(len(rel), dtype=bool)
     frozen[:n_frozen] = True
-    values = np.empty(len(rel))
+    frozen[n_frozen:] = False
     values[:n_frozen] = tail[0]
-    values[n_frozen:] = tail[ticks[_ticks_within(rel[n_frozen:] - s, dt)]]
+    if counts is None:
+        counts = _ticks_within(rel[n_frozen:] - s, dt)
+    # ticks index tail, so clip clips nothing; it spares take a buffered copy
+    np.take(tail, ticks[counts], out=values[n_frozen:], mode="clip")
     return values, frozen
 
 
@@ -154,22 +242,40 @@ def _extend(rng, family, system, x0, state, k, tail, need, dt):
     Brownian motion is in state (see _brownian).  The left-endpoint clock
     ticks dt at every step but the last whose value lies in the active set,
     at most dt a step, so each top-up draws the fewest steps that could
-    still be enough, but at least _MIN_DRAW.  Returns the extended tail and
-    its ticks, the indices of the steps at which the clock ticks.
+    still be enough, but at least _MIN_DRAW.  The steps and their active
+    flags go into two buffers, sized for the first top-up and doubled when
+    a later one does not fit.  Returns the extended tail and its ticks, the
+    indices of the steps at which the clock ticks.
     """
-    parts = [tail]
-    flags = [system.contains_many(tail)]
-    ticks = int(np.count_nonzero(flags[0][:-1]))
+    m = len(tail)
+    path = np.empty(m + max(int(need / dt) + 1, _MIN_DRAW))
+    active = np.empty(len(path), dtype=bool)
+    path[:m] = tail
+    # the clock has ticked at the active steps but the last; that last one
+    # is flagged with the first top-up, in the same membership call
+    flagged = m - 1
+    ticks = 0
+    if flagged:
+        ticks = int(np.count_nonzero(system.contains_many(tail[:-1], out=active[:flagged])))
     while ticks * dt <= need:
         n = max(int(need / dt) + 1 - ticks, _MIN_DRAW)
-        b, state = _brownian(rng, state, n, dt)
-        path = family.driver(x0, b, np.arange(k + 1, k + 1 + n) * dt)
-        active = system.contains_many(path)
-        ticks += int(flags[-1][-1]) + int(np.count_nonzero(active[:-1]))
-        parts.append(path)
-        flags.append(active)
+        if m + n > len(path):
+            path, active = _grown(path, m, m + n), _grown(active, m, m + n)
+        b, state = _brownian(rng, state, n, dt, out=path[m:])
+        family.driver(x0, b, np.arange(k + 1, k + 1 + n) * dt if family.reads_time else None)
+        system.contains_many(path[flagged : m + n], out=active[flagged : m + n])
+        ticks += int(np.count_nonzero(active[m - 1 : m + n - 1]))
+        flagged = m = m + n
         k += n
-    return np.concatenate(parts), np.flatnonzero(np.concatenate(flags)[:-1])
+    return path[:m], np.flatnonzero(active[: m - 1])
+
+
+def _grown(a: np.ndarray, m: int, size: int) -> np.ndarray:
+    """A new buffer of at least size entries, and at least twice len(a),
+    that starts with a's first m entries."""
+    grown = np.empty(max(size, 2 * len(a)), dtype=a.dtype)
+    grown[:m] = a[:m]
+    return grown
 
 
 # ---------- chunked many-path engine ----------
@@ -182,41 +288,48 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
     read = np.append(np.round(t_grid[:n_pre] / dt).astype(int), k1)
     t_read = read * dt
     rel = t_grid[n_pre:] - t1
+    # the tick counts of every path busy from t1 on (s = 0, so rel - s is rel)
+    busy_counts = _ticks_within(rel, dt)
     horizon = float(t_grid.max()) - t1
     values = np.empty((count, len(t_grid)))
     frozen = np.zeros((count, len(t_grid)), dtype=bool)
     x0 = np.empty(count)
     u = np.empty(count)
     busy_start = np.full(count, math.nan)
+    head = np.zeros(k1 + 1)  # one path's Brownian motion up to t1, from B_0 = 0
+    heads = np.empty((count, len(read)))  # every path's at the steps read
 
     # every path's start, uniform and driver up to t1 first, so that one
-    # vectorised switch-time inversion serves the whole chunk
-    rngs, heads = [], []
-    for r in range(count):
-        rng = path_rng(seed, start + r)
+    # driver call and one vectorised switch-time inversion serve the chunk
+    rngs = _substreams(seed, start, count)
+    states = []
+    for r, rng in enumerate(rngs):
         x0[r] = family.sample_initial(rng) if fixed_start is None else float(fixed_start)
         u[r] = rng.random()
         while u[r] == 0.0:
             u[r] = rng.random()
-        b, state = _brownian(rng, (0.0, 0.0, 0), k1, dt)
-        path = family.driver(x0[r], np.concatenate([[0.0], b])[read], t_read)
-        values[r, :n_pre] = path[:-1]
-        rngs.append(rng)
-        heads.append((state, path[-1:]))
-    x1 = np.array([tail[0] for _, tail in heads])
+        _, state = _brownian(rng, (0.0, 0.0, 0), k1, dt, out=head[1:])
+        heads[r] = head[read]
+        states.append(state)
+    family.driver(x0[:, None], heads, t_read)
+    values[:, :n_pre] = heads[:, :-1]
+    x1 = heads[:, -1]
     s = np.zeros(count)
     gap = ~system.contains_many(x1)
     s[gap] = family.switch_times(x1[gap], u[gap], t1, t2)
 
-    for r, (rng, (state, tail)) in enumerate(zip(rngs, heads)):
+    for r, (rng, state) in enumerate(zip(rngs, states)):
         if math.isinf(s[r]):  # survives the window: frozen from t1 on
-            values[r, n_pre:] = tail[0]
+            values[r, n_pre:] = x1[r]
             frozen[r, n_pre:] = True
             continue
         tail, ticks = _extend(
-            rng, family, system, x0[r], state, k1, tail, max(horizon - s[r], 0.0), dt
+            rng, family, system, x0[r], state, k1, x1[r : r + 1], max(horizon - s[r], 0.0), dt
         )
-        values[r, n_pre:], frozen[r, n_pre:] = _time_change(tail, ticks, s[r], rel, dt)
+        _time_change(
+            tail, ticks, s[r], rel, dt, out=(values[r, n_pre:], frozen[r, n_pre:]),
+            counts=busy_counts if s[r] == 0.0 else None,
+        )
         busy_start[r] = tail[ticks[0]]
     return {
         "start": start,
@@ -240,6 +353,8 @@ def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, work
         raise ValueError("n_paths must be >= 1")
     if not 0 < dt < math.inf:  # NaN fails too
         raise ValueError("dt must be positive and finite")
+    if fixed_start is not None and not math.isfinite(fixed_start):
+        raise ValueError("fixed_start must be finite")
     payloads = [
         (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(_CHUNK, n_paths - start))
         for start in range(0, n_paths, _CHUNK)

@@ -212,14 +212,16 @@ def _unit_start(rng) -> float:
     return 1.0
 
 
-def _gaussian_driver(x0: float, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x0 + B_t."""
-    return x0 + b
+def _gaussian_driver(x0: float, b: np.ndarray, t) -> np.ndarray:
+    """x0 + B_t, written over b; t is not read."""
+    b += x0
+    return b
 
 
 def _lognormal_driver(x0: float, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(B_t - t/2); starts at 1, the family's only start."""
-    return np.exp(b - t / 2.0)
+    """exp(B_t - t/2), written over b; starts at 1, the family's only start."""
+    b -= t / 2.0
+    return np.exp(b, out=b)
 
 
 def _gaussian_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
@@ -233,9 +235,11 @@ def _gaussian_switch_times(x, u, t1: float, t2: float) -> np.ndarray:
 class MarginalFamily:
     """A marginal law indexed by time, with the pieces the harness needs.
 
-    driver(x0, b, t) maps a start x0 and standard Brownian values b at times
-    t (B_0 = 0) to the driving path, whose time-t law is the family's
-    marginal.
+    driver(x0, b, t) maps a start x0 (or a column of starts, one per row of
+    b) and standard Brownian values b at times t (B_0 = 0) to the driving
+    path, whose time-t law is the family's marginal, and writes it over b.
+    It reads t only if reads_time is set, and the engine builds the times
+    only then.
     switch_times(x, u, t1, t2) turns uniforms u into the times s after t1
     at which particles frozen at x are released: the survival ratio
     p(x, t1 + s) / p(x, t1) equals u, and s is inf past the window end t2.
@@ -246,6 +250,7 @@ class MarginalFamily:
     sample_initial: Callable
     driver: Callable
     switch_times: Callable
+    reads_time: bool
 
 
 GAUSSIAN = MarginalFamily(
@@ -253,6 +258,7 @@ GAUSSIAN = MarginalFamily(
     sample_initial=_standard_normal_start,
     driver=_gaussian_driver,
     switch_times=_gaussian_switch_times,
+    reads_time=False,
 )
 
 LOGNORMAL = MarginalFamily(
@@ -260,6 +266,7 @@ LOGNORMAL = MarginalFamily(
     sample_initial=_unit_start,
     driver=_lognormal_driver,
     switch_times=_lognormal_switch_times,
+    reads_time=True,
 )
 
 

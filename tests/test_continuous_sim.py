@@ -168,6 +168,24 @@ def test_brownian_path_fixed_start(sys2):
     assert np.all(res.values[:, 0] == 2.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fixed_start_is_rejected(sys2, bad):
+    # NaN used to give all-NaN paths marked busy, and inf paths of inf
+    with pytest.raises(ValueError, match="fixed_start"):
+        simulate_marginal_samples(sys2, (0.5,), 3, seed=5, dt=1e-3, fixed_start=bad)
+
+
+def test_brownian_fills_out_as_it_returns():
+    # out= fills a slice of a larger buffer with the same values and state
+    b, state = _brownian(np.random.default_rng(5), START, 5000, 1e-3)
+    buf = np.full(6000, 9.0)
+    filled, filled_state = _brownian(np.random.default_rng(5), START, 5000, 1e-3, out=buf[10:])
+    assert np.array_equal(filled, b)
+    assert np.array_equal(buf[10:5010], b)
+    assert (buf[:10] == 9.0).all() and (buf[5010:] == 9.0).all()
+    assert filled_state == state
+
+
 def test_brownian_path_increment_moments():
     inc = np.diff(_brownian(np.random.default_rng(11), START, _BLOCK, 1e-3)[0])
     assert inc.mean() == pytest.approx(0.0, abs=4 * math.sqrt(1e-3 / len(inc)))
@@ -291,6 +309,41 @@ def test_extend_appends_blocks_until_the_clock_exceeds_need(sys2):
     assert np.array_equal(rows[1][: n + 1], rows[0])
     whole, _ = _brownian(path_rng(3, 0), START, n + 1, DT)
     assert np.array_equal(rows[1][1:], whole + 7.0)
+
+
+def _extend_by_concatenation(rng, family, system, x0, state, k, tail, need, dt):
+    # reference: each top-up drawn into its own arrays and joined at the end
+    parts, flags = [tail], [system.contains_many(tail)]
+    ticks = int(np.count_nonzero(flags[0][:-1]))
+    while ticks * dt <= need:
+        n = max(int(need / dt) + 1 - ticks, _MIN_DRAW)
+        b, state = _brownian(rng, state, n, dt)
+        path = family.driver(x0, b, np.arange(k + 1, k + 1 + n) * dt)
+        active = system.contains_many(path)
+        ticks += int(flags[-1][-1]) + int(np.count_nonzero(active[:-1]))
+        parts.append(path)
+        flags.append(active)
+        k += n
+    return np.concatenate(parts), np.flatnonzero(np.concatenate(flags)[:-1])
+
+
+@pytest.mark.parametrize("family, x0, k, dt", [(GAUSSIAN, 0.5, 0, DT), (LOGNORMAL, 1.0, 250, 2e-3)],
+                         ids=["gaussian", "lognormal"])
+def test_extend_in_place_equals_concatenated_top_ups(family, x0, k, dt):
+    # paths that sit in gaps need several top-ups, so the buffers grow; the
+    # rows and ticks equal the reference's bit for bit, a longer tail included
+    if family is GAUSSIAN:
+        system = build_interval_system(TWO_GAPS)
+    else:
+        system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
+    for index in range(12):
+        for tail in (np.array([x0]), np.array([x0, 0.65, 0.95, x0])):
+            for need in (0.0, 0.3, 2.0):
+                args = (family, system, x0, (0.0, 0.0, 0), k, tail, need, dt)
+                row, ticks = _extend(path_rng(index, 0), *args)
+                ref_row, ref_ticks = _extend_by_concatenation(path_rng(index, 0), *args)
+                assert np.array_equal(row, ref_row)
+                assert np.array_equal(ticks, ref_ticks)
 
 
 # ---------- switch time ----------

@@ -167,6 +167,29 @@ def test_nan_membership_agrees_across_branches(intervals):
     assert sys_.contains_many(np.float64(math.nan))
 
 
+@pytest.mark.parametrize("intervals", [TWO_GAPS, fat_cantor_intervals(6)],
+                         ids=["two_gap", "cantor6"])
+def test_contains_many_equals_scalar_contains_everywhere(intervals):
+    # the edge-parity passes (two intervals) and the cell table with its
+    # fix-up (63) against the scalar contains: infinities, NaN, every
+    # endpoint and domain end with both one-ulp neighbours, and 10^6 normal
+    # draws around the domain; the out= form fills and returns its buffer
+    sys_ = build_interval_system(intervals)
+    ends = np.array([*sys_.domain, *sys_.endpoints])
+    xs = np.concatenate([
+        [math.inf, -math.inf, math.nan],
+        ends,
+        np.nextafter(ends, -math.inf),
+        np.nextafter(ends, math.inf),
+        np.random.default_rng(20).normal(0.5, 0.5, size=10**6),
+    ])
+    expect = np.array([sys_.contains(x) for x in xs.tolist()])
+    assert np.array_equal(sys_.contains_many(xs), expect)
+    out = np.ones(len(xs), dtype=bool)
+    assert sys_.contains_many(xs, out=out) is out
+    assert np.array_equal(out, expect)
+
+
 # ---------- fat Cantor construction ----------
 
 
