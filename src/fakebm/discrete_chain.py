@@ -7,38 +7,54 @@ busy with a hazard tuned so their site keeps exactly the walk's marginal
 mass; at the switch they jump to the flanking active sites with the
 gambler's-ruin split.  Evolving the joint law with exact rationals therefore
 reproduces the walk's law site by site with zero deviation, which is what
-run_marginal_certification checks.  For exact rationals on a full window
-it checks this by induction instead: no kernel row lands on a gap site, so
-the joint law is a function of its site marginal, and each step reduces to
-one local integer identity over the binomial row C(2n, n + j).  Evolving
-the joint law stays the oracle, and the path for floats, for truncated
-windows and for a lattice whose induction fails.
+run_marginal_certification checks.
+
+For exact rationals on a full window it proves every step at once from one
+finite check of the kernel.  Let K be the lazy walk's kernel on Z, A the
+active sites, G the gap sites and p_n the walk's law at n = m + step.
+H(x, .), for x in G, is the law of the walk's first active site started
+from x; by its first step H = K_GA + K_GG H, and it is gambler's ruin
+across the gap, switch_jump's row.  A busy row is one walk step whose
+moves into a gap go on by H: B = K_AA + K_AG H, which at a boundary site
+is busy_transition's far jump of 1/(4g).  Suppose the busy mass is p_n on
+A and the frozen mass p_n on G.  The hazard keeps p_{n+1} frozen on G, so
+p_n - p_{n+1} switches there, and the busy mass after the step is
+
+    p_n|_A B + (p_n - p_{n+1})|_G H.
+
+Put in p_{n+1}|_G = p_n|_A K_AG + p_n|_G K_GG: it becomes p_n|_A K_AA +
+p_n|_G (I - K_GG) H = p_n|_A K_AA + p_n|_G K_GA = p_{n+1}|_A.  No row of B
+or H lands on G, so the busy mass stays on A, and the step keeps the walk's
+law on all of Z.  The hazard is a probability at every n >= m because each
+gap site has 2 i^2 <= m.  So if the band equals B and H, worked out from
+the gap sites alone, every step holds, and no mass leaves a window that
+holds the walk's reach m + steps: lattice_project's window reaches past
+x = 1, so it holds every gap's flanks too.  _certified makes that check.
+Evolving the joint law stays the oracle, and the path for floats, for
+truncated windows and for a band the check rejects.
 
 The chain has one dense form.  Its kernel is a (3, window) band per
 lattice: one column per window site, holding switch_jump's row for a gap
 site and busy_transition's for an active one, as Fraction objects; the
 float band is that band cast to float64.  Every column but those of the
 gap and boundary sites holds the walk's row (1/4, 1/2, 1/4), so only those
-are built row by row.  The induction reads its integer weights from the
-Fraction band, and sample_paths its moves from the float one.  Its joint
-law is a pair of arrays over the window, busy and frozen mass, of the same
-element type.  The step scatters each slot's moves in one numpy operation,
-right moves, then stays, then left moves: the order in which a loop over
-the sources adds them, so a float step gives the same bits as that loop.
-The induction adds its integer sums over the same band, in one np.add.at
-per step.
+are built row by row.  The check reads the Fraction band, and sample_paths
+its moves from the float one.  Its joint law is a pair of arrays over the
+window, busy and frozen mass, of the same element type.  The step scatters
+each slot's moves in one numpy operation, right moves, then stays, then
+left moves: the order in which a loop over the sources adds them, so a
+float step gives the same bits as that loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .intervals import LatticeSystem
-from .lazy_walk import _binomial_row, pmf, ratio_check
+from .lazy_walk import pmf, ratio_check
 
 __all__ = [
     "JointDistribution",
@@ -152,6 +168,20 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
 
 
+# the walk's row (left move, stay, right move); _band and _certified fill
+# their bulk columns with these same objects, so comparing them is cheap
+_WALK = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+
+
+def _walk_band(off: int):
+    """(dest, prob) over the window -off..off with the walk's row in every
+    column: dest[s, c] = c - off + s - 1, prob[s, c] = _WALK[s]."""
+    dest = np.arange(-off, off + 1) + np.arange(-1, 2)[:, None]
+    prob = np.empty(dest.shape, dtype=object)
+    prob[:] = np.array(_WALK, dtype=object)[:, None]
+    return dest, prob
+
+
 def _band(lattice: LatticeSystem, backend: str):
     """The chain's kernel as a dense band over the window, cached per backend.
 
@@ -175,9 +205,7 @@ def _band(lattice: LatticeSystem, backend: str):
             # boundary sites, the keys of flanks, hold other rows
             off = lattice.j_max
             width = 2 * off + 1
-            dest = np.arange(-off, off + 1) + np.arange(-1, 2)[:, None]
-            prob = np.full((3, width), Fraction(1, 4), dtype=object)
-            prob[1] = Fraction(1, 2)
+            dest, prob = _walk_band(off)
             for j in lattice.flanks:
                 if lattice.is_active(j):
                     slots, row = (0, 1, 2), busy_transition(lattice, j)
@@ -246,65 +274,66 @@ def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     return max(np.abs(marginal(joint) - law).tolist())
 
 
-def _proved(lattice: LatticeSystem, steps: int) -> bool:
-    """Whether the first `steps` steps provably keep the walk's law.
+def _certified(lattice: LatticeSystem) -> bool:
+    """Whether the rational band provably keeps the walk's law at every step.
 
-    For a full window (j_max >= m + steps) and the rational chain.  No kernel
-    row lands on a gap site (checked first), so busy mass stays on active
-    sites and frozen mass on gap sites, and the joint law at step l is fixed
-    by its site marginal.  If that marginal is the walk's law c_n / 4^n, with
-    n = m + l and c_n = C(2n, n + .), step l -> l+1 keeps it exactly when,
-    in units of 4^-(n+1):
+    A finite check of _band's Fraction band against the kernel worked out
+    from gap_sites alone (see the module docstring for why it suffices):
 
-    - at each gap site i, the frozen mass that stays, 4 c_n(i) (1 - h), is
-      c_{n+1}(i), h being lazy_hazard(i, l, m);
-    - at each active site d, sum_i src_i W(i, d) == K c_{n+1}(d), where src_i
-      is 4 c_n(i) at an active site and the switching mass 4 c_n(i) -
-      c_{n+1}(i) at a gap site, and W(i, d) = K p is the kernel row's
-      probability p written as an integer over the lcm K of the rows'
-      denominators.
+    (a) no row lands on a gap site, or ValueError;
+    (b) every gap site i has 2 i^2 <= m, so lazy_hazard is a probability
+        for every n >= m;
+    (c) every gap column is the gambler's-ruin split H across its gap, onto
+        its active flanks, the sites just beyond its run of gap sites;
+    (d) every active column is B = K_AA + K_AG H, one walk step with each
+        move into a gap passed on by H.  Columns next to no gap site hold
+        the walk's row (1/4, 1/2, 1/4) and are compared in bulk.
 
-    The sums are scattered like evolve's step, over a (3, window) band of
-    the integer weights W: one np.add.at over all three slots of the active
-    sources within the walk's reach, which adds every move even where two
-    land on one site, and then each gap site's switching mass onto its
-    flanks.  Each step is O(window) integer work; the joint law is never
-    formed.
+    Destinations, scatter columns and probabilities are compared exactly.
+    The check does not depend on the number of steps, so it also rejects a
+    bad column the walk never reaches.
     """
     dest, prob, cols, gaps = _band(lattice, "rational")
     off = lattice.j_max
     width = 2 * off + 1
-    landing = np.isin(dest, gaps - off) & (prob != 0)
+    # only moves onto gap sites need their Fraction compared with 0
+    landing = np.isin(dest, gaps - off)
+    landing[landing] = prob[landing] != 0
     if landing.any():
         c, s = np.argwhere(landing.T)[0]
         raise ValueError(f"kernel row of site {c - off} lands on gap site {dest[s, c]}")
-    scale = math.lcm(*{p.denominator for p in prob.flat})
-    weights = np.array(
-        [p.numerator * (scale // p.denominator) for p in prob.flat], dtype=object
-    ).reshape(prob.shape)
-    quad = 4 * weights  # an active source sends 4 c_n(i)
-    m = lattice.m
-    row = _binomial_row(m)
-    for step in range(steps):
-        n = m + step
-        lo, hi = off - n, off + n + 1
-        nxt = _binomial_row(n + 1)
-        sums = np.zeros(width + 1, dtype=object)  # the last entry is discarded
-        np.add.at(sums, cols[:, lo:hi], quad[:, lo:hi] * np.array(row, dtype=object))
-        for c in gaps.tolist():
-            i = c - off
-            src, stay = 4 * row[i + n], nxt[i + n + 1]
-            if src * (1 - lazy_hazard(i, step, m)) != stay:
-                return False
-            for s in (0, 2):
-                sums[dest[s, c] + off] += (src - stay) * weights[s, c]
-        want = np.zeros(width, dtype=object)
-        want[lo - 1 : hi + 1] = nxt
-        want[gaps] = 0
-        if sums[:-1].tolist() != (scale * want).tolist():
-            return False
-        row = nxt
-    return True
+    sites = (gaps - off).tolist()
+    if any(2 * i * i > lattice.m for i in sites):
+        return False
+
+    # H: from x in a run of gap sites, the walk first meets the run's left
+    # flank L with probability (R - x) / (R - L), else its right flank R
+    ruin = {}
+    for run in np.split(sites, np.flatnonzero(np.diff(sites) > 1) + 1) if sites else ():
+        left, right = int(run[0]) - 1, int(run[-1]) + 1
+        span = right - left
+        for x in run.tolist():
+            ruin[x] = [(left, Fraction(right - x, span)), (right, Fraction(x - left, span))]
+
+    want_dest, want_prob = _walk_band(off)
+    for x, ((left, p_left), (right, p_right)) in ruin.items():
+        want_dest[:, x + off] = left, x, right
+        want_prob[:, x + off] = p_left, 0, p_right
+    for a in {x + d for x in ruin for d in (-1, 1)} - ruin.keys():
+        # B(a, .): stay with 1/2, and move 1/4 to each neighbour, passed on
+        # by H where the neighbour is a gap site
+        row = {a: Fraction(1, 2)}
+        for nb in (a - 1, a + 1):
+            for d, p in ruin.get(nb, [(nb, Fraction(1))]):
+                row[d] = row.get(d, 0) + p / 4
+        want_dest[:, a + off], want_prob[:, a + off] = zip(*sorted(row.items()))
+    want_cols = np.where(np.abs(want_dest) <= off, want_dest + off, width)
+    want_cols[:, gaps] = width
+    return (
+        np.array_equal(dest, want_dest)
+        and np.array_equal(cols, want_cols)
+        and prob.tolist() == want_prob.tolist()
+    )
 
 
 def run_marginal_certification(
@@ -315,10 +344,14 @@ def run_marginal_certification(
     The rational backend certifies the marginal identity exactly (deviation
     is the Fraction 0); the float backend should stay within 1e-12 over
     hundreds of steps.  On a full window (j_max >= m + steps) the rational
-    backend proves the steps by _proved's one-step identities, and a proved
-    run's report is zero deviation and no lost mass.  Otherwise, and for the
-    float backend, it evolves the joint law from step 0.  Either way the
-    report is the one the evolution gives.
+    backend first checks the kernel band (_certified): if it is B = K_AA +
+    K_AG H on the active sites and the gambler's-ruin split H on the gap
+    sites, every step keeps the walk's law (the module docstring gives the
+    argument), and the report is zero deviation and no lost mass, whatever
+    the number of steps.  Otherwise, and for the float backend or a
+    truncated window, it evolves the joint law from step 0.  Either way the
+    report is the one the evolution gives: the check may reject a band
+    whose bad column the walk never reaches, and such a run is evolved.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -328,7 +361,7 @@ def run_marginal_certification(
         "steps": steps,
         "backend": backend,
     }
-    if backend == "rational" and lattice.j_max >= lattice.m + steps and _proved(lattice, steps):
+    if backend == "rational" and lattice.j_max >= lattice.m + steps and _certified(lattice):
         return {**report, "max_abs_deviation": 0.0, "exactly_zero": True, "mass_deficit": 0.0}
     joint = initial_joint(lattice, backend)
     worst = max_marginal_deviation(joint, lattice)

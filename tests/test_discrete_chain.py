@@ -425,6 +425,106 @@ def test_induction_rejects_a_row_landing_on_a_gap_site():
         run_marginal_certification(lat, 12, backend="rational")
 
 
+# ---------- kernel check ----------
+
+
+def test_kernel_check_rejects_a_perturbed_gap_column(evolve_steps):
+    # gap site 1 of the m = 8 lattice splits its switching mass 1/2, 1/2
+    # between its flanks 0 and 2; a biased split is not gambler's ruin
+    lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
+    dest, prob, cols, gaps = _band(lat, "rational")
+    c = 1 + lat.j_max
+    assert dest[:, c].tolist() == [0, 1, 2]
+    assert prob[:, c].tolist() == [Fraction(1, 2), 0, Fraction(1, 2)]
+    prob[0, c], prob[2, c] = Fraction(3, 8), Fraction(5, 8)
+    assert not chain._certified(lat)
+    report = run_marginal_certification(lat, 12, backend="rational")
+    assert evolve_steps == list(range(12))
+    assert report["exactly_zero"] is False
+    assert report == dp_report(lat, 12)
+
+
+def test_kernel_check_rejects_a_wrong_far_jump(evolve_steps):
+    # boundary site 0 faces the gap {1}, of lattice length g = 2, so its far
+    # jump to 2 has probability 1/(4g) = 1/8; here it is 1/4
+    lat = perturbed_lattice(0, [(-1, 2), (0, 4), (2, 2)])
+    assert not chain._certified(lat)
+    report = run_marginal_certification(lat, 12, backend="rational")
+    assert evolve_steps == list(range(12))
+    assert report["exactly_zero"] is False
+    assert report == dp_report(lat, 12)
+
+
+def test_kernel_check_rejects_a_column_the_walk_never_reaches(evolve_steps):
+    # 12 steps from m = 8 reach |j| <= 20: the bad column at 40 never holds
+    # mass, so the evolved report is still zero, but the run is evolved
+    lat = perturbed_lattice(40, [(39, 3), (40, 3), (41, 2)])
+    assert not chain._certified(lat)
+    report = run_marginal_certification(lat, 12, backend="rational")
+    assert evolve_steps == list(range(12))
+    assert report["exactly_zero"] is True
+    assert report == dp_report(lat, 12)
+
+
+@pytest.fixture
+def no_evolve(monkeypatch):
+    def refuse(joint, lattice):
+        raise AssertionError("a certified band must not evolve the joint law")
+
+    monkeypatch.setattr(chain, "evolve", refuse)
+
+
+def test_cantor6_at_m32768_is_certified_at_any_step_count(no_evolve):
+    system = build_interval_system(fat_cantor_intervals(6))
+    reports = []
+    for steps in (10, 1000):
+        lat = lattice_project(system, 32768, j_max=32768 + steps)
+        report = run_marginal_certification(lat, steps, backend="rational")
+        assert report.pop("steps") == steps
+        reports.append(report)
+    assert reports[0] == reports[1] == {
+        "m": 32768,
+        "N": 63,
+        "backend": "rational",
+        "max_abs_deviation": 0.0,
+        "exactly_zero": True,
+        "mass_deficit": 0.0,
+    }
+
+
+def ragged_lattice(seed, steps):
+    """A seeded interval system with 2 or 3 intervals whose endpoints fall
+    between lattice sites, projected at the smallest m that keeps every gap
+    site within 2 i^2 < m, plus up to 20, on a full window."""
+    rng = np.random.default_rng(seed)
+    site, intervals = int(rng.integers(1, 4)), []
+    for _ in range(int(rng.integers(2, 4))):
+        end = site + int(rng.integers(0, 3))
+        intervals.append((site, end))
+        site = end + int(rng.integers(2, 4))  # at least one gap site between
+    m = 2 * (intervals[-1][1] + 1) ** 2 + int(rng.integers(0, 21))
+    spacing = (2 / m) ** 0.5
+    fracs = rng.uniform(0.1, 0.9, size=(len(intervals), 2))
+    bounded = [((a - u) * spacing, (b + v) * spacing) for (a, b), (u, v) in zip(intervals, fracs)]
+    return lattice_project(build_interval_system(bounded), m, j_max=m + steps)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_check_passes_where_the_dp_reads_zero(seed):
+    # the DP is the oracle for the argument: on lattices the check certifies,
+    # the exact evolution of the joint law never leaves the walk's law
+    lat = ragged_lattice(seed, 30)
+    assert lat.gap_sites
+    assert chain._certified(lat)
+    joint = initial_joint(lat)
+    worst = max_marginal_deviation(joint, lat)
+    for _ in range(30):
+        joint = evolve(joint, lat)
+        worst = max(worst, max_marginal_deviation(joint, lat))
+    assert worst == Fraction(0) and isinstance(worst, Fraction)
+    assert joint.total_mass() == 1
+
+
 @pytest.mark.parametrize(
     "backend, j_max, evolved, deviation, deficit",
     [
