@@ -332,7 +332,8 @@ def coupling_experiment(
     def meetings(part):
         """Each pair's first crossing in the chunk, in pair order: |X - X'|
         there, whether each copy is busy, and, when exactly one is, whether
-        X sits in the frozen set offset_steps later."""
+        X sits in the frozen set offset_steps later.  Pair p is paths 2p and
+        2p + 1, which the engine keeps in one chunk."""
         vals = part["values"]
         t_switch = part["switch_times"]
         found = []
@@ -355,7 +356,7 @@ def coupling_experiment(
     hits_a = hits_b = 0
     gap_sum = 0.0
     # map lets go of each chunk before the engine builds the next; a for loop
-    # over the chunks would hold two of them (33 MB each at the defaults)
+    # over the chunks would hold two of them (about 4 MB each at the defaults)
     chunks = iter_fake_grid_chunks(system, t_grid, 2 * n_pairs, seed, dt=dt, workers=workers)
     for found in map(meetings, chunks):
         for gap, x_busy, y_busy, in_frozen in found:

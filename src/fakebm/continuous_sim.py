@@ -30,6 +30,13 @@ nothing more.  Chunk size and worker count change no number, and a path's
 values at given times do not depend on which later times are also queried:
 a later time only appends steps.
 
+A chunk is at most _CHUNK paths and about _CHUNK_BYTES of results: a path's
+row costs 9 bytes per query time (its float64 value and bool frozen flag),
+so a grid of a few times keeps _CHUNK paths a chunk, while a grid of 16,001
+times takes 28.  Every chunk but the last of an odd path count holds an even
+number of paths, so chunks start at even path indices and paths 2p and
+2p + 1 always share one.
+
 A chunk seeds its paths' generators at once: _substreams runs numpy's
 SeedSequence arithmetic for all of the chunk's path indices together, and
 each generator equals path_rng(seed, i) bit for bit.  A path is built in
@@ -42,7 +49,6 @@ their query times' tick counts from one computation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +69,11 @@ __all__ = [
 _BLOCK = 4096
 # fewest driver steps one top-up of a busy path draws; changes no value
 _MIN_DRAW = 512
-# paths per chunk, the unit of work of one worker; changes no value
+# most paths per chunk, the unit of work of one worker; changes no value
 _CHUNK = 256
+# most bytes of values and frozen flags per chunk, unless two paths take
+# more; changes no value
+_CHUNK_BYTES = 4 * 2**20
 
 
 def path_rng(seed: int, index: int) -> np.random.Generator:
@@ -355,14 +364,19 @@ def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, work
         raise ValueError("dt must be positive and finite")
     if fixed_start is not None and not math.isfinite(fixed_start):
         raise ValueError("fixed_start must be finite")
+    # a row is a float64 value and a bool frozen flag per query time
+    rows = max(2, min(_CHUNK, _CHUNK_BYTES // (9 * len(t_grid))) // 2 * 2)
     payloads = [
-        (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(_CHUNK, n_paths - start))
-        for start in range(0, n_paths, _CHUNK)
+        (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(rows, n_paths - start))
+        for start in range(0, n_paths, rows)
     ]
     if workers <= 1:
         for p in payloads:
             yield _simulate_chunk(*p)
     else:
+        # the pool's import loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_simulate_chunk, *zip(*payloads))
 
@@ -391,12 +405,13 @@ def iter_fake_grid_chunks(
 ):
     """Yield per-chunk results of the many-path engine, in path order.
 
-    Each yielded dict holds one chunk of _CHUNK paths (fewer in the last):
-    their values on t_grid plus per-path switch times, starts and busy
-    landing values.  Path i always draws from the substream (seed, i): chunk
-    size and worker count change scheduling only, never the numbers.  A
-    consumer that still holds a chunk when it asks for the next keeps two
-    chunks' arrays alive while the next is built.
+    Each yielded dict holds one chunk of paths, at most _CHUNK and about
+    _CHUNK_BYTES of values and frozen flags, an even number but for a last
+    chunk of odd n_paths: their values on t_grid plus per-path switch times,
+    starts and busy landing values.  Path i always draws from the substream
+    (seed, i): chunk size and worker count change scheduling only, never
+    the numbers.  A consumer that still holds a chunk when it asks for the
+    next keeps two chunks' arrays alive while the next is built.
     """
     yield from _chunks(
         GAUSSIAN, system, t_grid, 0.0, math.inf, n_paths, seed, dt, fixed_start, workers

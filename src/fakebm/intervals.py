@@ -258,7 +258,7 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
     active |= np.abs(xs) <= ENDPOINT_SNAP
     active |= np.abs(xs - 1.0) <= ENDPOINT_SNAP
 
-    gap_sites = [int(j) for j, a in zip(js, active) if not a]
+    gap_sites = js[~active].tolist()
     for b_left, a_right in system.gaps()[1:-1]:
         lo_j = math.ceil((b_left - ENDPOINT_SNAP) / spacing)
         hi_j = math.floor((a_right + ENDPOINT_SNAP) / spacing)
@@ -273,10 +273,9 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
             return bool(active[j + j_max])
         return True  # beyond the window lie the unbounded active pieces
 
-    boundary = [
-        int(j) for j in js
-        if active_at(j) and (not active_at(j - 1) or not active_at(j + 1))
-    ]
+    # an active site next to a gap site; the sites past the window are active
+    padded = np.concatenate(([True], active, [True]))
+    boundary = js[active & ~(padded[:-2] & padded[2:])].tolist()
 
     flanks: dict[int, tuple[int, int]] = {}
     for j in gap_sites + boundary:

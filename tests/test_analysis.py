@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binomtest, kstest
 
-from fakebm import analysis
+from fakebm import analysis, continuous_sim
 from fakebm.analysis import (
     convex_order_check,
     count_interval_transitions,
@@ -257,8 +257,9 @@ def test_coupling_small_run_structure():
 
 
 def test_chunk_consumers_let_go_of_each_chunk(monkeypatch):
-    # a chunk of the coupling run is 33 MB at the CLI defaults: a consumer
-    # that still holds one while the engine builds the next doubles the peak
+    # a chunk of the coupling run is about 4 MB at the CLI defaults: a
+    # consumer that still holds one while the engine builds the next doubles
+    # the chunk arrays' share of the peak
     real = analysis.iter_fake_grid_chunks
     held = []
 
@@ -274,6 +275,26 @@ def test_chunk_consumers_let_go_of_each_chunk(monkeypatch):
     coupling_experiment(depth=3, t_offset=0.05, n_pairs=300, seed=5, dt=1e-3, t_horizon=0.2)
     flux_experiment(build_interval_system(TWO_GAPS), 0, 0.3, 0.02, 600, seed=17, dt=1e-3)
     assert held == [0, 0, 0] * 2
+
+
+def test_coupling_pairs_paths_whatever_the_chunking(monkeypatch):
+    # pair p is paths 2p and 2p + 1; an odd chunk would pair across pairs
+    def run():
+        return coupling_experiment(
+            depth=3, t_offset=0.05, n_pairs=200, seed=8, dt=1e-3, min_class=1
+        )
+
+    base = run()
+    assert base.n_class_a and base.n_class_b
+    monkeypatch.setattr(continuous_sim, "_CHUNK", 17)
+    assert run() == base
+    monkeypatch.undo()
+    monkeypatch.setattr(continuous_sim, "_CHUNK_BYTES", 1)
+    parts = continuous_sim.iter_fake_grid_chunks(
+        build_interval_system(TWO_GAPS), np.arange(1551) * 1e-3, 6, 8, dt=1e-3
+    )
+    assert [len(p["values"]) for p in parts] == [2, 2, 2]
+    assert run() == base
 
 
 def test_coupling_min_class_controls_status():

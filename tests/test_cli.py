@@ -173,12 +173,13 @@ def test_crash_exits_3_not_1(tmp_path, monkeypatch, capsys):
 _IMPORT_GRAPH_CHECK = """
 import sys
 from fakebm.cli import main
-def scipy_loaded():
-    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
-assert not scipy_loaded(), "import fakebm.cli"
+def heavy():
+    return [name for name in sys.modules if name.partition(".")[0] == "scipy"
+            or name in ("multiprocessing", "concurrent.futures")]
+assert not heavy(), ("import fakebm.cli", heavy())
 for argv in (%r, %r):
     assert main(argv) == 0, argv[0]
-    assert not scipy_loaded(), argv[0]
+    assert not heavy(), (argv[0], heavy())
 """
 
 
@@ -194,12 +195,14 @@ def _fresh_python(code):
 
 def test_no_command_path_imports_scipy(tmp_path):
     # scipy's import costs more than many commands' work, so neither the
-    # import of the CLI nor a KS check may load any of it
+    # import of the CLI nor a KS check may load any of it; nor may they load
+    # the worker pool's multiprocessing, which one worker never uses
     argvs = (
         ["verify-discrete", "--seed", "1", "--m", "8", "--steps", "4",
          "--output-dir", str(tmp_path / "v")],
         ["marginals", "--seed", "1", "--n-paths", "100", "--dt", "0.01",
-         "--t-queries", "[0.5]", "--ks-max", "1.0", "--output-dir", str(tmp_path / "m")],
+         "--t-queries", "[0.5]", "--ks-max", "1.0", "--workers", "1",
+         "--output-dir", str(tmp_path / "m")],
     )
     proc = _fresh_python(_IMPORT_GRAPH_CHECK % argvs)
     assert proc.returncode == 0, proc.stderr

@@ -518,6 +518,23 @@ def test_iter_chunks_arrive_in_path_order(sys2, monkeypatch):
     assert starts == [0, 32, 64]
 
 
+def test_wide_grid_chunks_stay_within_the_byte_budget(sys2, monkeypatch):
+    # 16,001 query times cost 144,009 bytes a path, so a chunk takes 28
+    t_grid = np.arange(16_001) * 1e-4
+    parts = list(iter_fake_grid_chunks(sys2, t_grid, 70, 3, dt=1e-4))
+    assert [p["start"] for p in parts] == [0, 28, 56]
+    for p in parts:
+        assert p["values"].nbytes + p["frozen"].nbytes <= continuous_sim._CHUNK_BYTES
+        assert len(p["values"]) % 2 == 0 and p["start"] % 2 == 0
+    monkeypatch.setattr(continuous_sim, "_CHUNK_BYTES", 2**40)
+    whole = list(iter_fake_grid_chunks(sys2, t_grid, 70, 3, dt=1e-4))
+    assert len(whole) == 1
+    for key in ("values", "frozen", "switch_times", "x0", "busy_start"):
+        assert np.array_equal(
+            np.concatenate([p[key] for p in parts]), whole[0][key], equal_nan=key == "busy_start"
+        ), key
+
+
 # ---------- exponential variant ----------
 
 

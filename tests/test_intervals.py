@@ -300,3 +300,36 @@ def test_gap_neighbors_rejects_interior_site():
     with pytest.raises(ValueError):
         lat.gap_neighbors(2)
 
+
+def _listed_gap_and_boundary_sites(lat):
+    """The gap and boundary sites found site by site, as a reference: a
+    site is active if it lies in the active set, within 1e-12 of an
+    interval's end, 0 or 1, or past the window."""
+    ends = [0.0, 1.0, *(x for pair in lat.system.bounded for x in pair)]
+
+    def active_at(j):
+        x = j * lat.spacing
+        return (
+            not -lat.j_max <= j <= lat.j_max
+            or lat.system.contains(x)
+            or any(abs(x - e) <= 1e-12 for e in ends)
+        )
+
+    gaps = [j for j in lat.sites if not active_at(j)]
+    boundary = [j for j in lat.sites if active_at(j) and not (active_at(j - 1) and active_at(j + 1))]
+    return gaps, boundary
+
+
+@pytest.mark.parametrize(
+    "intervals, m",
+    [(TWO_GAPS, 200), (fat_cantor_intervals(3), 400), (fat_cantor_intervals(6), 32_768)],
+    ids=["two-gap-m200", "cantor3-m400", "cantor6-m32768"],
+)
+def test_gap_and_boundary_masks_match_a_site_by_site_scan(intervals, m):
+    lat = lattice_project(build_interval_system(intervals), m)
+    gaps, boundary = _listed_gap_and_boundary_sites(lat)
+    assert gaps and boundary
+    assert lat.gap_sites == tuple(gaps)
+    # flanks keeps its order: the gap sites, then the boundary sites
+    assert list(lat.flanks) == gaps + boundary
+    assert all(type(j) is int for j in lat.flanks)
