@@ -36,14 +36,17 @@ truncated windows and for a band the check rejects.
 The chain has one dense form.  Its kernel is a (3, window) band per
 lattice: one column per window site, holding switch_jump's row for a gap
 site and busy_transition's for an active one, as Fraction objects; the
-float band is that band cast to float64.  Every column but those of the
-gap and boundary sites holds the walk's row (1/4, 1/2, 1/4), so only those
-are built row by row.  The check reads the Fraction band, and sample_paths
-its moves from the float one.  Its joint law is a pair of arrays over the
-window, busy and frozen mass, of the same element type.  The step scatters
-each slot's moves in one numpy operation, right moves, then stays, then
-left moves: the order in which a loop over the sources adds them, so a
-float step gives the same bits as that loop.
+float band holds float(p) for each.  Every column but those of the gap and
+boundary sites holds the walk's row (1/4, 1/2, 1/4), so only those are
+built row by row, and only they are cast to float.  The check reads the
+Fraction band, and sample_paths its moves from the float one.  Its joint
+law is a pair of arrays over the window, busy and frozen mass, of the same
+element type.  The step scatters each slot's moves in one numpy operation,
+right moves, then stays, then left moves, and then the gap sites' switching
+mass in one add.at, site by site: the order in which a loop over the
+sources adds them, so a float step gives the same bits as that loop.  A
+float hazard is lazy_hazard's rational (A - B) / A divided once as Python
+ints, and the walk's law is read over the window only (_walk_law).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import LatticeSystem
-from .lazy_walk import pmf, ratio_check
+from .lazy_walk import _ratio_terms, pmf
 
 __all__ = [
     "JointDistribution",
@@ -99,13 +102,23 @@ def lazy_hazard(i: int, step: int, m: int) -> Fraction:
     """Switch probability of a frozen particle at site i during step l -> l+1.
 
     1 - mass(n+1, i) / mass(n, i) with n = m + l, i.e. one minus the
-    reciprocal of ratio_check(n, i); positive exactly while n >= 2 i^2, which
-    holds for every gap site because |i| * sqrt(2/m) < 1 forces 2 i^2 < m.
+    reciprocal of ratio_check(n, i) = A / B: (A - B) / A.  It is positive
+    exactly while n >= 2 i^2, which holds for every gap site because
+    |i| * sqrt(2/m) < 1 forces 2 i^2 < m.
     """
     n = m + step
     if n < 2 * i * i:
         raise ValueError("hazard undefined: site mass is not yet shrinking")
-    return 1 - 1 / ratio_check(n, i)
+    a, b = _ratio_terms(n, i)
+    return Fraction(a - b, a)
+
+
+def _float_hazards(sites, step: int, m: int) -> list[float]:
+    """float(lazy_hazard(i, step, m)) for each site i, bit for bit: (A - B) / A
+    by Python's int true division, which rounds the same rational correctly
+    once, as Fraction.__float__ does."""
+    n = m + step
+    return [(a - b) / a for a, b in (_ratio_terms(n, i) for i in sites)]
 
 
 def switch_jump(lattice: LatticeSystem, i: int) -> list[tuple[int, Fraction]]:
@@ -139,17 +152,17 @@ class JointDistribution:
 
 def _zeros(shape, exact: bool) -> np.ndarray:
     """Zero masses: Fraction objects for the rational backend, else float64."""
-    return np.full(shape, Fraction(0) if exact else 0.0, dtype=object if exact else float)
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
 
 
 def _walk_law(lattice: LatticeSystem, n: int, backend: str) -> np.ndarray:
-    """The walk's law pmf(n, backend) as an array over the window; the sites
-    beyond the window are dropped."""
-    law = pmf(n, backend)
+    """The walk's law as an array over the window: pmf(n, backend, j_max),
+    the masses of the sites |j| <= min(n, j_max) only, read from the half
+    row of C(2n, .); the sites beyond the window are never computed."""
     off = lattice.j_max
+    w = min(n, off)
     out = _zeros(2 * off + 1, backend == "rational")
-    lo, hi = max(-n, -off), min(n, off)
-    out[lo + off : hi + off + 1] = law[lo + n : hi + n + 1]
+    out[off - w : off + w + 1] = pmf(n, backend, off)
     return out
 
 
@@ -191,8 +204,10 @@ def _band(lattice: LatticeSystem, backend: str):
     Returns (dest, prob, cols, gaps): dest and prob are (3, window) arrays
     whose slots 0, 1, 2 hold each row's left move, stay and right move; a
     gap site's row fills slots 0 and 2 and stays with probability 0.  prob
-    holds the Fractions p, as objects, for the rational backend, and for the
-    float one that band's astype(float), which is float(p).  cols is the
+    holds the Fractions p, as objects, for the rational backend, and float(p)
+    for the float one: the walk's (0.25, 0.5, 0.25) in every column, then
+    the flank columns cast from their Fractions.  The float band shares
+    dest, cols and gaps with the rational one.  cols is the
     busy scatter's target column of each move: dest's column, or the
     discard column window for a move that leaves the window and for every
     slot of a gap site's row, which only frozen mass takes.  gaps holds the
@@ -219,8 +234,11 @@ def _band(lattice: LatticeSystem, backend: str):
             cols = np.where(np.abs(dest) <= off, dest + off, width)
             cols[:, gaps] = width
         else:
-            dest, prob, cols, gaps = _band(lattice, "rational")
-            prob = prob.astype(float)
+            dest, exact, cols, gaps = _band(lattice, "rational")
+            prob = np.empty(exact.shape)
+            prob[:] = np.array([float(p) for p in _WALK])[:, None]
+            flanks = np.array(list(lattice.flanks), dtype=np.int64) + lattice.j_max
+            prob[:, flanks] = exact[:, flanks].astype(float)
         band = lattice._cache[("band", backend)] = (dest, prob, cols, gaps)
     return band
 
@@ -237,9 +255,11 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     or in Fraction objects.  No busy row lands on a gap site, so each active
     site receives at most one move per slot; scattering the right moves,
     then the stays, then the left moves, and then each gap site's switching
-    mass in ascending site order, adds every site's mass in ascending
-    source order, which fixes the float bits.  Busy mass at step l lies
-    within the walk's reach |j| <= m + l, so only those sources are
+    mass in ascending site order (one add.at over the landing sites, left
+    then right per gap site), adds every site's mass in ascending source
+    order, which fixes the float bits.  A float hazard is _float_hazards',
+    which equals float(lazy_hazard(...)) bit for bit.  Busy mass at step l
+    lies within the walk's reach |j| <= m + l, so only those sources are
     scattered.
     """
     exact = joint.backend == "rational"
@@ -252,13 +272,18 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     for s in (2, 1, 0):
         new[cols[s, lo:hi]] += prob[s, lo:hi] * joint.busy[lo:hi]
 
+    sites = (gaps - off).tolist()
+    if exact:
+        hazards = np.array([lazy_hazard(i, joint.step, lattice.m) for i in sites], dtype=object)
+    else:
+        hazards = np.array(_float_hazards(sites, joint.step, lattice.m))
+    frozen = joint.lazy[gaps]
+    switching = frozen * hazards
     lazy = _zeros(2 * off + 1, exact)
-    for c in gaps.tolist():
-        h = lazy_hazard(c - off, joint.step, lattice.m)
-        switching = joint.lazy[c] * (h if exact else float(h))
-        lazy[c] = joint.lazy[c] - switching
-        for s in (0, 2):
-            new[dest[s, c] + off] += switching * prob[s, c]
+    lazy[gaps] = frozen - switching
+    # each gap site's left landing, then its right one, in ascending site
+    # order; add.at adds repeated targets one by one in that order
+    np.add.at(new, (dest[::2, gaps] + off).T.ravel(), (switching * prob[::2, gaps]).T.ravel())
     return JointDistribution(step=joint.step + 1, backend=joint.backend, busy=new[:-1], lazy=lazy)
 
 
@@ -271,7 +296,9 @@ def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
     """Largest |site marginal - walk mass| over the lattice window, against
     the walk's law pmf(n, backend) at n = m + step."""
     law = _walk_law(lattice, lattice.m + joint.step, joint.backend)
-    return max(np.abs(marginal(joint) - law).tolist())
+    dev = np.abs(marginal(joint) - law)
+    # a float deviation is a Python float, so comparing it gives a bool
+    return max(dev.tolist()) if joint.backend == "rational" else float(dev.max())
 
 
 def _certified(lattice: LatticeSystem) -> bool:
@@ -400,10 +427,12 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     cum = np.cumsum(prob, axis=0)
     is_gap = np.zeros(2 * off + 1, dtype=bool)
     is_gap[gaps] = True
-    hazards = np.zeros((horizon_steps, 2 * off + 1), dtype=float)
-    for step in range(horizon_steps):
-        for j in lattice.gap_sites:
-            hazards[step, j + off] = float(lazy_hazard(j, step, m))
+    # the gap sites' hazards per step, spread over one window row per step;
+    # every other site's hazard is 0
+    gap_hazards = np.array(
+        [_float_hazards(lattice.gap_sites, step, m) for step in range(horizon_steps)], dtype=float
+    ).reshape(horizon_steps, len(gaps))
+    hazard = np.zeros(2 * off + 1)
     start_cdf = np.cumsum(pmf(m, "float"))
 
     positions = np.empty((n_paths, horizon_steps + 1), dtype=np.int64)
@@ -423,7 +452,8 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
             busy_before = ~lazy
             u = rng.random(count)
             idx = pos + off
-            switching = lazy & (u < hazards[step, idx])
+            hazard[gaps] = gap_hazards[step]
+            switching = lazy & (u < hazard[idx])
             side = rng.random(count) < cum[0, idx]
             landed = np.where(side, dest[0, idx], dest[2, idx])
             pos = np.where(switching, landed, pos)

@@ -8,14 +8,18 @@ closed form implemented by ratio_check below.
 
 The lattice chain asks for the law after n, n + 1, n + 2, ... steps in
 turn, so the integer row C(2n, .) behind pmf is kept and the next one built
-from it by one Pascal step, additions only; pmf scales it to floats by an
-exact power of two where that is one correct rounding.
+from it by one Pascal step, additions only.  _half_law alone scales that
+row by 4^-n: to floats by an exact power of two where that is one correct
+rounding.  The chain reads only its window: it asks pmf for the sites
+|j| <= j_max, and only those entries of the half row are scaled.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "pmf",
@@ -70,38 +74,55 @@ def _binomial_row(steps: int) -> tuple[int, ...]:
     return row
 
 
-def pmf(steps: int, backend: str = "rational") -> tuple:
-    """Full law after `steps` steps in the requested backend.
+def _half_law(steps: int, w: int, backend: str):
+    """Masses of the sites -w..0 after `steps` steps, 0 <= w <= steps.
 
-    Returns the tuple of masses of sites -steps..steps, site j at index
-    j + steps.  Both backends scale one integer row C(2n, k) by 4^-n; the
-    row is symmetric, so only its half k <= n is scaled and the masses are
-    mirrored.  The rational masses are Fraction(c, 4^n), the same reduced
-    rationals as pmf_value.
-    The float masses are c / 4^n, correctly rounded, so every float is
-    bit-identical to float(pmf_value(steps, j)): Python's int / int division
-    is correctly rounded, and Fraction.__float__ performs that same division
-    on the reduced pair.  For n <= 511 they are computed as ldexp(c, -2n):
-    c <= C(2n, n) <= 4^n <= 2^1022, so float(c) is one correct rounding, and
-    c / 4^n >= 4^-n >= 2^-1022 is a normal float, so scaling it by a power
-    of two is exact and ldexp(c, -2n) is c / 4^n rounded once.  From n = 512
-    on, float(c) may overflow and c / 4^n may be subnormal, where ldexp would
-    round twice, so the masses are the division itself.
+    They are C(2n, n - w .. n) / 4^n, read from the half row of
+    _binomial_row(n): a list of Fraction(c, 4^n), the same reduced rationals
+    as pmf_value, for the rational backend, and a float64 array for the
+    float one.  The floats are c / 4^n correctly rounded, so each one is
+    bit-identical to float(pmf_value(steps, j)): Python's int / int
+    division is correctly rounded, and Fraction.__float__ performs that same
+    division on the reduced pair.  For n <= 511 they are the whole half row
+    converted in one pass and scaled by one ldexp(., -2n): c <= C(2n, n) <=
+    4^n <= 2^1022, so float(c) is one correct rounding, and c / 4^n >= 4^-n
+    >= 2^-1022 is a normal float, so scaling it by a power of two is exact
+    and ldexp(c, -2n) is c / 4^n rounded once.  From n = 512 on, float(c)
+    may overflow and c / 4^n may be subnormal, where ldexp would round
+    twice, so the masses are the division itself.
+    """
+    half = _binomial_row(steps)[steps - w : steps + 1]
+    if backend == "rational":
+        den = 4**steps
+        return [Fraction(c, den) for c in half]
+    if steps <= 511:
+        return np.ldexp(np.fromiter(map(float, half), float, w + 1), -2 * steps)
+    den = 4**steps
+    return np.fromiter((c / den for c in half), float, w + 1)
+
+
+def pmf(steps: int, backend: str = "rational", width: int | None = None) -> tuple:
+    """Law after `steps` steps in the requested backend.
+
+    Returns the tuple of masses of sites -w..w, site j at index j + w, where
+    w = steps, or min(steps, width) when a width is given: the sites beyond
+    the walk's reach hold no mass, and those beyond the width are not
+    computed.  Both backends scale one integer row C(2n, k) by 4^-n
+    (_half_law); the row is symmetric, so only its half is scaled and the
+    masses are mirrored.  Every mass is pmf_value's, exactly or correctly
+    rounded to float.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if backend not in ("rational", "float"):
         raise ValueError(f"unknown backend {backend!r}")
-    den = 4**steps
-    half = _binomial_row(steps)[: steps + 1]
-    if backend == "rational":
-        masses = [Fraction(c, den) for c in half]
-    elif steps <= 511:
-        e = -2 * steps
-        masses = [math.ldexp(c, e) for c in half]
-    else:
-        masses = [c / den for c in half]
-    return tuple(masses + masses[-2::-1])
+    if width is not None and width < 0:
+        raise ValueError("width must be >= 0")
+    w = steps if width is None else min(steps, width)
+    half = _half_law(steps, w, backend)
+    if backend == "float":
+        half = half.tolist()
+    return tuple(half + half[-2::-1])
 
 
 def heat_step_residual(steps: int, j: int) -> Fraction:
@@ -123,16 +144,22 @@ def heat_step_residual(steps: int, j: int) -> Fraction:
     )
 
 
-def ratio_check(steps: int, j: int) -> Fraction:
-    """One-step mass ratio mass(l, j) / mass(l + 1, j) at a fixed site.
-
-    Closed form 2 ((l+1)^2 - j^2) / ((2l+1) (l+1)); it exceeds 1 exactly when
-    l >= 2 j^2, which is the regime where a site sheds mass as the walk
-    spreads, and drops below 1 when j^2 > (l + 1) / 2.
-    """
+def _ratio_terms(steps: int, j: int) -> tuple[int, int]:
+    """(A, B) with mass(l, j) / mass(l + 1, j) = A / B at l = steps:
+    A = 2 ((l+1)^2 - j^2) and B = (2l+1) (l+1), not reduced."""
     l = steps
     if l < 1:
         raise ValueError("steps must be >= 1")
     if abs(j) > l:
         raise ValueError("site outside the support")
-    return Fraction(2 * ((l + 1) ** 2 - j * j), (2 * l + 1) * (l + 1))
+    return 2 * ((l + 1) ** 2 - j * j), (2 * l + 1) * (l + 1)
+
+
+def ratio_check(steps: int, j: int) -> Fraction:
+    """One-step mass ratio mass(l, j) / mass(l + 1, j) at a fixed site.
+
+    Closed form 2 ((l+1)^2 - j^2) / ((2l+1) (l+1)) (_ratio_terms); it exceeds
+    1 exactly when l >= 2 j^2, which is the regime where a site sheds mass as
+    the walk spreads, and drops below 1 when j^2 > (l + 1) / 2.
+    """
+    return Fraction(*_ratio_terms(steps, j))

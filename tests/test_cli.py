@@ -384,6 +384,32 @@ def test_verify_discrete_huge_window_reports_like_the_full_one(tmp_path, backend
     assert huge == reports["60"]
 
 
+# sha256 of the whole report.json of two float runs at seed 1, with the
+# exit code and the deviation it reports.  At m = 400 the law runs over
+# n = 400..600, across n = 512 where its floats change from ldexp to the
+# division; a window of 100 at m = 200 clips the law.
+PINNED_FLOAT_REPORTS = {
+    ("--m", "400", "--steps", "200"): (
+        0,
+        3.122502256758253e-17,
+        "984863b0404e81e2687c67fdc169442685e869f0d8da57f3626653025baaf835",
+    ),
+    ("--m", "200", "--steps", "500", "--j-max", "100"): (
+        1,
+        7.170693221184352e-09,
+        "2c5064e9cf78afe7ac19faf4c50c9f99a3f0be673b24ad8389fe65245ea8f0f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_FLOAT_REPORTS), ids=" ".join)
+def test_verify_discrete_float_reports_are_pinned(tmp_path, argv):
+    code, deviation, digest = PINNED_FLOAT_REPORTS[argv]
+    assert run("verify-discrete", "--seed", "1", *argv, "--output-dir", str(tmp_path)) == code
+    assert read_json(tmp_path / "report.json")["max_abs_deviation"] == deviation
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
 # ---------- library range checks, named by their flag ----------
 
 

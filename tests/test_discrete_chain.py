@@ -1,6 +1,7 @@
 """Two-mode lattice chain: kernel rows and band, hazards, exact DP, and the sampler."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 import fakebm.discrete_chain as chain
 from fakebm.discrete_chain import (
     _band,
+    _float_hazards,
+    _walk_law,
     busy_transition,
     evolve,
     initial_joint,
@@ -20,7 +23,7 @@ from fakebm.discrete_chain import (
     switch_jump,
 )
 from fakebm.intervals import build_interval_system, fat_cantor_intervals, lattice_project
-from fakebm.lazy_walk import pmf_value
+from fakebm.lazy_walk import pmf, pmf_value
 
 TWO_GAPS = [(0.1, 0.4), (0.6, 0.9)]
 
@@ -130,6 +133,22 @@ def test_lazy_hazard_positive_on_gap_sites(lat_m8):
             assert 0 < h < 1
 
 
+@pytest.mark.parametrize(
+    "name", ["lat_m8", "two_gap_m50", "two_gap_m200", "lat_ragged", "lat_cantor3"]
+)
+def test_float_hazards_are_the_rounded_fraction(request, name):
+    if name.startswith("two_gap"):
+        lat = lattice_project(build_interval_system(TWO_GAPS), int(name[9:]))
+    else:
+        lat = request.getfixturevalue(name)
+    sites = list(lat.gap_sites)
+    # at m = 50 no site falls in the gap (0.4, 0.6): the empty case
+    assert bool(sites) == (name != "two_gap_m50")
+    for step in range(2000):
+        want = [float(lazy_hazard(i, step, lat.m)) for i in sites]
+        assert _float_hazards(sites, step, lat.m) == want
+
+
 def test_lazy_hazard_rejects_growing_site():
     # at n = m + step < 2 i^2 the site is still gaining mass
     with pytest.raises(ValueError):
@@ -190,6 +209,44 @@ def test_float_band_is_the_fraction_band_rounded(lat_ragged):
     assert f_prob.dtype == np.float64
     assert f_prob.ravel().tolist() == [float(p) for p in prob.ravel().tolist()]
     assert f_dest is dest and f_cols is cols and f_gaps is gaps
+
+
+# ---------- the walk's law over the window ----------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 400, 510, 511, 512, 513, 515, 537, 538, 700])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_walk_law_is_the_law_on_the_window(n, backend):
+    # windows narrower than the walk's reach n, equal to it and wider
+    for j_max in sorted({max(n // 2, 2), max(n, 2), n + 3}):
+        lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=j_max)
+        law = _walk_law(lat, n, backend)
+        assert law.shape == (2 * j_max + 1,)
+        full = pmf(n, backend)
+        num = Fraction if backend == "rational" else float
+        want = [
+            num(Fraction(math.comb(2 * n, n + j), 4**n)) if abs(j) <= n else num(0)
+            for j in lat.sites
+        ]
+        if backend == "float":
+            # c / 4^n is the correctly rounded division, as float(Fraction) is
+            assert law.dtype == np.float64
+            assert law.tobytes() == np.array(want).tobytes()
+        else:
+            assert law.dtype == object
+            assert law.tolist() == want
+            assert all(type(p) is Fraction for p in law.tolist())
+        # the old law: the full pmf, sliced to the window
+        assert law.tolist() == [full[j + n] if abs(j) <= n else num(0) for j in lat.sites]
+
+
+def test_float_deviation_is_a_python_float(lat_m8):
+    joint = initial_joint(lat_m8, "float")
+    for _ in range(3):
+        joint = evolve(joint, lat_m8)
+    dev = max_marginal_deviation(joint, lat_m8)
+    assert type(dev) is float
+    assert type(dev == 0) is bool
 
 
 # ---------- exact DP evolution ----------

@@ -3,9 +3,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fakebm.lazy_walk import _binomial_row, heat_step_residual, pmf, pmf_value, ratio_check
+from fakebm.lazy_walk import (
+    _binomial_row,
+    _half_law,
+    _ratio_terms,
+    heat_step_residual,
+    pmf,
+    pmf_value,
+    ratio_check,
+)
 
 
 def convolve_law(steps):
@@ -78,6 +87,38 @@ def test_pmf_float_is_the_correctly_rounded_division(steps):
     assert pmf(steps, backend="float") == want
 
 
+# around n = 512, where the float masses change from ldexp to the division,
+# n = 515, where C(2n, n) stops converting to a finite float, and n = 538,
+# where 4^-n rounds to 0
+LAW_STEPS = [0, 1, 2, 100, 400, 510, 511, 512, 513, 515, 537, 538, 700]
+
+
+@pytest.mark.parametrize("steps", LAW_STEPS)
+def test_half_law_is_the_correctly_rounded_division(steps):
+    full = {b: pmf(steps, backend=b) for b in ("rational", "float")}
+    for w in sorted({0, steps // 3, max(steps - 1, 0), steps}):
+        combs = [math.comb(2 * steps, steps + j) for j in range(-w, 1)]
+        floats = _half_law(steps, w, "float")
+        assert floats.dtype == np.float64
+        assert floats.tobytes() == np.array([c / 4**steps for c in combs]).tobytes()
+        assert floats.tolist() == list(full["float"][steps - w : steps + 1])
+        exact = _half_law(steps, w, "rational")
+        assert exact == [Fraction(c, 4**steps) for c in combs]
+        assert exact == list(full["rational"][steps - w : steps + 1])
+
+
+@pytest.mark.parametrize("steps", LAW_STEPS)
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_pmf_width_is_the_full_law_sliced(steps, backend):
+    full = pmf(steps, backend=backend)
+    assert pmf(steps, backend, None) == full
+    for width in (0, steps // 2, steps, steps + 3):
+        w = min(steps, width)
+        law = pmf(steps, backend, width)
+        assert law == full[steps - w : steps + w + 1]
+        assert all(type(p) is (Fraction if backend == "rational" else float) for p in law)
+
+
 def test_binomial_row_is_the_comb_row_in_any_call_order():
     # ascending (Pascal steps, on small rows and on rows past 2^64),
     # repeated, one step back, a jump forward and back, 0 and 1: the kept
@@ -91,6 +132,11 @@ def test_binomial_row_is_the_comb_row_in_any_call_order():
 def test_pmf_rejects_unknown_backend():
     with pytest.raises(ValueError):
         pmf(3, backend="decimal")
+
+
+def test_pmf_rejects_negative_width():
+    with pytest.raises(ValueError, match="width must be >= 0"):
+        pmf(3, "float", -1)
 
 
 def test_heat_step_residual_is_exactly_zero():
@@ -116,6 +162,14 @@ def test_ratio_exceeds_one_iff_l_at_least_two_j_squared():
         for steps in range(max(1, abs(j)), 120):
             above = ratio_check(steps, j) > 1
             assert above == (steps >= 2 * j * j)
+
+
+def test_ratio_terms_are_the_unreduced_closed_form():
+    for steps in range(1, 30):
+        for j in range(-steps, steps + 1):
+            a, b = _ratio_terms(steps, j)
+            assert (a, b) == (2 * ((steps + 1) ** 2 - j * j), (2 * steps + 1) * (steps + 1))
+            assert ratio_check(steps, j) == Fraction(a, b)
 
 
 def test_ratio_check_rejects_bad_arguments():
