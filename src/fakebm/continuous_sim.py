@@ -244,28 +244,24 @@ def _time_change(tail: np.ndarray, ticks: np.ndarray, s: float, rel: np.ndarray,
     return values, frozen
 
 
-def _extend(rng, family, system, x0, state, k, tail, need, dt):
-    """Append driver steps to tail until its clock exceeds need.
+def _extend(rng, family, system, x0, state, k, x1, need, dt):
+    """Draw the driver on from its freeze value until its clock exceeds need.
 
-    tail holds the driver from the freeze step up to grid step k, where the
-    Brownian motion is in state (see _brownian).  The left-endpoint clock
-    ticks dt at every step but the last whose value lies in the active set,
-    at most dt a step, so each top-up draws the fewest steps that could
-    still be enough, but at least _MIN_DRAW.  The steps and their active
-    flags go into two buffers, sized for the first top-up and doubled when
-    a later one does not fit.  Returns the extended tail and its ticks, the
-    indices of the steps at which the clock ticks.
+    The driver is x1 at the freeze step, grid step k, where the Brownian
+    motion is in state (see _brownian).  The left-endpoint clock ticks dt
+    at every step but the last whose value lies in the active set, at most
+    dt a step, so each top-up draws the fewest steps that could still be
+    enough, but at least _MIN_DRAW.  The steps and their active flags go
+    into two buffers, sized for the first top-up and doubled when a later
+    one does not fit.  Returns the tail, the driver from the freeze step on,
+    and its ticks, the indices of the steps at which the clock ticks.
     """
-    m = len(tail)
-    path = np.empty(m + max(int(need / dt) + 1, _MIN_DRAW))
+    path = np.empty(1 + max(int(need / dt) + 1, _MIN_DRAW))
     active = np.empty(len(path), dtype=bool)
-    path[:m] = tail
-    # the clock has ticked at the active steps but the last; that last one
-    # is flagged with the first top-up, in the same membership call
-    flagged = m - 1
-    ticks = 0
-    if flagged:
-        ticks = int(np.count_nonzero(system.contains_many(tail[:-1], out=active[:flagged])))
+    path[0] = x1
+    # the clock ticks at the active steps but the last, so the last step,
+    # x1 first, is flagged with the next top-up, in the same membership call
+    m, flagged, ticks = 1, 0, 0
     while ticks * dt <= need:
         n = max(int(need / dt) + 1 - ticks, _MIN_DRAW)
         if m + n > len(path):
@@ -333,7 +329,7 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
             frozen[r, n_pre:] = True
             continue
         tail, ticks = _extend(
-            rng, family, system, x0[r], state, k1, x1[r : r + 1], max(horizon - s[r], 0.0), dt
+            rng, family, system, x0[r], state, k1, x1[r], max(horizon - s[r], 0.0), dt
         )
         _time_change(
             tail, ticks, s[r], rel, dt, out=(values[r, n_pre:], frozen[r, n_pre:]),

@@ -10,6 +10,7 @@ inside (lo, hi) is a finite union of open *gaps* where particles may freeze.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -231,7 +232,8 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
 
     The window holds the sites -j_max..j_max.  By default j_max is
     ceil(7 sqrt(m/2)): one unit for the gap region plus six standard
-    deviations of the scaled walk at time 0.
+    deviations of the scaled walk at time 0.  m and j_max must be integers,
+    numpy's included.
 
     Every closed gap [b_n, a_{n+1}] between two consecutive bounded intervals
     must contain at least one lattice site; otherwise the projection cannot
@@ -242,6 +244,10 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
     """
     if system.domain != (0.0, 1.0):
         raise ValueError("lattice projection expects the unit-domain system")
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if not (j_max is None or isinstance(j_max, numbers.Integral)):
+        raise ValueError(f"j_max must be an integer, got {j_max!r}")
     if m < 2:
         raise ValueError("m must be >= 2")
     spacing = math.sqrt(2.0 / m)
@@ -250,48 +256,43 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
     if j_max * spacing < 1.0:
         raise ValueError("j_max too small: the window must reach past x = 1")
 
+    ends = np.concatenate(([0.0], system.endpoints, [1.0]))
+    # each gap between two intervals must hold a site, up to the snap
+    inner = ends[2:-2].reshape(-1, 2)
+    lo_j = np.ceil((inner[:, 0] - ENDPOINT_SNAP) / spacing)
+    hi_j = np.floor((inner[:, 1] + ENDPOINT_SNAP) / spacing)
+    unseen = lo_j > hi_j
+    if unseen.any():
+        b_left, a_right = inner[unseen.argmax()].tolist()
+        raise ValueError(f"m too small: no lattice point falls in the gap ({b_left}, {a_right})")
+
     js = np.arange(-j_max, j_max + 1)
-    xs = js * spacing
-    active = system.contains_many(xs)
-    for a, b in system.bounded:
-        active |= (np.abs(xs - a) <= ENDPOINT_SNAP) | (np.abs(xs - b) <= ENDPOINT_SNAP)
-    active |= np.abs(xs) <= ENDPOINT_SNAP
-    active |= np.abs(xs - 1.0) <= ENDPOINT_SNAP
-
-    gap_sites = js[~active].tolist()
-    for b_left, a_right in system.gaps()[1:-1]:
-        lo_j = math.ceil((b_left - ENDPOINT_SNAP) / spacing)
-        hi_j = math.floor((a_right + ENDPOINT_SNAP) / spacing)
-        if lo_j > hi_j:
-            raise ValueError(
-                f"m too small: no lattice point falls in the gap "
-                f"({b_left}, {a_right})"
-            )
-
-    def active_at(j: int) -> bool:
-        if -j_max <= j <= j_max:
-            return bool(active[j + j_max])
-        return True  # beyond the window lie the unbounded active pieces
+    active = system.contains_many(js * spacing)
+    # a site within the snap of an interval's end, of 0 or of 1 is active.
+    # Only the site nearest to each end can be: the window holds over
+    # 2 / spacing sites, so any spacing whose window fits in memory is far
+    # wider than twice the snap.  The ends lie in [0, 1], inside the window
+    near = np.rint(ends / spacing)
+    snapped = near[np.abs(near * spacing - ends) <= ENDPOINT_SNAP]
+    active[snapped.astype(np.intp) + j_max] = True
 
     # an active site next to a gap site; the sites past the window are active
     padded = np.concatenate(([True], active, [True]))
-    boundary = js[active & ~(padded[:-2] & padded[2:])].tolist()
-
-    flanks: dict[int, tuple[int, int]] = {}
-    for j in gap_sites + boundary:
-        left = j - 1
-        while not active_at(left):
-            left -= 1
-        right = j + 1
-        while not active_at(right):
-            right += 1
-        flanks[j] = (left, right)
+    boundary = active & ~(padded[:-2] & padded[2:])
+    gap_sites = js[~active]
+    sites = np.concatenate((gap_sites, js[boundary]))
+    # each site's flanks are the nearest active sites strictly left and
+    # right of it, the one site past each window end counting as active
+    act = np.concatenate(([-j_max - 1], js[active], [j_max + 1]))
+    left = act[np.searchsorted(act, sites, side="left") - 1]
+    right = act[np.searchsorted(act, sites, side="right")]
+    flanks = dict(zip(sites.tolist(), zip(left.tolist(), right.tolist())))
 
     return LatticeSystem(
         system=system,
-        m=m,
+        m=int(m),
         j_max=int(j_max),
         spacing=spacing,
-        gap_sites=tuple(gap_sites),
+        gap_sites=tuple(gap_sites.tolist()),
         flanks=flanks,
     )

@@ -7,17 +7,19 @@ one-quarter weights, and the one-step mass ratio at a fixed site has the
 closed form implemented by ratio_check below.
 
 The lattice chain asks for the law after n, n + 1, n + 2, ... steps in
-turn, so the integer row C(2n, .) behind pmf is kept and the next one built
-from it by one Pascal step, additions only.  _half_law alone scales that
-row by 4^-n: to floats by an exact power of two where that is one correct
-rounding.  The chain reads only its window: it asks pmf for the sites
-|j| <= j_max, and only those entries of the half row are scaled.
+turn, so the integer half row C(2n, 0..n) behind pmf is kept and the
+next one built from it by one Pascal step, additions only.  _half_law
+alone scales that row by 4^-n: to floats by an exact power of two where
+that is one correct rounding.  The chain reads only its window: it asks
+pmf for the sites |j| <= j_max, and only those entries of the half row are
+scaled.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -38,30 +40,33 @@ def pmf_value(steps: int, j: int) -> Fraction:
     return Fraction(math.comb(2 * steps, steps + j), 4**steps)
 
 
-# the last row _binomial_row built, as (n, row)
+# the last half row _binomial_row built, as (n, row)
 _kept = (0, (1,))
 
 
 def _binomial_row(steps: int) -> tuple[int, ...]:
-    """Row C(2n, k), k = 0..2n, for n = steps: index j + n holds 4^n mass(n, j).
+    """Half row C(2n, k), k = 0..n, for n = steps: index j + n holds
+    4^n mass(n, j) for the sites j = -n..0, which by symmetry are all the
+    masses.
 
-    The chain asks for n, n + 1, n + 2, ... in turn, so the last row built is
-    kept.  Row n + 1 is one Pascal step from it, two rows of Pascal's
-    triangle at once: C(2n + 2, k) = C(2n, k - 2) + 2 C(2n, k - 1) + C(2n, k),
-    summed on the half k <= n + 1.  Any other row is built from c_0 = 1 by
-    the recurrence c_{k+1} = c_k (2n - k) // (k + 1), whose divisions are
-    exact.  Either half is mirrored about its middle.  Rows are tuples, so
-    no caller can alter the kept row, and the kept (n, row) pair is replaced
-    in one assignment and exact for its n: the order of the calls changes
-    their speed, never a row.
+    The chain asks for n, n + 1, n + 2, ... in turn, so the last half row
+    built is kept.  Row n + 1 is one Pascal step from it, two rows of
+    Pascal's triangle at once: C(2n + 2, k) = C(2n, k - 2) + 2 C(2n, k - 1)
+    + C(2n, k) for k <= n + 1, where C(2n, n + 1) is C(2n, n - 1), or 0 at
+    n = 0.  Any other row is built from c_0 = 1 by the recurrence
+    c_{k+1} = c_k (2n - k) // (k + 1), whose divisions are exact.  Rows are
+    tuples, so no caller can alter the kept row, and the kept (n, row) pair
+    is replaced in one assignment and exact for its n: the order of the
+    calls changes their speed, never a row.
     """
     global _kept
     n, row = _kept
     if steps == n:
         return row
     if steps == n + 1:
-        old = row + (0,)
-        half = [a + 2 * b + c for a, b, c in zip((0, 0) + old, (0,) + old, old[: n + 2])]
+        past = row[n - 1] if n else 0  # C(2n, n + 1)
+        terms = zip(chain((0, 0), row), chain((0,), row), chain(row, (past,)))
+        row = tuple([a + 2 * b + c for a, b, c in terms])
     else:
         two_n = 2 * steps
         half = [1] * (steps + 1)
@@ -69,7 +74,7 @@ def _binomial_row(steps: int) -> tuple[int, ...]:
         for k in range(steps):
             c = c * (two_n - k) // (k + 1)
             half[k + 1] = c
-    row = tuple(half + half[-2::-1])
+        row = tuple(half)
     _kept = (steps, row)
     return row
 
@@ -91,7 +96,7 @@ def _half_law(steps: int, w: int, backend: str):
     may overflow and c / 4^n may be subnormal, where ldexp would round
     twice, so the masses are the division itself.
     """
-    half = _binomial_row(steps)[steps - w : steps + 1]
+    half = _binomial_row(steps)[steps - w :]
     if backend == "rational":
         den = 4**steps
         return [Fraction(c, den) for c in half]

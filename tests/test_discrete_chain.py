@@ -549,6 +549,21 @@ def test_cantor6_at_m32768_is_certified_at_any_step_count(no_evolve):
     }
 
 
+def test_cantor8_at_m524288_is_certified_on_a_full_window(no_evolve):
+    # the first depth of the depth ladder's certificates: 255 gaps, and a
+    # window of m + steps sites a side, as verify-discrete projects it
+    lat = lattice_project(build_interval_system(fat_cantor_intervals(8)), 524288, j_max=524288 + 10)
+    assert run_marginal_certification(lat, 10, backend="rational") == {
+        "m": 524288,
+        "N": 255,
+        "steps": 10,
+        "backend": "rational",
+        "max_abs_deviation": 0.0,
+        "exactly_zero": True,
+        "mass_deficit": 0.0,
+    }
+
+
 def ragged_lattice(seed, steps):
     """A seeded interval system with 2 or 3 intervals whose endpoints fall
     between lattice sites, projected at the smallest m that keeps every gap

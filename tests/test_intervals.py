@@ -1,5 +1,6 @@
 """Interval systems, the fat Cantor construction, and lattice projection."""
 
+import functools
 import math
 
 import numpy as np
@@ -302,11 +303,13 @@ def test_gap_neighbors_rejects_interior_site():
 
 
 def _listed_gap_and_boundary_sites(lat):
-    """The gap and boundary sites found site by site, as a reference: a
-    site is active if it lies in the active set, within 1e-12 of an
-    interval's end, 0 or 1, or past the window."""
+    """The gap and boundary sites and their flanks found site by site, as a
+    reference: a site is active if it lies in the active set, within 1e-12
+    of an interval's end, 0 or 1, or past the window, and a site's flanks
+    are the nearest active sites strictly left and right of it."""
     ends = [0.0, 1.0, *(x for pair in lat.system.bounded for x in pair)]
 
+    @functools.cache
     def active_at(j):
         x = j * lat.spacing
         return (
@@ -317,19 +320,53 @@ def _listed_gap_and_boundary_sites(lat):
 
     gaps = [j for j in lat.sites if not active_at(j)]
     boundary = [j for j in lat.sites if active_at(j) and not (active_at(j - 1) and active_at(j + 1))]
-    return gaps, boundary
+    flanks = {}
+    for j in gaps + boundary:
+        left, right = j - 1, j + 1
+        while not active_at(left):
+            left -= 1
+        while not active_at(right):
+            right += 1
+        flanks[j] = (left, right)
+    return gaps, boundary, flanks
+
+
+# three intervals whose ends are lattice sites at m = 800, spacing SP800
+SP800 = math.sqrt(2 / 800)
+ON_SITES = [(2 * SP800, 6 * SP800), (9 * SP800, 12 * SP800), (15 * SP800, 17 * SP800)]
 
 
 @pytest.mark.parametrize(
     "intervals, m",
-    [(TWO_GAPS, 200), (fat_cantor_intervals(3), 400), (fat_cantor_intervals(6), 32_768)],
-    ids=["two-gap-m200", "cantor3-m400", "cantor6-m32768"],
+    [
+        (TWO_GAPS, 200),
+        (fat_cantor_intervals(3), 400),
+        (fat_cantor_intervals(6), 32_768),
+        (fat_cantor_intervals(8), 524_288),
+        (ON_SITES, 800),
+    ],
+    ids=["two-gap-m200", "cantor3-m400", "cantor6-m32768", "cantor8-m524288", "ends-on-sites-m800"],
 )
 def test_gap_and_boundary_masks_match_a_site_by_site_scan(intervals, m):
     lat = lattice_project(build_interval_system(intervals), m)
-    gaps, boundary = _listed_gap_and_boundary_sites(lat)
+    gaps, boundary, flanks = _listed_gap_and_boundary_sites(lat)
     assert gaps and boundary
     assert lat.gap_sites == tuple(gaps)
     # flanks keeps its order: the gap sites, then the boundary sites
     assert list(lat.flanks) == gaps + boundary
+    assert lat.flanks == flanks
     assert all(type(j) is int for j in lat.flanks)
+    assert all(type(f) is int for pair in lat.flanks.values() for f in pair)
+
+
+@pytest.mark.parametrize("m, j_max, name", [(50.5, None, "m"), (50.0, None, "m"), (50, 60.5, "j_max")])
+def test_lattice_rejects_a_non_integer_m_or_j_max(m, j_max, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        lattice_project(build_interval_system(TWO_GAPS), m, j_max=j_max)
+
+
+def test_lattice_takes_numpy_integers():
+    sys_ = build_interval_system(TWO_GAPS)
+    lat = lattice_project(sys_, np.int64(50), j_max=np.int32(60))
+    assert lat == lattice_project(sys_, 50, j_max=60)
+    assert type(lat.m) is int and type(lat.j_max) is int
