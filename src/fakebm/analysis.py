@@ -68,6 +68,10 @@ def ks_marginal_test(samples, t: float, family: MarginalFamily = GAUSSIAN) -> KS
         raise ValueError("empty sample")
     if n < _MIN_KS:
         raise ValueError(f"need at least {_MIN_KS} samples")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise ValueError("t must be >= 0 and finite")
     cdf = family.cdf(np.sort(samples), t)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
@@ -116,6 +120,8 @@ def martingale_bin_test(x_s, x_t, n_bins: int = 20, z_max: float = 4.0) -> Marti
     x_t = np.asarray(x_t, dtype=float)
     if x_s.shape != x_t.shape or x_s.ndim != 1:
         raise ValueError("x_s and x_t must be matching 1-d arrays")
+    if not (np.isfinite(x_s).all() and np.isfinite(x_t).all()):
+        raise ValueError("x_s and x_t must be finite")
     if n_bins < 1:
         raise ValueError("need at least one bin")
     edges = np.quantile(x_s, np.linspace(0.0, 1.0, n_bins + 1))
@@ -206,8 +212,10 @@ def flux_experiment(
         raise ValueError("gap_index must pick a pair of consecutive intervals")
     if not 0 < dt < math.inf:  # NaN fails too
         raise ValueError("dt must be positive and finite")
-    if duration < dt:
-        raise ValueError("duration must be at least dt")
+    if not dt <= duration < math.inf:
+        raise ValueError("duration must be at least dt and finite")
+    if not 0 <= t_start < math.inf:
+        raise ValueError("t_start must be >= 0 and finite")
     left = system.bounded[gap_index]
     right = system.bounded[gap_index + 1]
     b_pt, a_pt = system.gaps()[gap_index + 1]
@@ -319,9 +327,13 @@ def coupling_experiment(
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    if t_offset < 0:
-        raise ValueError("t_offset must be >= 0")
-    if not 0 < dt < math.inf:  # NaN fails too
+    if not 0 <= t_offset < math.inf:  # NaN fails too
+        raise ValueError("t_offset must be >= 0 and finite")
+    if not 0 < t_horizon < math.inf:
+        raise ValueError("t_horizon must be positive and finite")
+    if min_class < 1:
+        raise ValueError("min_class must be >= 1")
+    if not 0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     system = build_interval_system(fat_cantor_intervals(depth))
     n_grid = int(round((t_horizon + t_offset) / dt))
@@ -409,8 +421,8 @@ def potential_function(x_grid, t: float, pieces) -> np.ndarray:
     the Gaussian cdf/pdf, split at the kink x / sqrt(t).
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise ValueError("t must be >= 0 and finite")
     if t == 0.0:
         return np.abs(x_grid)
     lo = np.array([p[0] for p in pieces])
@@ -463,9 +475,12 @@ def convex_order_check(depth: int, t_grid, x_grid, tol: float = 1e-9) -> bool:
     same scaling family must satisfy this, which is the premise the fake
     construction is built on.
     """
-    t_grid = sorted(float(t) for t in t_grid)
+    t_grid = [float(t) for t in t_grid]
     if len(t_grid) < 2:
         raise ValueError("need at least two t values")
+    if not all(0 <= t < math.inf for t in t_grid):  # NaN fails too
+        raise ValueError("t_grid must hold finite times >= 0")
+    t_grid.sort()
     x_grid = np.asarray(x_grid, dtype=float)
     for pieces in symmetrized_split(depth):
         prev = None

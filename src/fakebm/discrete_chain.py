@@ -26,31 +26,33 @@ Put in p_{n+1}|_G = p_n|_A K_AG + p_n|_G K_GG: it becomes p_n|_A K_AA +
 p_n|_G (I - K_GG) H = p_n|_A K_AA + p_n|_G K_GA = p_{n+1}|_A.  No row of B
 or H lands on G, so the busy mass stays on A, and the step keeps the walk's
 law on all of Z.  The hazard is a probability at every n >= m because each
-gap site has 2 i^2 <= m.  So if the band equals B and H, worked out from
-the gap sites alone, every step holds, and no mass leaves a window that
-holds the walk's reach m + steps: lattice_project's window reaches past
-x = 1, so it holds every gap's flanks too.  _certified makes that check.
-Evolving the joint law stays the oracle, and the path for floats, for
-truncated windows and for a band the check rejects.
+gap site has 2 i^2 <= m.  So if the kernel's rows equal B and H, worked
+out from the gap sites alone, every step holds, and no mass leaves a window
+that holds the walk's reach m + steps: lattice_project's window reaches
+past x = 1, so it holds every gap's flanks too.  B and H differ from the
+walk's row only at the gap sites and their neighbours, so _certified
+compares those rows, as dicts, and no window-sized array.  Evolving the
+joint law stays the oracle, and the path for floats, for truncated windows
+and for a kernel the check rejects.
 
-The chain has one dense form.  Its kernel is a (3, window) band per
-lattice: one column per window site, holding switch_jump's row for a gap
-site and busy_transition's for an active one, as Fraction objects; the
-float band holds float(p) for each.  Every column but those of the gap and
-boundary sites holds the walk's row (1/4, 1/2, 1/4), so only those are
-built row by row, and only they are cast to float.  The check reads the
-Fraction band, and sample_paths its moves from the float one.  Its joint
-law is a pair of arrays over the window, busy and frozen mass, of the same
-element type.  The step scatters each slot's moves in one numpy operation,
-right moves, then stays, then left moves, and then the gap sites' switching
-mass in one add.at, site by site: the order in which a loop over the
-sources adds them, so a float step gives the same bits as that loop.  A
+The kernel is kept as the rows that differ from the walk's (_rows): one
+(dest, p) row per gap and boundary site, switch_jump's or busy_transition's,
+in Fractions; every other site's row is the walk's (1/4, 1/2, 1/4).  The
+evolution and the sampler read it as a dense (3, window) band (_band): the
+walk's row in every column with those rows written over it, as Fraction
+objects or as float(p).  The joint law is a pair of arrays over the window,
+busy and frozen mass, of the same element type.  The step scatters each
+slot's moves in one numpy operation, right moves, then stays, then left
+moves, and then the gap sites' switching mass in one add.at, site by site:
+the order in which a loop over the sources adds them, so a float step gives
+the same bits as that loop.  A
 float hazard is lazy_hazard's rational (A - B) / A divided once as Python
 ints, and the walk's law is read over the window only (_walk_law).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,64 +183,60 @@ def initial_joint(lattice: LatticeSystem, backend: str = "rational") -> JointDis
     return JointDistribution(step=0, backend=backend, busy=busy, lazy=lazy)
 
 
-# the walk's row (left move, stay, right move); _band and _certified fill
-# their bulk columns with these same objects, so comparing them is cheap
+# the walk's row (left move, stay, right move)
 _WALK = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
 
 
-def _walk_band(off: int):
-    """(dest, prob) over the window -off..off with the walk's row in every
-    column: dest[s, c] = c - off + s - 1, prob[s, c] = _WALK[s]."""
-    dest = np.arange(-off, off + 1) + np.arange(-1, 2)[:, None]
-    prob = np.empty(dest.shape, dtype=object)
-    prob[:] = np.array(_WALK, dtype=object)[:, None]
-    return dest, prob
+def _rows(lattice: LatticeSystem) -> dict:
+    """The kernel rows that differ from the walk's, cached per lattice.
+
+    Maps each gap and boundary site, the keys of flanks, to its three
+    (dest, p) moves, left, stay and right: busy_transition's row for an
+    active site, and switch_jump's for a gap site with a stay of
+    Fraction(0) between its two landings.  Every other site's row is the
+    walk's, _WALK.
+    """
+    rows = lattice._cache.get("rows")
+    if rows is None:
+        rows = lattice._cache["rows"] = {}
+        for j in lattice.flanks:
+            if lattice.is_active(j):
+                rows[j] = busy_transition(lattice, j)
+            else:
+                left, right = switch_jump(lattice, j)
+                rows[j] = [left, (j, Fraction(0)), right]
+    return rows
 
 
 def _band(lattice: LatticeSystem, backend: str):
     """The chain's kernel as a dense band over the window, cached per backend.
 
-    Column c is site c - j_max and holds that site's row: switch_jump's for a
-    gap site and busy_transition's for an active one.  Busy mass never sits
-    on a gap site and frozen mass only does, so one band serves both.
-    Returns (dest, prob, cols, gaps): dest and prob are (3, window) arrays
-    whose slots 0, 1, 2 hold each row's left move, stay and right move; a
-    gap site's row fills slots 0 and 2 and stays with probability 0.  prob
-    holds the Fractions p, as objects, for the rational backend, and float(p)
-    for the float one: the walk's (0.25, 0.5, 0.25) in every column, then
-    the flank columns cast from their Fractions.  The float band shares
-    dest, cols and gaps with the rational one.  cols is the
-    busy scatter's target column of each move: dest's column, or the
-    discard column window for a move that leaves the window and for every
-    slot of a gap site's row, which only frozen mass takes.  gaps holds the
-    ascending columns of the gap sites.
+    Column c is site c - j_max and holds that site's row: the walk's in
+    every column, with _rows written over it.  Busy mass never sits on a gap
+    site and frozen mass only does, so one band serves both.  Returns
+    (dest, prob, cols, gaps): dest and prob are (3, window) arrays whose
+    slots 0, 1, 2 hold each row's left move, stay and right move.  prob
+    holds the Fractions p, as objects, for the rational backend, and
+    float(p) for the float one.  cols is the busy scatter's target column
+    of each move: dest's column, or the discard column window for a move
+    that leaves the window and for every slot of a gap site's row, which
+    only frozen mass takes.  gaps holds the ascending columns of the gap
+    sites.  Only evolve and sample_paths read it.
     """
     band = lattice._cache.get(("band", backend))
     if band is None:
-        if backend == "rational":
-            # every column starts as the walk's row; only the gap and
-            # boundary sites, the keys of flanks, hold other rows
-            off = lattice.j_max
-            width = 2 * off + 1
-            dest, prob = _walk_band(off)
-            for j in lattice.flanks:
-                if lattice.is_active(j):
-                    slots, row = (0, 1, 2), busy_transition(lattice, j)
-                else:
-                    slots, row = (0, 2), switch_jump(lattice, j)
-                    dest[1, j + off], prob[1, j + off] = j, Fraction(0)
-                for s, (d, p) in zip(slots, row):
-                    dest[s, j + off] = d
-                    prob[s, j + off] = p
-            gaps = np.array(lattice.gap_sites, dtype=np.int64) + off
-            cols = np.where(np.abs(dest) <= off, dest + off, width)
-            cols[:, gaps] = width
-        else:
-            dest, exact, cols, gaps = _band(lattice, "rational")
-            prob = np.empty(exact.shape)
-            prob[:] = np.array([float(p) for p in _WALK])[:, None]
-            flanks = np.array(list(lattice.flanks), dtype=np.int64) + lattice.j_max
-            prob[:, flanks] = exact[:, flanks].astype(float)
+        off = lattice.j_max
+        width = 2 * off + 1
+        dest = np.arange(-off, off + 1) + np.arange(-1, 2)[:, None]
+        prob = np.empty(dest.shape, dtype=object if backend == "rational" else float)
+        # a float64 slot takes a Fraction as float(p)
+        prob[:] = np.array(_WALK, dtype=prob.dtype)[:, None]
+        for j, row in _rows(lattice).items():
+            for s, (d, p) in enumerate(row):
+                dest[s, j + off], prob[s, j + off] = d, p
+        gaps = np.array(lattice.gap_sites, dtype=np.int64) + off
+        cols = np.where(np.abs(dest) <= off, dest + off, width)
+        cols[:, gaps] = width
         band = lattice._cache[("band", backend)] = (dest, prob, cols, gaps)
     return band
 
@@ -302,34 +300,34 @@ def max_marginal_deviation(joint: JointDistribution, lattice: LatticeSystem):
 
 
 def _certified(lattice: LatticeSystem) -> bool:
-    """Whether the rational band provably keeps the walk's law at every step.
+    """Whether the kernel provably keeps the walk's law at every step.
 
-    A finite check of _band's Fraction band against the kernel worked out
-    from gap_sites alone (see the module docstring for why it suffices):
+    A finite check of _rows against the kernel worked out from gap_sites
+    alone (see the module docstring for why it suffices):
 
-    (a) no row lands on a gap site, or ValueError;
+    (a) no row lands on a gap site, or ValueError: the rows of _rows, and
+        the walk's rows of the gap sites and their neighbours missing
+        from it; no other walk row reaches a gap site;
     (b) every gap site i has 2 i^2 <= m, so lazy_hazard is a probability
         for every n >= m;
-    (c) every gap column is the gambler's-ruin split H across its gap, onto
-        its active flanks, the sites just beyond its run of gap sites;
-    (d) every active column is B = K_AA + K_AG H, one walk step with each
-        move into a gap passed on by H.  Columns next to no gap site hold
-        the walk's row (1/4, 1/2, 1/4) and are compared in bulk.
+    (c) _rows holds a row for exactly the gap sites and their active
+        neighbours: for a gap site, the gambler's-ruin split H across its
+        gap, onto its active flanks, the sites just beyond its run of gap
+        sites; for an active neighbour, B = K_AA + K_AG H, one walk step
+        with each move into a gap passed on by H.  At every other site B
+        is the walk's row, the row _rows leaves there.
 
-    Destinations, scatter columns and probabilities are compared exactly.
-    The check does not depend on the number of steps, so it also rejects a
-    bad column the walk never reaches.
+    Destinations and probabilities are compared exactly.  The check does
+    not depend on the number of steps, so it also rejects a bad row the
+    walk never reaches.
     """
-    dest, prob, cols, gaps = _band(lattice, "rational")
-    off = lattice.j_max
-    width = 2 * off + 1
-    # only moves onto gap sites need their Fraction compared with 0
-    landing = np.isin(dest, gaps - off)
-    landing[landing] = prob[landing] != 0
-    if landing.any():
-        c, s = np.argwhere(landing.T)[0]
-        raise ValueError(f"kernel row of site {c - off} lands on gap site {dest[s, c]}")
-    sites = (gaps - off).tolist()
+    rows = _rows(lattice)
+    sites = lattice.gap_sites
+    near = {x + d for x in sites for d in (-1, 0, 1)}
+    for j in sorted(near | rows.keys()):
+        for d, p in rows.get(j, zip((j - 1, j, j + 1), _WALK)):
+            if not lattice.is_active(d) and p != 0:
+                raise ValueError(f"kernel row of site {j} lands on gap site {d}")
     if any(2 * i * i > lattice.m for i in sites):
         return False
 
@@ -342,10 +340,7 @@ def _certified(lattice: LatticeSystem) -> bool:
         for x in run.tolist():
             ruin[x] = [(left, Fraction(right - x, span)), (right, Fraction(x - left, span))]
 
-    want_dest, want_prob = _walk_band(off)
-    for x, ((left, p_left), (right, p_right)) in ruin.items():
-        want_dest[:, x + off] = left, x, right
-        want_prob[:, x + off] = p_left, 0, p_right
+    want = {x: [left, (x, Fraction(0)), right] for x, (left, right) in ruin.items()}
     for a in {x + d for x in ruin for d in (-1, 1)} - ruin.keys():
         # B(a, .): stay with 1/2, and move 1/4 to each neighbour, passed on
         # by H where the neighbour is a gap site
@@ -353,14 +348,8 @@ def _certified(lattice: LatticeSystem) -> bool:
         for nb in (a - 1, a + 1):
             for d, p in ruin.get(nb, [(nb, Fraction(1))]):
                 row[d] = row.get(d, 0) + p / 4
-        want_dest[:, a + off], want_prob[:, a + off] = zip(*sorted(row.items()))
-    want_cols = np.where(np.abs(want_dest) <= off, want_dest + off, width)
-    want_cols[:, gaps] = width
-    return (
-        np.array_equal(dest, want_dest)
-        and np.array_equal(cols, want_cols)
-        and prob.tolist() == want_prob.tolist()
-    )
+        want[a] = sorted(row.items())
+    return rows == want
 
 
 def run_marginal_certification(
@@ -371,15 +360,18 @@ def run_marginal_certification(
     The rational backend certifies the marginal identity exactly (deviation
     is the Fraction 0); the float backend should stay within 1e-12 over
     hundreds of steps.  On a full window (j_max >= m + steps) the rational
-    backend first checks the kernel band (_certified): if it is B = K_AA +
-    K_AG H on the active sites and the gambler's-ruin split H on the gap
-    sites, every step keeps the walk's law (the module docstring gives the
-    argument), and the report is zero deviation and no lost mass, whatever
-    the number of steps.  Otherwise, and for the float backend or a
-    truncated window, it evolves the joint law from step 0.  Either way the
-    report is the one the evolution gives: the check may reject a band
-    whose bad column the walk never reaches, and such a run is evolved.
+    backend first checks the kernel's rows (_certified): if they are B =
+    K_AA + K_AG H on the active sites and the gambler's-ruin split H on the
+    gap sites, every step keeps the walk's law (the module docstring gives
+    the argument), and the report is zero deviation and no lost mass,
+    whatever the number of steps; no dense band is built.  Otherwise, and
+    for the float backend or a truncated window, it evolves the joint law
+    from step 0.  Either way the report is the one the evolution gives: the
+    check may reject a kernel whose bad row the walk never reaches, and such
+    a run is evolved.  steps must be an integer >= 0.
     """
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     report = {
@@ -413,6 +405,9 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     Paths are simulated in blocks of _BLOCK, block b drawing from the
     substream (seed, b), so a path does not depend on how many are drawn.
     """
+    for name, value in (("horizon_steps", horizon_steps), ("n_paths", n_paths)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if horizon_steps < 0:

@@ -81,6 +81,20 @@ def test_ks_rejects_samples_that_are_not_a_vector():
         ks_marginal_test(np.zeros((2, 100)), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_rejects_a_non_finite_sample(bad):
+    # one NaN among 200 normals used to give a NaN statistic
+    samples = np.append(np.random.default_rng(3).standard_normal(200), bad)
+    with pytest.raises(ValueError, match="^samples must be finite"):
+        ks_marginal_test(samples, 1.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_ks_rejects_a_bad_time_naming_t(t):
+    with pytest.raises(ValueError, match="^t must be >= 0 and finite"):
+        ks_marginal_test(np.random.default_rng(3).standard_normal(200), t)
+
+
 # ---------- martingale bin test ----------
 
 
@@ -150,6 +164,17 @@ def test_martingale_bins_validates_arguments():
         martingale_bin_test(x, x[:-1])
 
 
+@pytest.mark.parametrize("where", ["x_s", "x_t"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_martingale_bins_reject_non_finite_values(where, bad):
+    # a NaN in x_s used to make a bin with NaN edges, and the test passed
+    x_s = np.random.default_rng(4).standard_normal(2000)
+    x_t = x_s.copy()
+    (x_s if where == "x_s" else x_t)[17] = bad
+    with pytest.raises(ValueError, match="^x_s and x_t must be finite"):
+        martingale_bin_test(x_s, x_t)
+
+
 # ---------- transitions and flux ----------
 
 
@@ -211,6 +236,41 @@ def test_experiments_reject_a_bad_step_naming_dt(run, dt):
     # divide by zero, a negative dt to fail in math, NaN in int()
     with pytest.raises(ValueError, match="^dt must be"):
         run(dt)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_flux_rejects_a_non_finite_duration(duration):
+    # NaN passed the duration check and failed in int(); inf overflowed
+    with pytest.raises(ValueError, match="^duration must be at least dt and finite"):
+        flux_experiment(build_interval_system(TWO_GAPS), 0, 0.3, duration, 10, 1, dt=1e-3)
+
+
+@pytest.mark.parametrize("t_start", [-0.1, math.nan, math.inf])
+def test_flux_rejects_a_bad_start_naming_t_start(t_start):
+    # a NaN start used to fail with the engine's grid message
+    with pytest.raises(ValueError, match="^t_start must be >= 0 and finite"):
+        flux_experiment(build_interval_system(TWO_GAPS), 0, t_start, 0.05, 10, 1, dt=1e-3)
+
+
+@pytest.mark.parametrize("t_horizon", [-1.0, 0.0, math.nan, math.inf])
+def test_coupling_rejects_a_bad_horizon_naming_t_horizon(t_horizon):
+    # -1 used to fail with the engine's grid message, 0 to run with no
+    # meeting, NaN in int() and inf with OverflowError
+    with pytest.raises(ValueError, match="^t_horizon must be positive and finite"):
+        coupling_experiment(3, 0.05, 10, 1, dt=1e-3, t_horizon=t_horizon)
+
+
+@pytest.mark.parametrize("t_offset", [-1.0, math.nan, math.inf])
+def test_coupling_rejects_a_bad_offset_naming_t_offset(t_offset):
+    with pytest.raises(ValueError, match="^t_offset must be >= 0 and finite"):
+        coupling_experiment(3, t_offset, 10, 1, dt=1e-3, t_horizon=0.5)
+
+
+@pytest.mark.parametrize("min_class", [0, -1])
+def test_coupling_rejects_min_class_below_one(min_class):
+    # min_class 0 called an empty class B conclusive
+    with pytest.raises(ValueError, match="^min_class must be >= 1"):
+        coupling_experiment(3, 0.05, 10, 1, dt=1e-3, t_horizon=0.5, min_class=min_class)
 
 
 # ---------- Wilson interval ----------
@@ -374,6 +434,13 @@ def test_potential_rejects_zero_mass_and_negative_t():
         potential_function(np.array([0.0]), 1.0, [(5.0, 5.0)])
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_potential_rejects_a_non_finite_t(t):
+    # a NaN t used to return [0.]
+    with pytest.raises(ValueError, match="^t must be >= 0 and finite"):
+        potential_function([0.0], t, [(-1.0, 1.0)])
+
+
 def test_potential_monotonicity_fails_for_one_sided_set():
     # the scaling family of a non-centred law is not increasing in convex
     # order: above the mass the potential decreases in t
@@ -412,3 +479,10 @@ def test_convex_order_check_passes_depth_two():
 def test_convex_order_check_needs_two_times():
     with pytest.raises(ValueError):
         convex_order_check(2, [1.0], np.array([0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_convex_order_check_rejects_a_bad_time(bad):
+    # [0.5, nan] used to return False, as if the order failed
+    with pytest.raises(ValueError, match="^t_grid must hold finite times >= 0"):
+        convex_order_check(2, [0.5, bad], [0.0])

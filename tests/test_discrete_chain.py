@@ -11,6 +11,7 @@ import fakebm.discrete_chain as chain
 from fakebm.discrete_chain import (
     _band,
     _float_hazards,
+    _rows,
     _walk_law,
     busy_transition,
     evolve,
@@ -208,7 +209,8 @@ def test_float_band_is_the_fraction_band_rounded(lat_ragged):
     f_dest, f_prob, f_cols, f_gaps = _band(lat_ragged, "float")
     assert f_prob.dtype == np.float64
     assert f_prob.ravel().tolist() == [float(p) for p in prob.ravel().tolist()]
-    assert f_dest is dest and f_cols is cols and f_gaps is gaps
+    for a, b in ((f_dest, dest), (f_cols, cols), (f_gaps, gaps)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------- the walk's law over the window ----------
@@ -437,15 +439,13 @@ def test_induction_report_equals_dp(request, monkeypatch, name, steps):
 
 
 def perturbed_lattice(site, row):
-    """A fresh m = 8 two-gap lattice whose cached Fraction band column at the
-    active site is replaced by row, given as (dest, numerator over 8) pairs
-    for the left move, the stay and the right move."""
+    """A fresh m = 8 two-gap lattice whose cached kernel row at the active
+    site is replaced by row, given as (dest, numerator over 8) pairs for the
+    left move, the stay and the right move, before any band is built."""
     lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
-    dest, prob, cols, _ = _band(lat, "rational")
-    c = site + lat.j_max
-    for s, (d, w) in enumerate(row):
-        dest[s, c], prob[s, c], cols[s, c] = d, Fraction(w, 8), d + lat.j_max
-    assert sum(prob[:, c]) == 1
+    assert not any(key[0] == "band" for key in lat._cache)
+    _rows(lat)[site] = [(d, Fraction(w, 8)) for d, w in row]
+    assert sum(p for _, p in _rows(lat)[site]) == 1
     return lat
 
 
@@ -489,11 +489,9 @@ def test_kernel_check_rejects_a_perturbed_gap_column(evolve_steps):
     # gap site 1 of the m = 8 lattice splits its switching mass 1/2, 1/2
     # between its flanks 0 and 2; a biased split is not gambler's ruin
     lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
-    dest, prob, cols, gaps = _band(lat, "rational")
-    c = 1 + lat.j_max
-    assert dest[:, c].tolist() == [0, 1, 2]
-    assert prob[:, c].tolist() == [Fraction(1, 2), 0, Fraction(1, 2)]
-    prob[0, c], prob[2, c] = Fraction(3, 8), Fraction(5, 8)
+    rows = _rows(lat)
+    assert rows[1] == [(0, Fraction(1, 2)), (1, 0), (2, Fraction(1, 2))]
+    rows[1] = [(0, Fraction(3, 8)), (1, Fraction(0)), (2, Fraction(5, 8))]
     assert not chain._certified(lat)
     report = run_marginal_certification(lat, 12, backend="rational")
     assert evolve_steps == list(range(12))
@@ -523,6 +521,16 @@ def test_kernel_check_rejects_a_column_the_walk_never_reaches(evolve_steps):
     assert report == dp_report(lat, 12)
 
 
+@pytest.mark.parametrize("site, lands_from", [(1, 1), (0, 0), (2, 2)])
+def test_landing_scan_reads_the_walk_row_of_a_missing_site(site, lands_from):
+    # a gap site or a gap neighbour missing from the rows keeps the walk's
+    # row, which stays on, or moves onto, the gap site 1
+    lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
+    del _rows(lat)[site]
+    with pytest.raises(ValueError, match=f"row of site {lands_from} lands on gap site 1"):
+        run_marginal_certification(lat, 12, backend="rational")
+
+
 @pytest.fixture
 def no_evolve(monkeypatch):
     def refuse(joint, lattice):
@@ -537,6 +545,7 @@ def test_cantor6_at_m32768_is_certified_at_any_step_count(no_evolve):
     for steps in (10, 1000):
         lat = lattice_project(system, 32768, j_max=32768 + steps)
         report = run_marginal_certification(lat, steps, backend="rational")
+        assert ("band", "rational") not in lat._cache
         assert report.pop("steps") == steps
         reports.append(report)
     assert reports[0] == reports[1] == {
@@ -562,6 +571,8 @@ def test_cantor8_at_m524288_is_certified_on_a_full_window(no_evolve):
         "exactly_zero": True,
         "mass_deficit": 0.0,
     }
+    # the certificate compares rows: no (3, window) band is built
+    assert ("band", "rational") not in lat._cache
 
 
 def ragged_lattice(seed, steps):
@@ -627,6 +638,21 @@ def test_window_boundary_between_induction_and_dp(evolve_steps, backend, j_max, 
 def test_certification_rejects_negative_steps(lat_m8, backend):
     with pytest.raises(ValueError, match="steps must be >= 0"):
         run_marginal_certification(lat_m8, -3, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("steps", [2.5, 12.0, "12"])
+def test_certification_rejects_non_integer_steps(lat_m8, backend, steps):
+    # 2.5 used to certify a report of 2.5 steps, or fail in range()
+    with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
+        run_marginal_certification(lat_m8, steps, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_certification_takes_numpy_integer_steps(lat_m8, backend):
+    assert run_marginal_certification(lat_m8, np.int64(12), backend) == run_marginal_certification(
+        lat_m8, 12, backend
+    )
 
 
 def test_rational_certification_reaches_m200_with_800_steps():
@@ -710,11 +736,21 @@ def test_sample_path_window_guard(lat_m8):
         (5, 0, "n_paths must be >= 1"),
         (5, -3, "n_paths must be >= 1"),
         (-1, 10, "horizon_steps must be >= 0"),
+        (2.5, 5, "horizon_steps must be an integer, got 2.5"),
+        (5, 2.5, "n_paths must be an integer, got 2.5"),
+        (5.0, 5, "horizon_steps must be an integer, got 5.0"),
+        (5, 5.0, "n_paths must be an integer, got 5.0"),
     ],
 )
 def test_sample_paths_rejects_bad_sizes(lat_m8, horizon, n_paths, message):
     with pytest.raises(ValueError, match=message):
         sample_paths(lat_m8, horizon, n_paths, seed=0)
+
+
+def test_sample_paths_takes_numpy_integer_sizes(lat_m8):
+    got = sample_paths(lat_m8, np.int64(5), np.int32(7), seed=3)
+    want = sample_paths(lat_m8, 5, 7, seed=3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_sample_endpoints_deterministic_and_block_stable(lat_m8):
