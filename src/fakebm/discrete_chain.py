@@ -35,19 +35,21 @@ compares those rows, as dicts, and no window-sized array.  Evolving the
 joint law stays the oracle, and the path for floats, for truncated windows
 and for a kernel the check rejects.
 
-The kernel is kept as the rows that differ from the walk's (_rows): one
-(dest, p) row per gap and boundary site, switch_jump's or busy_transition's,
-in Fractions; every other site's row is the walk's (1/4, 1/2, 1/4).  The
-evolution and the sampler read it as a dense (3, window) band (_band): the
-walk's row in every column with those rows written over it, as Fraction
-objects or as float(p).  The joint law is a pair of arrays over the window,
-busy and frozen mass, of the same element type.  The step scatters each
-slot's moves in one numpy operation, right moves, then stays, then left
-moves, and then the gap sites' switching mass in one add.at, site by site:
-the order in which a loop over the sources adds them, so a float step gives
-the same bits as that loop.  A
-float hazard is lazy_hazard's rational (A - B) / A divided once as Python
-ints, and the walk's law is read over the window only (_walk_law).
+The kernel is kept only as the rows that differ from the walk's (_rows):
+one (dest, p) row per gap and boundary site, switch_jump's or
+busy_transition's, in Fractions; every other site's row is the walk's
+(1/4, 1/2, 1/4).  The joint law is a pair of arrays over the window, busy
+and frozen mass, as Fraction objects or float64.  A step moves the busy
+mass by the walk's stencil over shifted slices, (busy[c-1]/4 + busy[c]/2)
++ busy[c+1]/4, recomputes the few sites where the stencil is wrong from a
+small table of their inflow (_inflow), and lands the gap sites' switching
+mass in one add.at, site by site.  Every site adds its inflow in the order
+in which a loop over the sources adds it, right move in, stay, left move
+in, so a float step gives the same bits as that loop.  The sampler looks
+each path's row up among the sorted keys of _rows and takes a walk step
+elsewhere, so no reader builds a window-sized kernel array.  A float
+hazard is lazy_hazard's rational (A - B) / A divided once as Python ints,
+and the walk's law is read over the window only (_walk_law).
 """
 
 from __future__ import annotations
@@ -208,37 +210,46 @@ def _rows(lattice: LatticeSystem) -> dict:
     return rows
 
 
-def _band(lattice: LatticeSystem, backend: str):
-    """The chain's kernel as a dense band over the window, cached per backend.
+def _inflow(lattice: LatticeSystem):
+    """Where the busy step differs from the walk's stencil, cached per lattice.
 
-    Column c is site c - j_max and holds that site's row: the walk's in
-    every column, with _rows written over it.  Busy mass never sits on a gap
-    site and frozen mass only does, so one band serves both.  Returns
-    (dest, prob, cols, gaps): dest and prob are (3, window) arrays whose
-    slots 0, 1, 2 hold each row's left move, stay and right move.  prob
-    holds the Fractions p, as objects, for the rational backend, and
-    float(p) for the float one.  cols is the busy scatter's target column
-    of each move: dest's column, or the discard column window for a move
-    that leaves the window and for every slot of a gap site's row, which
-    only frozen mass takes.  gaps holds the ascending columns of the gap
-    sites.  Only evolve and sample_paths read it.
+    The walk's stencil gives site c the busy mass (busy[c-1]/4 + busy[c]/2)
+    + busy[c+1]/4.  It is wrong only at a site that a row of _rows reaches,
+    or would reach as a walk row, and at the window's end sites, whose
+    outer neighbour is missing; those sites keep their inflow here.  Busy
+    mass never sits on a gap site, so only active sources send it, kept in
+    the order a loop over the sources in ascending site order adds it; for
+    the chain's own rows that is the right move in, the stay, then the left
+    move in.  Shorter inflows are padded with moves of p = 0 from the site
+    itself.  The gap sites' rows land the switching mass.
+
+    Returns (cols, src, land, probs), as window columns (site + j_max):
+    cols the ascending columns of those sites, src the columns of their
+    sources, one row per move in order, one column per site, and land each
+    gap site's left landing, then its right one, in ascending site order.
+    probs maps each backend to the probabilities of src and of land:
+    Fraction objects, or float(p).
     """
-    band = lattice._cache.get(("band", backend))
-    if band is None:
-        off = lattice.j_max
-        width = 2 * off + 1
-        dest = np.arange(-off, off + 1) + np.arange(-1, 2)[:, None]
-        prob = np.empty(dest.shape, dtype=object if backend == "rational" else float)
-        # a float64 slot takes a Fraction as float(p)
-        prob[:] = np.array(_WALK, dtype=prob.dtype)[:, None]
-        for j, row in _rows(lattice).items():
-            for s, (d, p) in enumerate(row):
-                dest[s, j + off], prob[s, j + off] = d, p
-        gaps = np.array(lattice.gap_sites, dtype=np.int64) + off
-        cols = np.where(np.abs(dest) <= off, dest + off, width)
-        cols[:, gaps] = width
-        band = lattice._cache[("band", backend)] = (dest, prob, cols, gaps)
-    return band
+    table = lattice._cache.get("inflow")
+    if table is None:
+        rows, off = _rows(lattice), lattice.j_max
+        near = {t for j, row in rows.items() for t in (j - 1, j, j + 1, *(d for d, _ in row))}
+        inflow = {t: [] for t in near | {-off, off} if abs(t) <= off}
+        for i in sorted({t + e for t in inflow for e in (-1, 0, 1)}):
+            if abs(i) <= off and lattice.is_active(i):
+                for d, p in rows.get(i, zip((i - 1, i, i + 1), _WALK)):
+                    if d in inflow:
+                        inflow[d].append((i, p))
+        cols = sorted(inflow)
+        width = max(map(len, inflow.values()))
+        moves = [inflow[t] + [(t, Fraction(0))] * (width - len(inflow[t])) for t in cols]
+        src, prob = np.array(moves, dtype=object).T
+        landings = [rows[j][s] for j in lattice.gap_sites for s in (0, 2)]
+        land, q = np.array(landings, dtype=object).reshape(-1, 2).T
+        probs = {"rational": (prob, q), "float": (prob.astype(float), q.astype(float))}
+        cols, src, land = (np.array(a, dtype=np.int64) + off for a in (cols, src, land))
+        table = lattice._cache["inflow"] = (cols, src, land, probs)
+    return table
 
 
 def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistribution:
@@ -249,28 +260,31 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     pushed beyond the lattice window is dropped (track total_mass to see it;
     a full window never drops any).
 
-    Both backends take the same banded step over _band's table, in float64
-    or in Fraction objects.  No busy row lands on a gap site, so each active
-    site receives at most one move per slot; scattering the right moves,
-    then the stays, then the left moves, and then each gap site's switching
+    Both backends take the same step, in float64 or in Fraction objects:
+    the walk's stencil over shifted slices, then the sites of _inflow's
+    table recomputed from their inflow, and then each gap site's switching
     mass in ascending site order (one add.at over the landing sites, left
-    then right per gap site), adds every site's mass in ascending source
-    order, which fixes the float bits.  A float hazard is _float_hazards',
-    which equals float(lazy_hazard(...)) bit for bit.  Busy mass at step l
-    lies within the walk's reach |j| <= m + l, so only those sources are
-    scattered.
+    then right per gap site).  Every site thus adds its inflow in the order
+    of a loop over the sources in ascending site order, for the chain's
+    rows the right move in, the stay, then the left move in, which fixes
+    the float bits; a p = 0 move adds +0.0.  The step takes every site of
+    the window, so a row that is not the chain's, one that jumps past the
+    walk's reach or sends two moves into one site, loses no mass inside
+    the window.  A float hazard is _float_hazards', which equals
+    float(lazy_hazard(...)) bit for bit.
     """
     exact = joint.backend == "rational"
-    dest, prob, cols, gaps = _band(lattice, joint.backend)
+    cols, src, land, probs = _inflow(lattice)
+    prob, q = probs[joint.backend]
     off = lattice.j_max
-    reach = lattice.m + joint.step
-    lo, hi = max(off - reach, 0), min(off + reach + 1, 2 * off + 1)
+    busy, new = joint.busy, _zeros(2 * off + 1, exact)
+    # the window's end sites are in the table
+    new[1:-1] = (busy[:-2] / 4 + busy[1:-1] / 2) + busy[2:] / 4
+    # a sum over the moves in order: 0 + a + b + ..., as the loop adds them
+    new[cols] = sum(prob * busy[src])
 
-    new = _zeros(2 * off + 2, exact)
-    for s in (2, 1, 0):
-        new[cols[s, lo:hi]] += prob[s, lo:hi] * joint.busy[lo:hi]
-
-    sites = (gaps - off).tolist()
+    sites = lattice.gap_sites
+    gaps = np.array(sites, dtype=np.int64) + off
     if exact:
         hazards = np.array([lazy_hazard(i, joint.step, lattice.m) for i in sites], dtype=object)
     else:
@@ -279,10 +293,9 @@ def evolve(joint: JointDistribution, lattice: LatticeSystem) -> JointDistributio
     switching = frozen * hazards
     lazy = _zeros(2 * off + 1, exact)
     lazy[gaps] = frozen - switching
-    # each gap site's left landing, then its right one, in ascending site
-    # order; add.at adds repeated targets one by one in that order
-    np.add.at(new, (dest[::2, gaps] + off).T.ravel(), (switching * prob[::2, gaps]).T.ravel())
-    return JointDistribution(step=joint.step + 1, backend=joint.backend, busy=new[:-1], lazy=lazy)
+    # add.at adds repeated targets one by one, in land's order
+    np.add.at(new, land, np.repeat(switching, 2) * q)
+    return JointDistribution(step=joint.step + 1, backend=joint.backend, busy=new, lazy=lazy)
 
 
 def marginal(joint: JointDistribution) -> np.ndarray:
@@ -364,11 +377,13 @@ def run_marginal_certification(
     K_AA + K_AG H on the active sites and the gambler's-ruin split H on the
     gap sites, every step keeps the walk's law (the module docstring gives
     the argument), and the report is zero deviation and no lost mass,
-    whatever the number of steps; no dense band is built.  Otherwise, and
-    for the float backend or a truncated window, it evolves the joint law
-    from step 0.  Either way the report is the one the evolution gives: the
-    check may reject a kernel whose bad row the walk never reaches, and such
-    a run is evolved.  steps must be an integer >= 0.
+    whatever the number of steps; the check compares rows and builds no
+    window-sized array.  Otherwise, and for the float backend or a
+    truncated window, it evolves the joint law from step 0 (evolve: the
+    walk's stencil, with the few sites where it is wrong recomputed from
+    _inflow's table).  Either way the report is the one the evolution
+    gives: the check may reject a kernel whose bad row the walk never
+    reaches, and such a run is evolved.  steps must be an integer >= 0.
     """
     if not isinstance(steps, numbers.Integral):
         raise ValueError(f"steps must be an integer, got {steps!r}")
@@ -404,6 +419,9 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     the site of each path at each step and whether it is frozen there.
     Paths are simulated in blocks of _BLOCK, block b drawing from the
     substream (seed, b), so a path does not depend on how many are drawn.
+    Each step looks a path's row up by its site among the sorted keys of
+    _rows; every other site takes the walk's step, with cumulative
+    probabilities 1/4 and 3/4.
     """
     for name, value in (("horizon_steps", horizon_steps), ("n_paths", n_paths)):
         if not isinstance(value, numbers.Integral):
@@ -415,20 +433,32 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
     m = lattice.m
     if lattice.j_max < m + horizon_steps:
         raise ValueError("lattice window too small for this horizon")
-    # a busy row's three outcomes, or a gap site's two landing sites with
-    # P(left) = cum[0, .]
-    off = lattice.j_max
-    dest, prob, _, gaps = _band(lattice, "float")
-    cum = np.cumsum(prob, axis=0)
-    is_gap = np.zeros(2 * off + 1, dtype=bool)
-    is_gap[gaps] = True
-    # the gap sites' hazards per step, spread over one window row per step;
-    # every other site's hazard is 0
-    gap_hazards = np.array(
-        [_float_hazards(lattice.gap_sites, step, m) for step in range(horizon_steps)], dtype=float
-    ).reshape(horizon_steps, len(gaps))
-    hazard = np.zeros(2 * off + 1)
+    # one column per key of _rows, ascending, then the walk's row, which
+    # every other site takes: each row's moves from its site, and P(left)
+    # and P(left or stay); a gap site's row stays with p = 0, so a draw
+    # picks one of its two landings.  The site j_max + 1 past the keys lies
+    # beyond every path, so a site that is not a key finds column -1
+    kernel = _rows(lattice)
+    keys = sorted(kernel)
+    sites = np.array([*keys, lattice.j_max + 1], dtype=np.int64)
+    moves = [[(d - j, p) for d, p in kernel[j]] for j in keys] + [list(zip((-1, 0, 1), _WALK))]
+    move, prob = np.array(moves, dtype=object).T
+    move, cum = move.astype(np.int64), np.cumsum(prob.astype(float), axis=0)
+    is_gap = np.isin(sites, lattice.gap_sites)
+    # the hazard of each column per step; every column but a gap site's is 0
+    hazard = np.zeros((horizon_steps, len(sites)))
+    for step in range(horizon_steps):
+        hazard[step, is_gap] = _float_hazards(lattice.gap_sites, step, m)
     start_cdf = np.cumsum(pmf(m, "float"))
+
+    def column(pos):
+        k = np.searchsorted(sites, pos)
+        return np.where(sites[k] == pos, k, -1)
+
+    def moved(pos, u):
+        # the move of each path's row that its uniform u picks
+        col = column(pos)
+        return pos + move[(u >= cum[:2, col]).sum(axis=0), col]
 
     positions = np.empty((n_paths, horizon_steps + 1), dtype=np.int64)
     frozen = np.empty((n_paths, horizon_steps + 1), dtype=bool)
@@ -437,30 +467,17 @@ def sample_paths(lattice: LatticeSystem, horizon_steps: int, n_paths: int, seed)
         count = min(_BLOCK, n_paths - b_start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         pos = np.searchsorted(start_cdf, rng.random(count), side="right") - m
-        lazy = is_gap[pos + off]
+        lazy = is_gap[column(pos)]
         rows = slice(b_start, b_start + count)
         positions[rows, 0] = pos
         frozen[rows, 0] = lazy
         for step in range(horizon_steps):
             # a particle switching this step jumps across its gap and only
             # starts busy stepping from the next step on
-            busy_before = ~lazy
-            u = rng.random(count)
-            idx = pos + off
-            hazard[gaps] = gap_hazards[step]
-            switching = lazy & (u < hazard[idx])
-            side = rng.random(count) < cum[0, idx]
-            landed = np.where(side, dest[0, idx], dest[2, idx])
-            pos = np.where(switching, landed, pos)
+            switching = lazy & (rng.random(count) < hazard[step, column(pos)])
+            pos = np.where(switching, moved(pos, rng.random(count)), pos)
+            pos = np.where(lazy, pos, moved(pos, rng.random(count)))
             lazy = lazy & ~switching
-            idx = pos + off
-            u2 = rng.random(count)
-            step_to = np.where(
-                u2 < cum[0, idx],
-                dest[0, idx],
-                np.where(u2 < cum[1, idx], dest[1, idx], dest[2, idx]),
-            )
-            pos = np.where(busy_before, step_to, pos)
             positions[rows, step + 1] = pos
             frozen[rows, step + 1] = lazy
     return positions, frozen

@@ -1,4 +1,4 @@
-"""Two-mode lattice chain: kernel rows and band, hazards, exact DP, and the sampler."""
+"""Two-mode lattice chain: kernel rows and step inflow, hazards, exact DP, and the sampler."""
 
 import hashlib
 import math
@@ -9,8 +9,8 @@ import pytest
 
 import fakebm.discrete_chain as chain
 from fakebm.discrete_chain import (
-    _band,
     _float_hazards,
+    _inflow,
     _rows,
     _walk_law,
     busy_transition,
@@ -52,6 +52,12 @@ def lat_cantor3():
 def lat_m50_window60():
     # a truncated window: the edge rows' outer moves leave it
     return lattice_project(build_interval_system(TWO_GAPS), 50, j_max=60)
+
+
+@pytest.fixture(scope="module")
+def lat_nogap():
+    # one interval that covers the whole unit interval: no gap site, no flank
+    return lattice_project(build_interval_system([(1e-13, 1 - 1e-13)]), 8, j_max=30)
 
 
 # ---------- busy kernel ----------
@@ -182,35 +188,53 @@ def test_switch_jump_rejects_active_site(lat_m8):
         switch_jump(lat_m8, 0)
 
 
-# ---------- kernel band ----------
+# ---------- kernel rows and the step's inflow ----------
 
 
 @pytest.mark.parametrize("name", ["lat_m8", "lat_ragged", "lat_cantor3", "lat_m50_window60"])
-def test_band_columns_are_the_kernel_rows(request, name):
+def test_step_inflow_is_the_walk_stencil_or_the_table(request, name):
     lat = request.getfixturevalue(name)
-    dest, prob, cols, gaps = _band(lat, "rational")
-    off = lat.j_max
-    assert (gaps - off).tolist() == list(lat.gap_sites)
-    for j in lat.sites:
-        c = j + off
+    rows = _rows(lat)
+    assert list(rows) == list(lat.flanks)
+    for j, row in rows.items():
         if lat.is_active(j):
-            row = busy_transition(lat, j)
-            want = [d + off if abs(d) <= off else 2 * off + 1 for d, _ in row]
+            assert row == busy_transition(lat, j)
         else:
             left, right = switch_jump(lat, j)
-            row = [left, (j, Fraction(0)), right]
-            want = [2 * off + 1] * 3
-        assert list(zip(dest[:, c].tolist(), prob[:, c].tolist())) == row
-        assert cols[:, c].tolist() == want
+            assert row == [left, (j, Fraction(0)), right]
 
-
-def test_float_band_is_the_fraction_band_rounded(lat_ragged):
-    dest, prob, cols, gaps = _band(lat_ragged, "rational")
-    f_dest, f_prob, f_cols, f_gaps = _band(lat_ragged, "float")
-    assert f_prob.dtype == np.float64
-    assert f_prob.ravel().tolist() == [float(p) for p in prob.ravel().tolist()]
-    for a, b in ((f_dest, dest), (f_cols, cols), (f_gaps, gaps)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # brute force: every active source's moves into the window, in
+    # ascending source order, each with its slot in the source's row
+    off = lat.j_max
+    inflow = {t: [] for t in lat.sites}
+    for i in lat.sites:
+        if lat.is_active(i):
+            for s, (d, p) in enumerate(busy_transition(lat, i)):
+                if abs(d) <= off:
+                    inflow[d].append((s, i, p))
+    cols, src, land, probs = _inflow(lat)
+    (prob, q), (fprob, fq) = probs["rational"], probs["float"]
+    table = {
+        c - off: list(zip((src[:, k] - off).tolist(), prob[:, k].tolist()))
+        for k, c in enumerate(cols.tolist())
+    }
+    assert fprob.tolist() == [[float(p) for p in row] for row in prob.tolist()]
+    assert fq.tolist() == [float(p) for p in q.tolist()]
+    # each gap site's switching mass lands on its left flank, then its right
+    landings = [rows[g][s] for g in lat.gap_sites for s in (0, 2)]
+    assert list(zip((land - off).tolist(), q.tolist())) == landings
+    for t, moves in inflow.items():
+        # source order is slot order: the right move in, the stay, the left
+        # move in, at most one of each
+        slots = [s for s, _, _ in moves]
+        assert slots == sorted(set(slots), reverse=True)
+        moves = [(i, p) for _, i, p in moves]
+        if t in table:
+            # padded with moves of p = 0 from the site itself
+            assert table[t] == moves + [(t, Fraction(0))] * (len(src) - len(moves))
+        else:
+            # the window's end sites are in the table, so all three sources are
+            assert moves == [(t - 1, Fraction(1, 4)), (t, Fraction(1, 2)), (t + 1, Fraction(1, 4))]
 
 
 # ---------- the walk's law over the window ----------
@@ -341,7 +365,13 @@ def reference_step(joint, lattice, m):
     return busy, lazy
 
 
-REFERENCE_CASES = [("lat_m8", 20), ("lat_ragged", 8), ("cantor3_m400", 8), ("truncated_m50", 120)]
+REFERENCE_CASES = [
+    ("lat_m8", 20),
+    ("lat_ragged", 8),
+    ("cantor3_m400", 8),
+    ("truncated_m50", 120),
+    ("lat_nogap", 30),
+]
 
 
 def assert_evolve_matches_reference(request, name, steps, backend):
@@ -441,12 +471,24 @@ def test_induction_report_equals_dp(request, monkeypatch, name, steps):
 def perturbed_lattice(site, row):
     """A fresh m = 8 two-gap lattice whose cached kernel row at the active
     site is replaced by row, given as (dest, numerator over 8) pairs for the
-    left move, the stay and the right move, before any band is built."""
+    left move, the stay and the right move, before the step's inflow table
+    is built from the rows."""
     lat = lattice_project(build_interval_system(TWO_GAPS), 8, j_max=60)
-    assert not any(key[0] == "band" for key in lat._cache)
+    assert "inflow" not in lat._cache
     _rows(lat)[site] = [(d, Fraction(w, 8)) for d, w in row]
     assert sum(p for _, p in _rows(lat)[site]) == 1
     return lat
+
+
+def test_evolve_keeps_every_move_of_a_row_that_is_not_the_chains():
+    # site -10's left move jumps to -12, where site -11's left move lands
+    # too, and past the walk's reach m + step from step 2 on; on a full
+    # window no mass is lost
+    lat = perturbed_lattice(-10, [(-12, 2), (-10, 4), (-9, 2)])
+    joint = initial_joint(lat)
+    for _ in range(12):
+        joint = evolve(joint, lat)
+        assert joint.total_mass() == 1
 
 
 @pytest.fixture
@@ -534,7 +576,7 @@ def test_landing_scan_reads_the_walk_row_of_a_missing_site(site, lands_from):
 @pytest.fixture
 def no_evolve(monkeypatch):
     def refuse(joint, lattice):
-        raise AssertionError("a certified band must not evolve the joint law")
+        raise AssertionError("a certified kernel must not evolve the joint law")
 
     monkeypatch.setattr(chain, "evolve", refuse)
 
@@ -545,7 +587,7 @@ def test_cantor6_at_m32768_is_certified_at_any_step_count(no_evolve):
     for steps in (10, 1000):
         lat = lattice_project(system, 32768, j_max=32768 + steps)
         report = run_marginal_certification(lat, steps, backend="rational")
-        assert ("band", "rational") not in lat._cache
+        assert "inflow" not in lat._cache
         assert report.pop("steps") == steps
         reports.append(report)
     assert reports[0] == reports[1] == {
@@ -571,8 +613,8 @@ def test_cantor8_at_m524288_is_certified_on_a_full_window(no_evolve):
         "exactly_zero": True,
         "mass_deficit": 0.0,
     }
-    # the certificate compares rows: no (3, window) band is built
-    assert ("band", "rational") not in lat._cache
+    # the certificate compares rows: the step's inflow table is not built
+    assert "inflow" not in lat._cache
 
 
 def ragged_lattice(seed, steps):
@@ -790,15 +832,15 @@ def test_sample_paths_endpoints_are_pinned(request, config):
     assert digests == ENDPOINT_DIGESTS[config]
 
 
-def test_sample_endpoints_matches_dp_marginal(lat_m8):
-    n = 20000
-    horizon = 12
-    pos, frozen = sample_paths(lat_m8, horizon, n, seed=31337)
-    pos, frozen = pos[:, -1], frozen[:, -1]
-    joint = initial_joint(lat_m8, backend="float")
+def assert_endpoints_match_dp(lat, horizon, n, seed):
+    """Sample n paths to the horizon and z-test their endpoints against the
+    float DP's marginal and frozen mass; returns the sampled paths."""
+    positions, frozen_paths = sample_paths(lat, horizon, n, seed=seed)
+    pos, frozen = positions[:, -1], frozen_paths[:, -1]
+    joint = initial_joint(lat, backend="float")
     for _ in range(horizon):
-        joint = evolve(joint, lat_m8)
-    law = dict(zip(lat_m8.sites, marginal(joint).tolist()))
+        joint = evolve(joint, lat)
+    law = dict(zip(lat.sites, marginal(joint).tolist()))
 
     counts = {}
     for j in pos:
@@ -817,5 +859,18 @@ def test_sample_endpoints_matches_dp_marginal(lat_m8):
     sd = (n * p_lazy * (1 - p_lazy)) ** 0.5
     assert abs(frozen.sum() - n * p_lazy) <= 4 * sd
     # frozen particles sit on gap sites, busy ones on active sites
-    assert set(pos[frozen].tolist()) <= set(lat_m8.gap_sites)
-    assert not (set(pos[~frozen].tolist()) & set(lat_m8.gap_sites))
+    assert set(pos[frozen].tolist()) <= set(lat.gap_sites)
+    assert not (set(pos[~frozen].tolist()) & set(lat.gap_sites))
+    return positions, frozen_paths
+
+
+def test_sample_endpoints_matches_dp_marginal(lat_m8):
+    assert_endpoints_match_dp(lat_m8, 12, 20000, 31337)
+
+
+def test_sample_paths_without_gap_sites_take_walk_steps(lat_nogap):
+    # no key of the kernel rows to look up: every site takes the walk's row
+    assert not lat_nogap.gap_sites and not lat_nogap.flanks
+    positions, frozen = assert_endpoints_match_dp(lat_nogap, 20, 5000, 8)
+    assert not frozen.any()
+    assert set(np.diff(positions).ravel().tolist()) == {-1, 0, 1}
