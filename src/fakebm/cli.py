@@ -304,7 +304,7 @@ def _cmd_verify_discrete(cfg: dict):
         raise ConfigError("--backend must be 'rational' or 'float'")
     system = _resolve_system(cfg)
     # no site beyond m + steps ever holds mass, so a wider window adds only
-    # empty sites: clamp it, as the window is held densely
+    # empty sites: clamp it, as only the evolution holds the window densely
     reach = cfg["m"] + cfg["steps"]
     if cfg["j_max"] is None:
         flags, j_max = "--m", reach

@@ -212,7 +212,7 @@ class LatticeSystem:
         object.__setattr__(self, "_gap", frozenset(self.gap_sites))
 
     def is_active(self, j: int) -> bool:
-        """Whether site j is active: any site but a gap site of the window."""
+        """Whether site j is active: any site but a gap site."""
         return j not in self._gap
 
     def gap_neighbors(self, j: int) -> tuple[int, int]:
@@ -233,7 +233,8 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
     The window holds the sites -j_max..j_max.  By default j_max is
     ceil(7 sqrt(m/2)): one unit for the gap region plus six standard
     deviations of the scaled walk at time 0.  m and j_max must be integers,
-    numpy's included.
+    numpy's included.  The projection reads the gaps, never the window: its
+    cost is O(gap sites + intervals).
 
     Every closed gap [b_n, a_{n+1}] between two consecutive bounded intervals
     must contain at least one lattice site; otherwise the projection cannot
@@ -256,34 +257,33 @@ def lattice_project(system: IntervalSystem, m: int, j_max: int | None = None) ->
     if j_max * spacing < 1.0:
         raise ValueError("j_max too small: the window must reach past x = 1")
 
-    ends = np.concatenate(([0.0], system.endpoints, [1.0]))
-    # each gap between two intervals must hold a site, up to the snap
-    inner = ends[2:-2].reshape(-1, 2)
-    lo_j = np.ceil((inner[:, 0] - ENDPOINT_SNAP) / spacing)
-    hi_j = np.floor((inner[:, 1] + ENDPOINT_SNAP) / spacing)
-    unseen = lo_j > hi_j
+    gaps = np.array(system.gaps())
+    # the first and last site of each gap, up to the snap
+    lo_j = np.ceil((gaps[:, 0] - ENDPOINT_SNAP) / spacing).astype(np.int64)
+    hi_j = np.floor((gaps[:, 1] + ENDPOINT_SNAP) / spacing).astype(np.int64)
+    unseen = lo_j[1:-1] > hi_j[1:-1]
     if unseen.any():
-        b_left, a_right = inner[unseen.argmax()].tolist()
+        b_left, a_right = gaps[1:-1][unseen.argmax()].tolist()
         raise ValueError(f"m too small: no lattice point falls in the gap ({b_left}, {a_right})")
 
-    js = np.arange(-j_max, j_max + 1)
+    # lo_j - 2..hi_j + 2 holds a gap's sites, their neighbours and an active
+    # site past each neighbour, or runs into a neighbouring gap's candidates.
+    # Each run starts where the last one stopped, so js is sorted and distinct
+    start, stop = lo_j - 2, hi_j + 3
+    start[1:] = np.maximum(start[1:], stop[:-1])
+    js = np.concatenate([np.arange(a, b) for a, b in zip(start.tolist(), stop.tolist())])
     active = system.contains_many(js * spacing)
-    # a site within the snap of an interval's end, of 0 or of 1 is active.
-    # Only the site nearest to each end can be: the window holds over
-    # 2 / spacing sites, so any spacing whose window fits in memory is far
-    # wider than twice the snap.  The ends lie in [0, 1], inside the window
-    near = np.rint(ends / spacing)
-    snapped = near[np.abs(near * spacing - ends) <= ENDPOINT_SNAP]
-    active[snapped.astype(np.intp) + j_max] = True
+    # a site within the snap of an interval's end, of 0 or of 1 is active;
+    # while the spacing is over twice the snap (m < 5e23), only the nearest
+    near = np.rint(gaps / spacing)
+    snapped = near[np.abs(near * spacing - gaps) <= ENDPOINT_SNAP]
+    active[np.searchsorted(js, snapped)] = True
 
-    # an active site next to a gap site; the sites past the window are active
-    padded = np.concatenate(([True], active, [True]))
-    boundary = active & ~(padded[:-2] & padded[2:])
+    # the boundary sites are the active neighbours of gap sites, and each
+    # site's flanks the nearest active candidates strictly left and right
     gap_sites = js[~active]
-    sites = np.concatenate((gap_sites, js[boundary]))
-    # each site's flanks are the nearest active sites strictly left and
-    # right of it, the one site past each window end counting as active
-    act = np.concatenate(([-j_max - 1], js[active], [j_max + 1]))
+    sites = np.concatenate((gap_sites, js[1:-1][active[1:-1] & ~(active[:-2] & active[2:])]))
+    act = js[active]
     left = act[np.searchsorted(act, sites, side="left") - 1]
     right = act[np.searchsorted(act, sites, side="right")]
     flanks = dict(zip(sites.tolist(), zip(left.tolist(), right.tolist())))

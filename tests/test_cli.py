@@ -243,6 +243,17 @@ PINNED_RUNS = {
         0,
         "1f248d84e64ea368abe96da6fcd7ef3ae6a4e74a29f92d6f7caad8042c639a7e",
     ),
+    "verify-discrete/cantor3": (
+        ["--cantor-depth", "3", "--m", "400", "--steps", "20"],
+        0,
+        "e00b9f9a56f35c50574d74e2e320d8a73cffe8b0a5f88c90ec691e8b08a145b8",
+    ),
+    # a truncated window loses mass, so the rational run fails its tolerance of 0
+    "verify-discrete/truncated": (
+        ["--backend", "rational", "--m", "50", "--steps", "120", "--j-max", "60"],
+        1,
+        "f4e9948b261440a5c98949dda80f6ad5b29894b23d64235d8e5aa5b3d913c170",
+    ),
     "simulate": (
         ["--n-paths", "6", "--dt", "0.001"],
         0,
@@ -359,6 +370,17 @@ def test_verify_discrete_reports_are_byte_identical(tmp_path):
     rep = read_json(a / "report.json")
     assert "elapsed_s" not in rep
     assert "output_dir" not in rep["config"]
+
+
+def test_verify_discrete_certifies_cantor_depth_10(tmp_path):
+    # the top of the depth ladder: 1,023 intervals at m = 2**23, projected
+    # from the gaps and certified from the rows that differ from the walk's
+    out = tmp_path / "o"
+    assert run("verify-discrete", "--seed", "1", "--backend", "rational", "--cantor-depth", "10",
+               "--m", "8388608", "--steps", "10", "--output-dir", str(out)) == 0
+    rep = read_json(out / "report.json")
+    assert rep["exactly_zero"] is True
+    assert rep["N"] == 1023
 
 
 def test_verify_discrete_rejects_coarse_lattice(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Interval systems, the fat Cantor construction, and lattice projection."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -336,19 +337,38 @@ SP800 = math.sqrt(2 / 800)
 ON_SITES = [(2 * SP800, 6 * SP800), (9 * SP800, 12 * SP800), (15 * SP800, 17 * SP800)]
 
 
+def smallest_window(m):
+    """The smallest j_max whose window reaches x = 1 at spacing sqrt(2/m)."""
+    spacing = math.sqrt(2 / m)
+    return next(j for j in itertools.count(math.floor(1 / spacing)) if j * spacing >= 1.0)
+
+
+@pytest.mark.parametrize("m", [200, 800])
+def test_smallest_window_is_the_smallest_accepted(m):
+    system = build_interval_system(TWO_GAPS)
+    assert lattice_project(system, m, j_max=smallest_window(m)).j_max == smallest_window(m)
+    with pytest.raises(ValueError, match="j_max too small"):
+        lattice_project(system, m, j_max=smallest_window(m) - 1)
+
+
 @pytest.mark.parametrize(
-    "intervals, m",
+    "intervals, m, j_max",
     [
-        (TWO_GAPS, 200),
-        (fat_cantor_intervals(3), 400),
-        (fat_cantor_intervals(6), 32_768),
-        (fat_cantor_intervals(8), 524_288),
-        (ON_SITES, 800),
+        (TWO_GAPS, 200, None),
+        (fat_cantor_intervals(3), 400, None),
+        (fat_cantor_intervals(6), 32_768, None),
+        (fat_cantor_intervals(8), 524_288, None),
+        (ON_SITES, 800, None),
+        (TWO_GAPS, 200, smallest_window(200)),
+        (ON_SITES, 800, smallest_window(800)),
     ],
-    ids=["two-gap-m200", "cantor3-m400", "cantor6-m32768", "cantor8-m524288", "ends-on-sites-m800"],
+    ids=[
+        "two-gap-m200", "cantor3-m400", "cantor6-m32768", "cantor8-m524288", "ends-on-sites-m800",
+        "two-gap-m200-smallest-window", "ends-on-sites-m800-smallest-window",
+    ],
 )
-def test_gap_and_boundary_masks_match_a_site_by_site_scan(intervals, m):
-    lat = lattice_project(build_interval_system(intervals), m)
+def test_gap_and_boundary_masks_match_a_site_by_site_scan(intervals, m, j_max):
+    lat = lattice_project(build_interval_system(intervals), m, j_max=j_max)
     gaps, boundary, flanks = _listed_gap_and_boundary_sites(lat)
     assert gaps and boundary
     assert lat.gap_sites == tuple(gaps)
@@ -370,3 +390,18 @@ def test_lattice_takes_numpy_integers():
     lat = lattice_project(sys_, np.int64(50), j_max=np.int32(60))
     assert lat == lattice_project(sys_, 50, j_max=60)
     assert type(lat.m) is int and type(lat.j_max) is int
+
+
+@pytest.mark.parametrize(
+    "intervals, m", [(TWO_GAPS, 200), (fat_cantor_intervals(6), 32_768)], ids=["two-gap-m200", "cantor6-m32768"]
+)
+def test_projection_reads_the_gaps_not_the_window(intervals, m):
+    # a window of 2 * 10**12 + 1 sites would not fit in memory: the gap and
+    # boundary sites and their flanks come from the gaps alone, whatever
+    # the window, as long as it reaches past x = 1
+    system = build_interval_system(intervals)
+    default, *others = [lattice_project(system, m, j_max=j_max) for j_max in (None, m + 10, 10**12)]
+    assert others[-1].j_max == 10**12
+    for lat in others:
+        assert lat.gap_sites == default.gap_sites
+        assert list(lat.flanks.items()) == list(default.flanks.items())
