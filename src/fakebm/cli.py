@@ -4,9 +4,10 @@ Each subcommand reads a JSON config file (optional) merged with flag
 overrides, runs one experiment, and writes deterministic artifacts to the
 output directory: report.json always, plus plot-ready CSVs where defined.
 Identical inputs give byte-identical artifacts: no report holds a timing or
-the output directory.  A setting comes from its flag, else the config file,
-else (workers only) the FAKEBM_WORKERS environment variable, else the
-default.  Every setting is converted to its type and checked once, a
+the output directory; the Monte Carlo commands' reports carry rng_layout,
+the version of the engine's RNG stream layout.  A setting comes from its
+flag, else the config file, else (workers only) the FAKEBM_WORKERS
+environment variable, else the default.  Every setting is converted to its type and checked once, a
 config-file value like the text of its flag: floats must be finite, plain
 lower bounds come from one table (_LOWER), and relational and per-command
 rules from the command bodies.  A body returns (report, {csv name: (header,
@@ -32,7 +33,7 @@ import numpy as np
 from .densities import GAUSSIAN, LOGNORMAL, check_exp_window, gaussian_cdf
 from .intervals import IntervalSystem, build_interval_system, fat_cantor_intervals, lattice_project
 from .discrete_chain import run_marginal_certification
-from .continuous_sim import simulate_exp_marginal_samples, simulate_marginal_samples
+from .continuous_sim import RNG_LAYOUT, simulate_exp_marginal_samples, simulate_marginal_samples
 from .analysis import (
     convex_order_check,
     coupling_experiment,
@@ -584,6 +585,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.command, args)
         report, csvs = body(cfg)
+        if body not in (_cmd_verify_discrete, _cmd_convex_order):  # the Monte Carlo commands
+            report["rng_layout"] = RNG_LAYOUT
         out = cfg.pop("output_dir")
         os.makedirs(out, exist_ok=True)
         for name, (header, rows) in csvs.items():

@@ -17,18 +17,24 @@ The inverse clock at busy time q is the step of tick c for the largest c
 with c * dt <= q, the last grid time at which the clock has not passed q.
 
 Each path reads one dedicated RNG substream derived from (seed, path_index),
-in this order: the start x0 (unless it is fixed), the switch uniform u, then
-the driver's N(0, 1) increments in blocks of _BLOCK steps counted from step
-0.  Block by block the Brownian value carries on as b_last + cumsum(z) *
-sqrt(dt).  A path draws only the steps it uses, in as many calls as it
-needs, and the values do not depend on how the steps are split into calls:
-first exactly the steps up to the freeze step, then, after the switch time
-is known, more steps until the clock of the driver from t1 on exceeds
+an SFC64 generator, in this order (RNG stream layout 2, RNG_LAYOUT): the
+start x0 (unless it is fixed), the switch uniform u, then, if the freeze
+step k1 = round(t1 / dt) is positive, the Brownian value at t1 as one N(0, 1)
+draw times sqrt(k1 * dt), then the driver's N(0, 1) increments after t1 in
+blocks of _BLOCK steps counted from the freeze step.  Block by block the
+Brownian value carries on as b_last + cumsum(z) * sqrt(dt).  A path draws
+only the steps it uses, in as many calls as it needs, and the values do not
+depend on how the steps are split into calls: after the switch time is
+known, it draws steps until the clock of the driver from t1 on exceeds
 max(t_last - t1 - s, 0), so every path with a finite switch time lands in
 the active set.  A path that survives the whole window (s = inf) draws
-nothing more.  Chunk size and worker count change no number, and a path's
-values at given times do not depend on which later times are also queried:
-a later time only appends steps.
+nothing more.  Query times before t1 read the Brownian bridge from 0 to the
+value at t1, built from the full k1-step walk of the path's second
+substream (path_rng with bridge set), which is drawn only when such a time
+is queried.  Chunk size and worker count change no number, and a path's
+values at given times do not depend on which other times are also
+queried: a later time only appends steps, and an earlier one only reads the
+bridge.
 
 A chunk is at most _CHUNK paths and about _CHUNK_BYTES of results: a path's
 row costs 9 bytes per query time (its float64 value and bool frozen flag),
@@ -57,6 +63,7 @@ from .densities import GAUSSIAN, LOGNORMAL, check_exp_window
 from .intervals import IntervalSystem, build_interval_system
 
 __all__ = [
+    "RNG_LAYOUT",
     "path_rng",
     "SimulationResult",
     "iter_fake_grid_chunks",
@@ -64,6 +71,9 @@ __all__ = [
     "simulate_exp_marginal_samples",
 ]
 
+# the version of the stream layout the module docstring describes; the Monte
+# Carlo commands' reports carry it
+RNG_LAYOUT = 2
 # the driver's increments are summed in blocks of this many steps; part of
 # the RNG stream layout
 _BLOCK = 4096
@@ -76,9 +86,15 @@ _CHUNK = 256
 _CHUNK_BYTES = 4 * 2**20
 
 
-def path_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent, platform-stable substream for one path."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def path_rng(seed: int, index: int, bridge: bool = False) -> np.random.Generator:
+    """Independent, platform-stable substream for one path.
+
+    An SFC64 generator seeded by SeedSequence(entropy=seed, spawn_key=(index,)),
+    or with bridge set by that sequence's first child, spawn key (index, 0),
+    which only the path's Brownian bridge before its freeze time reads.
+    """
+    key = (index, 0) if bridge else (index,)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -89,7 +105,7 @@ _U32 = 0xFFFFFFFF
 
 
 class _State:
-    """The PCG64 state words of one substream, handed over as they are.
+    """The SFC64 seed words of one substream, handed over as they are.
 
     _substreams registers it as numpy's ISeedSequence at first use, so that
     importing this module does not load numpy.random.
@@ -102,43 +118,48 @@ class _State:
         return self.words
 
 
-def _substreams(seed, start: int, count: int) -> list:
-    """The generators path_rng(seed, i) of the paths start .. start + count - 1.
+def _substreams(seed, start: int, count: int, bridge: bool = False) -> list:
+    """The generators path_rng(seed, i, bridge) of the paths start .. start + count - 1.
 
-    SeedSequence(entropy=seed, spawn_key=(i,)) hashes the seed's 32-bit
+    SeedSequence(entropy=seed, spawn_key=key) hashes the seed's 32-bit
     words, padded with zeros to its pool of four, into the pool, and then
-    the word i.  The pool after the seed's words is SeedSequence(seed).pool,
-    and building it rejects every seed path_rng rejects.  The hash
-    multiplier advances by the same steps whatever the data, so mixing in i
-    and generate_state(4, np.uint64) are the same uint32 arithmetic for
-    every path; here they run for the whole chunk at once.  A seed given as
-    a sequence, or a path index of 2**32 or more, takes path_rng itself.
+    each word of the key, (i,) or (i, 0).  The pool after the seed's words
+    is SeedSequence(seed).pool, and building it rejects every seed path_rng
+    rejects.  The hash multiplier advances by the same steps whatever the
+    data, so mixing in the key and generate_state(3, np.uint64), SFC64's
+    seed, are the same uint32 arithmetic for every path; here they run for
+    the whole chunk at once.  A seed given as a sequence, or a path index
+    of 2**32 or more, takes path_rng itself.
     """
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_State)
     pool = np.random.SeedSequence(seed).pool.tolist()
     if not isinstance(seed, (int, np.integer)) or start + count > 2**32:
-        return [path_rng(seed, i) for i in range(start, start + count)]
+        return [path_rng(seed, i, bridge) for i in range(start, start + count)]
     n_words = max(1, -(-int(seed).bit_length() // 32))
     # hashmix calls so far: the pool's words, their 12 pairwise mixes, and
     # the seed words past the pool, each mixed into all four
     hashes = 16 + 4 * max(n_words - 4, 0)
     mult = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _U32
     index = np.arange(start, start + count, dtype=np.uint32)
-    mixed = []
-    for word in pool:
-        h = index ^ np.uint32(mult)
-        mult = mult * _MULT_A & _U32
-        h *= np.uint32(mult)
-        h ^= h >> np.uint32(16)
-        h *= np.uint32(_MIX_R)
-        w = np.uint32(_MIX_L * word & _U32) - h
-        w ^= w >> np.uint32(16)
-        mixed.append(w)
-    state = np.empty((count, 8), dtype=np.uint32)
+    keys = (index, np.zeros_like(index)) if bridge else (index,)
+    mixed = [np.full(count, word, dtype=np.uint32) for word in pool]
+    # each key word is mixed into all four pool words in turn
+    for key in keys:
+        for j, word in enumerate(mixed):
+            h = key ^ np.uint32(mult)
+            mult = mult * _MULT_A & _U32
+            h *= np.uint32(mult)
+            h ^= h >> np.uint32(16)
+            h *= np.uint32(_MIX_R)
+            w = word * np.uint32(_MIX_L)
+            w -= h
+            w ^= w >> np.uint32(16)
+            mixed[j] = w
+    state = np.empty((count, 6), dtype=np.uint32)
     mult = _INIT_B
-    for j in range(8):
+    for j in range(6):
         w = mixed[j % 4] ^ np.uint32(mult)
         mult = mult * _MULT_B & _U32
         w *= np.uint32(mult)
@@ -146,7 +167,7 @@ def _substreams(seed, start: int, count: int) -> list:
         state[:, j] = w
     # word pairs read little-endian, as generate_state does
     words = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_State(row))) for row in words]
+    return [np.random.Generator(np.random.SFC64(_State(row))) for row in words]
 
 
 @dataclass(frozen=True)
@@ -286,12 +307,28 @@ def _grown(a: np.ndarray, m: int, size: int) -> np.ndarray:
 # ---------- chunked many-path engine ----------
 
 
+def _bridge(rng, k1: int, b1: float, dt: float) -> np.ndarray:
+    """The Brownian motion at grid steps 0 .. k1, given that it is b1 at k1.
+
+    A walk W of k1 steps of variance dt, drawn as the driver is (see
+    _brownian), is tied down to B_k = W_k + (k / k1) (b1 - W_k1), the walk's
+    bridge from 0 to b1.  The bridge is independent of W_k1, so for b1 ~
+    N(0, k1 dt) drawn apart from W the values have the walk's law.  The
+    ends are 0 and b1 exactly.
+    """
+    b = np.empty(k1 + 1)
+    b[0] = 0.0
+    _brownian(rng, (0.0, 0.0, 0), k1, dt, out=b[1:])
+    b += np.arange(k1 + 1) * ((b1 - b[k1]) / k1)
+    b[k1] = b1
+    return b
+
+
 def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start, count) -> dict:
     k1 = int(round(t1 / dt))
     n_pre = int(np.searchsorted(t_grid, t1))  # the query times before t1
     # the driver up to t1 is read only at those times' steps and at t1
     read = np.append(np.round(t_grid[:n_pre] / dt).astype(int), k1)
-    t_read = read * dt
     rel = t_grid[n_pre:] - t1
     # the tick counts of every path busy from t1 on (s = 0, so rel - s is rel)
     busy_counts = _ticks_within(rel, dt)
@@ -300,36 +337,39 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
     frozen = np.zeros((count, len(t_grid)), dtype=bool)
     x0 = np.empty(count)
     u = np.empty(count)
+    b1 = np.zeros(count)  # every path's Brownian value at t1, from B_0 = 0
     busy_start = np.full(count, math.nan)
-    head = np.zeros(k1 + 1)  # one path's Brownian motion up to t1, from B_0 = 0
-    heads = np.empty((count, len(read)))  # every path's at the steps read
 
-    # every path's start, uniform and driver up to t1 first, so that one
-    # driver call and one vectorised switch-time inversion serve the chunk
+    # every path's start, uniform and Brownian value at t1 first, so that
+    # one driver call and one vectorised switch-time inversion serve the chunk
     rngs = _substreams(seed, start, count)
-    states = []
     for r, rng in enumerate(rngs):
         x0[r] = family.sample_initial(rng) if fixed_start is None else float(fixed_start)
         u[r] = rng.random()
         while u[r] == 0.0:
             u[r] = rng.random()
-        _, state = _brownian(rng, (0.0, 0.0, 0), k1, dt, out=head[1:])
-        heads[r] = head[read]
-        states.append(state)
-    family.driver(x0[:, None], heads, t_read)
+        if k1:
+            b1[r] = rng.standard_normal() * math.sqrt(k1 * dt)
+    heads = np.zeros((count, len(read)))  # every path's Brownian motion at the steps read
+    heads[:, -1] = b1
+    if n_pre and k1:  # the times before t1 read the bridge to B_t1
+        for r, rng in enumerate(_substreams(seed, start, count, bridge=True)):
+            heads[r, :-1] = _bridge(rng, k1, b1[r], dt)[read[:-1]]
+    family.driver(x0[:, None], heads, read * dt)
     values[:, :n_pre] = heads[:, :-1]
     x1 = heads[:, -1]
     s = np.zeros(count)
     gap = ~system.contains_many(x1)
     s[gap] = family.switch_times(x1[gap], u[gap], t1, t2)
 
-    for r, (rng, state) in enumerate(zip(rngs, states)):
+    for r, rng in enumerate(rngs):
         if math.isinf(s[r]):  # survives the window: frozen from t1 on
             values[r, n_pre:] = x1[r]
             frozen[r, n_pre:] = True
             continue
+        # the tail's blocks are counted from the freeze step
         tail, ticks = _extend(
-            rng, family, system, x0[r], state, k1, x1[r], max(horizon - s[r], 0.0), dt
+            rng, family, system, x0[r], (b1[r], 0.0, 0), k1, x1[r], max(horizon - s[r], 0.0), dt
         )
         _time_change(
             tail, ticks, s[r], rel, dt, out=(values[r, n_pre:], frozen[r, n_pre:]),

@@ -15,6 +15,7 @@ from fakebm import continuous_sim
 from fakebm.continuous_sim import (
     _BLOCK,
     _MIN_DRAW,
+    _bridge,
     _brownian,
     _extend,
     _time_change,
@@ -46,13 +47,15 @@ def _digest(a):
 
 
 PINNED = {
-    # name: run, digests of values/frozen/switch_times/x0/busy_start
+    # name: run, digests of values/frozen/switch_times/x0/busy_start, under
+    # RNG stream layout 2 (SFC64, the exponential head drawn at t1 in one
+    # normal); the exp run's time 0.3 reads the bridge before t1
     "two_gap": (
         lambda: simulate_marginal_samples(
             build_interval_system(TWO_GAPS), (0.3, 0.8), 500, seed=41, dt=1e-3
         ),
-        ("60c689adb13805fa", "f5762d99180f2331", "6cd187786626e6c3",
-         "98350b5dc3efb82a", "b6d9d8594d8ba8c5"),
+        ("f01c0015dd448bf1", "409e66bb731d1e89", "dbacc047b42304d9",
+         "0ef64dfa7f62edf6", "158863b529ca4e9d"),
     ),
     # a gap start with a short clock: under a fixed driver horizon this
     # configuration redrew 47 of its paths
@@ -61,23 +64,23 @@ PINNED = {
             build_interval_system(TWO_GAPS), (0.5,), 300, seed=8, dt=1e-3,
             fixed_start=0.5,
         ),
-        ("7b7dd22723faa2dd", "9ffac03cc2c8fa6a", "72676dbd8753b08a",
-         "369a339635b89202", "d39a0a562e882832"),
+        ("60e605f3a07ce5bd", "31e5d567d3aa40b2", "fb4966a8e7eac883",
+         "369a339635b89202", "d14e76c8e62753e3"),
     ),
     "cantor3": (
         lambda: simulate_marginal_samples(
             build_interval_system(fat_cantor_intervals(3)), (0.2, 0.5), 200,
             seed=5, dt=1e-3,
         ),
-        ("710f7ee17e9782c7", "32215f66567bd396", "0de6bfdb166c8c51",
-         "6e1d9902f4aeab7c", "7b97244e5311b39b"),
+        ("6af6e680f5581434", "2d68b882814ff32c", "dd4c0575a335dc89",
+         "f82b4a1e6489a0ee", "fc53e0eb5ba3eaf9"),
     ),
     "exp": (
         lambda: simulate_exp_marginal_samples(
             EXP_WINDOW, EXP_INTERVALS, (0.3, 0.6, 0.9), 800, seed=99, dt=2e-3
         ),
-        ("4edc83b3ba31ba68", "47a8f613c6e3d0a1", "7bbf71a7607dde31",
-         "e6b8b8a54e4eff0e", "a9ecd50793cb2d70"),
+        ("ee0b319992fa4441", "cd2e4e27b75bc8ac", "2aedb9254024f06e",
+         "e6b8b8a54e4eff0e", "4a3df4c12395ebe9"),
     ),
 }
 
@@ -540,23 +543,114 @@ def test_wide_grid_chunks_stay_within_the_byte_budget(sys2, monkeypatch):
 
 def test_exp_path_before_window_is_exponential_martingale():
     # the start is fixed at 1, so the stream opens with the switch uniform,
-    # then the 250 increments up to the freeze step
+    # then B at the freeze step 250 as one normal times sqrt(250 dt); the
+    # times before t1 read the bridge to it from the bridge substream
     rng = path_rng(10, 0)
     rng.random()
-    b = np.concatenate([[0.0], _brownian(rng, START, 250, 2e-3)[0]])
+    b1 = rng.standard_normal() * math.sqrt(250 * 2e-3)
+    b = _bridge(path_rng(10, 0, bridge=True), 250, b1, 2e-3)
     row = LOGNORMAL.driver(1.0, b, np.arange(len(b)) * 2e-3)
     assert row[0] == 1.0
     assert np.all(row > 0)
     # log-values before t1 = 0.5 are a drifted random walk with variance dt
     logs = np.log(row[:251]) + np.arange(251) * 2e-3 / 2.0
     assert np.diff(logs).var() == pytest.approx(2e-3, rel=0.3)
-    # before the window the engine reports that driver itself
+    # before the window the engine reports that driver itself, and at t1
+    # the exponential of the one head normal
     res = simulate_exp_marginal_samples(
-        EXP_WINDOW, EXP_INTERVALS, (0.1, 0.3, 0.9), 1, seed=10, dt=2e-3
+        EXP_WINDOW, EXP_INTERVALS, (0.1, 0.3, 0.5, 0.9), 1, seed=10, dt=2e-3
     )
     assert res.values[0, 0] == row[50]
     assert res.values[0, 1] == row[150]
+    assert res.values[0, 2] == row[250]
     assert not res.frozen[0, :2].any()
+
+
+def test_bridge_ends_at_the_value_at_t1_with_walk_increments():
+    # the ends are exact, across a block edge too
+    for k1 in (1, 50, _BLOCK + 100):
+        b = _bridge(path_rng(3, k1, bridge=True), k1, 0.7, 2e-3)
+        assert len(b) == k1 + 1
+        assert b[0] == 0.0 and b[-1] == 0.7
+    # with b1 ~ N(0, k1 dt) drawn apart from the walk, the 2,000 x 50
+    # increments are independent N(0, dt); the mean square of n = 100,000
+    # of them has relative standard deviation sqrt(2 / n) = 0.0045, and
+    # the bounds below sit 5 standard deviations out
+    k1, dt, n_paths = 50, 2e-3, 2000
+    heads = np.random.default_rng(17).standard_normal(n_paths) * math.sqrt(k1 * dt)
+    inc = np.array([
+        np.diff(_bridge(path_rng(17, i, bridge=True), k1, heads[i], dt)) for i in range(n_paths)
+    ])
+    n = inc.size
+    assert abs(inc.mean()) <= 5 * math.sqrt(dt / n)
+    assert abs((inc**2).mean() / dt - 1.0) <= 5 * math.sqrt(2.0 / n)
+    # every step, not just their pool: 2,000 values a step, 5 sd again
+    per_step = (inc**2).mean(axis=0) / dt
+    assert np.all(np.abs(per_step - 1.0) <= 5 * math.sqrt(2.0 / n_paths))
+
+
+def test_exp_log_value_at_t1_is_normal():
+    # log X_t1 = B_t1 - t1/2 with B_t1 one normal times sqrt(k1 dt), and a
+    # time before t1 reads the bridge: log X_t ~ N(-t/2, t) at both.  KS
+    # at alpha = 1e-3 each, on 10,000 paths at a pinned seed
+    res = simulate_exp_marginal_samples(
+        EXP_WINDOW, EXP_INTERVALS, (0.3, 0.5), 10_000, seed=2028, dt=2e-3
+    )
+    for q, t in enumerate((0.3, 0.5)):
+        logs = np.log(res.values[:, q])
+        assert kstest(logs, "norm", args=(-t / 2.0, math.sqrt(t))).pvalue > 1e-3, t
+
+
+def test_exp_values_after_t1_do_not_depend_on_times_before_it():
+    # the bridge reads its own substream, so asking for times before t1
+    # moves nothing at or after t1; 0.4995 rounds to the freeze step, where
+    # the bridge ends at the value at t1 exactly
+    run = lambda q: simulate_exp_marginal_samples(
+        EXP_WINDOW, EXP_INTERVALS, q, 300, seed=5, dt=2e-3
+    )
+    post = run((0.5, 0.75, 1.0))
+    both = run((0.1, 0.3, 0.4995, 0.5, 0.75, 1.0))
+    assert np.array_equal(both.values[:, 3:], post.values)
+    assert np.array_equal(both.frozen[:, 3:], post.frozen)
+    for f in ("switch_times", "x0", "busy_start"):
+        assert np.array_equal(getattr(both, f), getattr(post, f), equal_nan=True)
+    assert np.array_equal(both.values[:, 2], both.values[:, 3])
+    assert not both.frozen[:, :3].any()
+
+
+@pytest.mark.parametrize("variant", ["gaussian", "lognormal"])
+def test_busy_paths_are_rebuilt_from_their_substreams(variant):
+    # layout 2 in order: the start (Gaussian only), the switch uniform, the
+    # Brownian value at the freeze step in one normal, which a Gaussian path
+    # (t1 = 0) does not draw, then the tail in blocks counted from the
+    # freeze step.  At dt 1e-4 the lognormal tail of 5,000 steps crosses a
+    # block edge that blocks counted from step 0 would put elsewhere.
+    gaussian = variant == "gaussian"
+    if gaussian:
+        family, t1, dt = GAUSSIAN, 0.0, DT
+        system = build_interval_system(TWO_GAPS)
+        t_grid = np.array([0.0, 0.25, 0.6])
+        res = simulate_marginal_samples(system, t_grid, 16, seed=31, dt=dt)
+    else:
+        family, t1, dt = LOGNORMAL, 0.5, 1e-4
+        system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
+        t_grid = np.array([0.5, 0.75, 1.0])
+        res = simulate_exp_marginal_samples(EXP_WINDOW, EXP_INTERVALS, t_grid, 16, seed=31, dt=dt)
+    k1 = round(t1 / dt)
+    busy = np.flatnonzero(res.switch_times == t1)  # busy from t1 on
+    assert len(busy) >= 4
+    for i in busy:
+        rng = path_rng(31, i)
+        x0 = rng.standard_normal() if gaussian else 1.0
+        rng.random()
+        b1 = rng.standard_normal() * math.sqrt(k1 * dt) if k1 else 0.0
+        x1 = res.values[i, 0]
+        assert res.x0[i] == x0
+        assert x1 == (x0 if gaussian else pytest.approx(math.exp(b1 - t1 / 2.0), rel=1e-14))
+        tail, ticks = _extend(rng, family, system, x0, (b1, 0.0, 0), k1, x1, t_grid[-1] - t1, dt)
+        values, frozen = _time_change(tail, ticks, 0.0, t_grid - t1, dt)
+        assert np.array_equal(res.values[i], values)
+        assert not frozen.any() and not res.frozen[i].any()
 
 
 def test_exp_path_freezes_inside_gap():
