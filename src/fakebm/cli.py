@@ -7,16 +7,19 @@ Identical inputs give byte-identical artifacts: no report holds a timing or
 the output directory; the Monte Carlo commands' reports carry rng_layout,
 the version of the engine's RNG stream layout.  A setting comes from its
 flag, else the config file, else (workers only) the FAKEBM_WORKERS
-environment variable, else the default.  Every setting is converted to its type and checked once, a
-config-file value like the text of its flag: floats must be finite, plain
-lower bounds come from one table (_LOWER), and relational and per-command
-rules from the command bodies.  A body returns (report, {csv name: (header,
-rows)}); main alone writes the files and turns report["passed"] into exit
-code 0/1.  Exit code 0 means the run's check passed, 1 means it ran but
-failed or was inconclusive, 2 means the configuration was invalid (a
-ConfigError: every range check a library call would make on a setting is
-made here first), 3 means the run crashed (any other exception, a library
-ValueError included).  A seed is mandatory: there is no wall-clock fallback.
+environment variable, else the default.  Flags are plain text, and _typed
+alone turns a value into its setting's type, whatever its source: the text
+of a flag or of FAKEBM_WORKERS, or a config-file value read as the text of
+its flag.  A value of the wrong type is a ConfigError naming its key.
+Every setting is checked once: floats must be finite, plain lower bounds
+come from one table (_LOWER), and relational and per-command rules from the
+command bodies.  A body returns (report, {csv name: (header, rows)}); main
+alone writes the files and turns report["passed"] into exit code 0/1.
+Exit code 0 means the run's check passed, 1 means it ran but failed or was
+inconclusive, 2 means the configuration was invalid (a ConfigError: every
+range check a library call would make on a setting is made here first), 3
+means the run crashed (any other exception, a library ValueError
+included).  A seed is mandatory: there is no wall-clock fallback.
 """
 
 from __future__ import annotations
@@ -171,6 +174,9 @@ class ConfigError(Exception):
 
 # ---------- config plumbing ----------
 
+# the settings of every command, beside those of _DEFAULTS
+_COMMON = {"seed": None, "output_dir": ".", "workers": 1}
+
 # types of the settings whose default is None; every other setting takes the
 # type of its default, and a list setting takes a JSON literal as its flag
 _NONE_DEFAULT_TYPES = {"seed": int, "cantor_depth": int, "j_max": int, "fixed_start": float}
@@ -189,7 +195,8 @@ def _kind(key: str, default) -> type:
 
 
 def _typed(key: str, value, default):
-    """value read as the text of its flag would be; floats must be finite."""
+    """value as a setting of default's type, read as the text of its flag:
+    the one place text becomes a setting.  Floats must be finite."""
     kind = _kind(key, default)
     if value is None and default is None:
         return None
@@ -206,14 +213,11 @@ def _typed(key: str, value, default):
 
 
 def _load_config(command: str, args: argparse.Namespace) -> dict:
-    defaults = {**_DEFAULTS[command], "seed": None, "output_dir": ".", "workers": 1}
+    defaults = {**_DEFAULTS[command], **_COMMON}
     cfg = dict(defaults)
     env_workers = os.environ.get("FAKEBM_WORKERS")
     if env_workers is not None:
-        try:
-            cfg["workers"] = int(env_workers)
-        except ValueError:
-            raise ConfigError("FAKEBM_WORKERS must be an integer")
+        cfg["workers"] = _typed("FAKEBM_WORKERS", env_workers, 1)
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -566,16 +570,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed (required here or in config)")
-        for key, default in _DEFAULTS[name].items():
-            kind = _kind(key, default)
-            p.add_argument(
-                "--" + key.replace("_", "-"),
-                type=json.loads if kind is list else kind,
-                help="JSON literal" if kind is list else None,
-            )
-        p.add_argument("--output-dir")
-        p.add_argument("--workers", type=int)
+        # every flag is text; _load_config types it with the other sources
+        for key, default in {**_DEFAULTS[name], **_COMMON}.items():
+            note = "JSON literal" if _kind(key, default) is list else None
+            if key == "seed":
+                note = "RNG seed (required here or in config)"
+            p.add_argument("--" + key.replace("_", "-"), help=note)
     return parser
 
 

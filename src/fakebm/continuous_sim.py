@@ -47,9 +47,12 @@ A chunk seeds its paths' generators at once: _substreams runs numpy's
 SeedSequence arithmetic for all of the chunk's path indices together, and
 each generator equals path_rng(seed, i) bit for bit.  A path is built in
 place: its driver steps and their active flags fill one buffer each, which
-doubles when a top-up does not fit, and the time change writes straight
-into the chunk's row.  The paths of a chunk that are busy from t1 on read
-their query times' tick counts from one computation.
+doubles when a top-up does not fit.  _simulate_chunk alone sets each
+path's frozen stretch, the query times from t1 before its switch time,
+found for the whole chunk in one search; the time change only maps the
+busy times after it to driver points, straight into the chunk's row.  The
+paths of a chunk that are busy from t1 on read their query times' tick
+counts from one computation.
 """
 
 from __future__ import annotations
@@ -239,30 +242,25 @@ def _ticks_within(q: np.ndarray, dt: float) -> np.ndarray:
     return c.astype(np.intp)
 
 
-def _time_change(tail: np.ndarray, ticks: np.ndarray, s: float, rel: np.ndarray, dt: float,
-                 out: tuple | None = None, counts: np.ndarray | None = None):
-    """Values and frozen flags at the ascending times rel after the freeze time.
+def _time_change(tail: np.ndarray, ticks: np.ndarray, q: np.ndarray, dt: float,
+                 out: np.ndarray | None = None, counts: np.ndarray | None = None) -> np.ndarray:
+    """The driver's points at the ascending busy times q >= 0.
 
-    The path holds tail[0] while rel < s.  At busy time q = rel - s it is
-    the driver at the grid point from which the clock crossed q.  ticks are
-    the grid steps at which the driver sits in the active set, so after c
-    ticks the left-endpoint clock reads fl(c * dt) and that point is
-    tail[ticks[c]] for the largest c with fl(c * dt) <= q: a point of the
-    active set, and for an always-active driver the time change is the
-    identity on the grid.  out, if given, is the (values, frozen) pair of
-    arrays to fill; counts, if given, are those c for the busy times, which
-    depend on rel and s alone.
+    At busy time q the path is the driver at the grid point from which the
+    clock crossed q.  ticks are the grid steps at which the driver sits in
+    the active set, so after c ticks the left-endpoint clock reads
+    fl(c * dt) and that point is tail[ticks[c]] for the largest c with
+    fl(c * dt) <= q: a point of the active set, and for an always-active
+    driver the time change is the identity on the grid.  The values fill
+    out if it is given, else a new array; counts, if given, are those c,
+    which depend on q alone.
     """
-    values, frozen = (np.empty(len(rel)), np.empty(len(rel), dtype=bool)) if out is None else out
-    n_frozen = int(np.searchsorted(rel, s))
-    frozen[:n_frozen] = True
-    frozen[n_frozen:] = False
-    values[:n_frozen] = tail[0]
+    values = np.empty(len(q)) if out is None else out
     if counts is None:
-        counts = _ticks_within(rel[n_frozen:] - s, dt)
+        counts = _ticks_within(q, dt)
     # ticks index tail, so clip clips nothing; it spares take a buffered copy
-    np.take(tail, ticks[counts], out=values[n_frozen:], mode="clip")
-    return values, frozen
+    np.take(tail, ticks[counts], out=values, mode="clip")
+    return values
 
 
 def _extend(rng, family, system, x0, state, k, x1, need, dt):
@@ -362,19 +360,22 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
     gap = ~system.contains_many(x1)
     s[gap] = family.switch_times(x1[gap], u[gap], t1, t2)
 
+    # the one owner of the frozen rule: a path holds x1 from t1 until its
+    # switch time, so at the query times rel < s, and is busy from then on
+    held = n_pre + np.searchsorted(rel, s)
     for r, rng in enumerate(rngs):
-        if math.isinf(s[r]):  # survives the window: frozen from t1 on
-            values[r, n_pre:] = x1[r]
-            frozen[r, n_pre:] = True
+        k = held[r]
+        values[r, n_pre:k] = x1[r]
+        frozen[r, n_pre:k] = True
+        if math.isinf(s[r]):  # survives the window
             continue
         # the tail's blocks are counted from the freeze step
         tail, ticks = _extend(
             rng, family, system, x0[r], (b1[r], 0.0, 0), k1, x1[r], max(horizon - s[r], 0.0), dt
         )
-        _time_change(
-            tail, ticks, s[r], rel, dt, out=(values[r, n_pre:], frozen[r, n_pre:]),
-            counts=busy_counts if s[r] == 0.0 else None,
-        )
+        # a path busy from t1 on (k = n_pre) reads the shared tick counts
+        q, counts = (rel, busy_counts) if s[r] == 0.0 else (rel[k - n_pre:] - s[r], None)
+        _time_change(tail, ticks, q, dt, out=values[r, k:], counts=counts)
         busy_start[r] = tail[ticks[0]]
     return {
         "start": start,

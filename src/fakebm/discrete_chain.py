@@ -57,6 +57,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -149,9 +151,10 @@ class JointDistribution:
     lazy: np.ndarray
 
     def total_mass(self):
-        # a Python sum in ascending site order, as the float bits of the
-        # reported mass deficit are pinned to it
-        return sum(self.busy.tolist()) + sum(self.lazy.tolist())
+        # a left-to-right fold in ascending site order, as the float bits of
+        # the reported mass deficit are pinned to it; sum() of floats is
+        # compensated from Python 3.12 on, so it would move them
+        return reduce(add, self.busy.tolist(), 0) + reduce(add, self.lazy.tolist(), 0)
 
 
 def _zeros(shape, exact: bool) -> np.ndarray:

@@ -72,20 +72,51 @@ def test_flag_overrides_config_file(tmp_path):
     assert rep["config"]["seed"] == 1
 
 
-def test_flag_types_follow_the_defaults():
+def test_flag_types_follow_the_defaults(monkeypatch):
+    # flags are plain text; _load_config types them from the defaults
+    monkeypatch.setenv("FAKEBM_WORKERS", "2")
     parser = cli._build_parser()
     args = parser.parse_args(
-        ["simulate", "--n-paths", "3", "--dt", "0.01", "--t-queries", "[0.5, 1]",
+        ["simulate", "--seed", "4", "--n-paths", "3", "--dt", "0.01", "--t-queries", "[0.5, 1]",
          "--cantor-depth", "2", "--fixed-start", "0.5"]
     )
-    assert args.n_paths == 3 and type(args.n_paths) is int
-    assert args.dt == 0.01 and type(args.dt) is float
-    assert args.t_queries == [0.5, 1]
-    assert args.cantor_depth == 2 and type(args.cantor_depth) is int
-    assert args.fixed_start == 0.5 and type(args.fixed_start) is float
-    args = parser.parse_args(["verify-discrete", "--j-max", "60", "--backend", "rational"])
-    assert args.j_max == 60 and type(args.j_max) is int
-    assert args.backend == "rational"
+    assert args.n_paths == "3"
+    cfg = cli._load_config("simulate", args)
+    assert cfg["seed"] == 4 and type(cfg["seed"]) is int
+    assert cfg["n_paths"] == 3 and type(cfg["n_paths"]) is int
+    assert cfg["dt"] == 0.01 and type(cfg["dt"]) is float
+    assert cfg["t_queries"] == [0.5, 1]
+    assert cfg["cantor_depth"] == 2 and type(cfg["cantor_depth"]) is int
+    assert cfg["fixed_start"] == 0.5 and type(cfg["fixed_start"]) is float
+    assert cfg["workers"] == 2 and type(cfg["workers"]) is int
+    assert cfg["output_dir"] == "."
+    args = parser.parse_args(["verify-discrete", "--seed", "1", "--j-max", "60",
+                              "--backend", "rational"])
+    cfg = cli._load_config("verify-discrete", args)
+    assert cfg["j_max"] == 60 and type(cfg["j_max"]) is int
+    assert cfg["backend"] == "rational"
+    assert cfg["cantor_depth"] is None
+
+
+@pytest.mark.parametrize(
+    "argv, key, kind",
+    [
+        (["verify-discrete", "--m", "x"], "m", "int"),
+        (["simulate", "--dt", "fast"], "dt", "float"),
+        (["simulate", "--t-queries", "[0.5,"], "t_queries", "list"),
+        (["verify-discrete", "--j-max", "6.5"], "j_max", "int"),
+        (["simulate", "--seed", "1.5"], "seed", "int"),
+    ],
+)
+def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, argv, key, kind):
+    # argparse used to reject these itself, raising SystemExit(2) out of
+    # main with a usage dump; the default seed goes first, so a --seed in
+    # argv overrides it
+    out = tmp_path / "o"
+    code = run(argv[0], "--seed", "1", *argv[1:], "--output-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {key} must be of type {kind}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

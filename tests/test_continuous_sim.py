@@ -236,13 +236,24 @@ def test_time_change_inverts_clock():
     ticks = np.array([1, 3])  # the clock 0, 0, 1/8, 1/8, 2/8 on dt = 1/8
     # busy times 0 and 1/16 map to grid time 2/8, i.e. the driver at index 1
     # where the clock left 0; busy time 1/8 maps to 4/8, the driver at index 3
-    values, frozen = _time_change(tail, ticks, 0.0, np.array([0.0, 0.0625, 0.125]), 0.125)
+    values = _time_change(tail, ticks, np.array([0.0, 0.0625, 0.125]), 0.125)
     assert values.tolist() == [0.2, 0.2, 0.7]
-    assert not frozen.any()
-    # a switch time of 1/16 holds the start until then and delays the rest
-    values, frozen = _time_change(tail, ticks, 0.0625, np.array([0.0, 0.0625, 0.1875]), 0.125)
-    assert frozen.tolist() == [True, False, False]
-    assert values.tolist() == [0.5, 0.2, 0.7]
+
+
+def test_path_is_busy_from_its_own_switch_time(sys2):
+    # the engine alone marks the frozen stretch: at its switch time a
+    # Gaussian path is busy and reads its busy landing value, and one ulp
+    # earlier it is still frozen at its start
+    probe = simulate_marginal_samples(sys2, [1.0], 200, seed=17, dt=DT)
+    late = np.flatnonzero((probe.switch_times > 0) & (probe.switch_times < 1.0))
+    assert len(late) >= 3
+    for i in late[:3]:
+        sw = float(probe.switch_times[i])
+        res = simulate_marginal_samples(sys2, [math.nextafter(sw, 0.0), sw], i + 1, seed=17, dt=DT)
+        assert res.switch_times[i] == sw
+        assert res.frozen[i].tolist() == [True, False]
+        assert res.values[i, 0] == res.x0[i]
+        assert res.values[i, 1] == res.busy_start[i]
 
 
 @pytest.mark.parametrize("dt", [1e-4, 2e-4, 2.5e-5, 1e-3, 0.125, 1.0 / 3.0])
@@ -270,18 +281,15 @@ def test_tick_index_inverse_matches_searchsorted_over_the_clock(dt):
             np.arange(1, int(top / dt)) * dt,
         ])
         q = np.sort(q[q < top])
-        values, frozen = _time_change(tail, ticks, 0.0, q, dt)
-        assert not frozen.any()
+        values = _time_change(tail, ticks, q, dt)
         assert np.array_equal(values, tail[_clock_inverse(clock, q)])
-        # a positive switch time shifts the busy times by s
+        # a positive switch time shifts the busy times by s, as the engine
+        # passes them
         s = 0.37 * top
-        rel = np.sort(rng.uniform(0, top + s, 5_000))
+        rel = np.sort(rng.uniform(s, top + s, 5_000))
         rel = rel[rel - s < top]
-        values, frozen = _time_change(tail, ticks, s, rel, dt)
-        busy = rel >= s
-        assert np.array_equal(frozen, ~busy)
-        assert np.array_equal(values[~busy], np.full((~busy).sum(), tail[0]))
-        assert np.array_equal(values[busy], tail[_clock_inverse(clock, rel[busy] - s)])
+        values = _time_change(tail, ticks, rel - s, dt)
+        assert np.array_equal(values, tail[_clock_inverse(clock, rel - s)])
 
 
 def test_clock_of_always_active_path_is_identity(sys2):
@@ -295,7 +303,7 @@ def test_clock_of_always_active_path_is_identity(sys2):
     active = sys2.contains_many(row)
     assert np.array_equal(_occupation_clock(active, DT), np.arange(_MIN_DRAW + 1) * DT)
     q = np.arange(_MIN_DRAW) * DT
-    values, _ = _time_change(row, ticks, 0.0, q, DT)
+    values = _time_change(row, ticks, q, DT)
     assert np.array_equal(values, row[:-1])
 
 
@@ -648,9 +656,9 @@ def test_busy_paths_are_rebuilt_from_their_substreams(variant):
         assert res.x0[i] == x0
         assert x1 == (x0 if gaussian else pytest.approx(math.exp(b1 - t1 / 2.0), rel=1e-14))
         tail, ticks = _extend(rng, family, system, x0, (b1, 0.0, 0), k1, x1, t_grid[-1] - t1, dt)
-        values, frozen = _time_change(tail, ticks, 0.0, t_grid - t1, dt)
+        values = _time_change(tail, ticks, t_grid - t1, dt)
         assert np.array_equal(res.values[i], values)
-        assert not frozen.any() and not res.frozen[i].any()
+        assert not res.frozen[i].any()
 
 
 def test_exp_path_freezes_inside_gap():
