@@ -9,13 +9,14 @@ is deterministic given (seed, config).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import GAUSSIAN, MarginalFamily, _ndtr, gaussian_density
 from .intervals import IntervalSystem, build_interval_system, fat_cantor_intervals
-from .continuous_sim import iter_fake_grid_chunks
+from .continuous_sim import _pair_meetings, iter_fake_grid_chunks
 
 __all__ = [
     "KSReport",
@@ -324,7 +325,14 @@ def coupling_experiment(
     inconclusive.  meeting_gap_mean records the average |X - X'| at the
     crossing step, a pure grid-resolution diagnostic (the continuum paths
     meet exactly).
+
+    Each pair is simulated only as far as the meeting test reads, in grid
+    windows that double in length: both copies until their first crossing,
+    or the last one that counts, and the first copy on to the offset only
+    when exactly one copy is busy at the crossing.
     """
+    if not isinstance(n_pairs, numbers.Integral):
+        raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     if not 0 <= t_offset < math.inf:  # NaN fails too
@@ -337,40 +345,12 @@ def coupling_experiment(
         raise ValueError("dt must be positive and finite")
     system = build_interval_system(fat_cantor_intervals(depth))
     n_grid = int(round((t_horizon + t_offset) / dt))
-    t_grid = np.arange(n_grid + 1) * dt
     offset_steps = int(round(t_offset / dt))
-    last_meet = n_grid - offset_steps
-
-    def meetings(part):
-        """Each pair's first crossing in the chunk, in pair order: |X - X'|
-        there, whether each copy is busy, and, when exactly one is, whether
-        X sits in the frozen set offset_steps later.  Pair p is paths 2p and
-        2p + 1, which the engine keeps in one chunk."""
-        vals = part["values"]
-        t_switch = part["switch_times"]
-        found = []
-        for p in range(0, len(vals) - 1, 2):
-            x = vals[p]
-            y = vals[p + 1]
-            d = x - y
-            crossings = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != 0.0))
-            if len(crossings) == 0 or crossings[0] + 1 > last_meet:
-                continue
-            k = int(crossings[0]) + 1
-            tau = k * dt
-            x_busy = t_switch[p] <= tau
-            y_busy = t_switch[p + 1] <= tau
-            in_frozen = x_busy != y_busy and not system.contains(float(x[k + offset_steps]))
-            found.append((abs(float(d[k])), x_busy, y_busy, in_frozen))
-        return found
 
     n_meetings = n_a = n_b = n_bb = n_ll = 0
     hits_a = hits_b = 0
     gap_sum = 0.0
-    # map lets go of each chunk before the engine builds the next; a for loop
-    # over the chunks would hold two of them (about 4 MB each at the defaults)
-    chunks = iter_fake_grid_chunks(system, t_grid, 2 * n_pairs, seed, dt=dt, workers=workers)
-    for found in map(meetings, chunks):
+    for found in _pair_meetings(system, n_grid, offset_steps, n_pairs, seed, dt, workers):
         for gap, x_busy, y_busy, in_frozen in found:
             n_meetings += 1
             gap_sum += gap

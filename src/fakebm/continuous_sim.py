@@ -38,26 +38,33 @@ bridge.
 
 A chunk is at most _CHUNK paths and about _CHUNK_BYTES of results: a path's
 row costs 9 bytes per query time (its float64 value and bool frozen flag),
-so a grid of a few times keeps _CHUNK paths a chunk, while a grid of 16,001
-times takes 28.  Every chunk but the last of an odd path count holds an even
-number of paths, so chunks start at even path indices and paths 2p and
-2p + 1 always share one.
+so a grid of a few times keeps _CHUNK paths a chunk, while a grid of 8,001
+times takes 58.  Every chunk but the last of an odd path count holds an
+even number of paths, so chunks start at even path indices and paths 2p
+and 2p + 1 always share one.
 
 A chunk seeds its paths' generators at once: _substreams runs numpy's
 SeedSequence arithmetic for all of the chunk's path indices together, and
 each generator equals path_rng(seed, i) bit for bit.  A path is built in
-place: its driver steps and their active flags fill one buffer each, which
-doubles when a top-up does not fit.  _simulate_chunk alone sets each
-path's frozen stretch, the query times from t1 before its switch time,
-found for the whole chunk in one search; the time change only maps the
-busy times after it to driver points, straight into the chunk's row.  The
-paths of a chunk that are busy from t1 on read their query times' tick
+place: its busy tail (_Tail) keeps its driver steps and their active flags
+in two buffers that double when a top-up does not fit, and keeps them, with
+its Brownian state and tick indices, between calls.  _simulate_chunk alone
+sets each path's frozen stretch, the query times from t1 before its switch
+time, found for the whole chunk in one search; the time change only maps
+the busy times after it to driver points, straight into the chunk's row.
+The paths of a chunk that are busy from t1 on read their query times' tick
 counts from one computation.
+
+The coupling experiment's pair search (_pair_meetings) runs on the same
+head and tails in each chunk's worker and returns a few numbers a pair: it
+draws a pair only as far as its meeting test reads, so its values are
+those of the samplers' paths on the same grid.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +91,9 @@ _BLOCK = 4096
 _MIN_DRAW = 512
 # most paths per chunk, the unit of work of one worker; changes no value
 _CHUNK = 256
+# steps of the pair search's first window; each next one is twice as long;
+# changes no value
+_WINDOW = 2048
 # most bytes of values and frozen flags per chunk, unless two paths take
 # more; changes no value
 _CHUNK_BYTES = 4 * 2**20
@@ -263,35 +273,49 @@ def _time_change(tail: np.ndarray, ticks: np.ndarray, q: np.ndarray, dt: float,
     return values
 
 
-def _extend(rng, family, system, x0, state, k, x1, need, dt):
-    """Draw the driver on from its freeze value until its clock exceeds need.
+class _Tail:
+    """A busy path's driver from its freeze value on, drawn as far as asked.
 
     The driver is x1 at the freeze step, grid step k, where the Brownian
-    motion is in state (see _brownian).  The left-endpoint clock ticks dt
-    at every step but the last whose value lies in the active set, at most
-    dt a step, so each top-up draws the fewest steps that could still be
-    enough, but at least _MIN_DRAW.  The steps and their active flags go
-    into two buffers, sized for the first top-up and doubled when a later
-    one does not fit.  Returns the tail, the driver from the freeze step on,
-    and its ticks, the indices of the steps at which the clock ticks.
+    motion is in state (see _brownian).  extend(need) draws on until the
+    left-endpoint clock exceeds need.  The clock ticks dt at every step but the last whose
+    value lies in the active set, at most dt a step, so each top-up draws
+    the fewest steps that could still be enough, but at least _MIN_DRAW.
+    The steps and their active flags fill two buffers of at least size
+    entries, each doubled when a top-up does not fit.  They are kept, with
+    the Brownian state, between calls, so a larger need only appends steps.
     """
-    path = np.empty(1 + max(int(need / dt) + 1, _MIN_DRAW))
-    active = np.empty(len(path), dtype=bool)
-    path[0] = x1
-    # the clock ticks at the active steps but the last, so the last step,
-    # x1 first, is flagged with the next top-up, in the same membership call
-    m, flagged, ticks = 1, 0, 0
-    while ticks * dt <= need:
-        n = max(int(need / dt) + 1 - ticks, _MIN_DRAW)
-        if m + n > len(path):
-            path, active = _grown(path, m, m + n), _grown(active, m, m + n)
-        b, state = _brownian(rng, state, n, dt, out=path[m:])
-        family.driver(x0, b, np.arange(k + 1, k + 1 + n) * dt if family.reads_time else None)
-        system.contains_many(path[flagged : m + n], out=active[flagged : m + n])
-        ticks += int(np.count_nonzero(active[m - 1 : m + n - 1]))
-        flagged = m = m + n
-        k += n
-    return path[:m], np.flatnonzero(active[: m - 1])
+
+    def __init__(self, rng, family, system, x0, state, k, x1, dt, size=1):
+        self.rng, self.family, self.system = rng, family, system
+        self.x0, self.state, self.k, self.dt = x0, state, k, dt
+        self.path = np.empty(size)
+        self.active = np.empty(size, dtype=bool)
+        self.path[0], self.active[0] = x1, system.contains(x1)
+        self.m, self.n_ticks = 1, 0  # steps so far, x1 included, and their ticks
+        self.ticks = np.empty(0, dtype=np.intp)
+
+    def extend(self, need: float) -> tuple[np.ndarray, np.ndarray]:
+        """The tail, the driver from the freeze step on, and its ticks, the
+        indices of the steps at which the clock ticks, drawn until the
+        clock exceeds need."""
+        dt, m, n_ticks = self.dt, self.m, self.n_ticks
+        while n_ticks * dt <= need:
+            n = max(int(need / dt) + 1 - n_ticks, _MIN_DRAW)
+            if m + n > len(self.path):
+                self.path, self.active = _grown(self.path, m, m + n), _grown(self.active, m, m + n)
+            b, self.state = _brownian(self.rng, self.state, n, dt, out=self.path[m:])
+            times = np.arange(self.k + 1, self.k + 1 + n) * dt if self.family.reads_time else None
+            self.family.driver(self.x0, b, times)
+            self.system.contains_many(b, out=self.active[m : m + n])
+            # the last step ticks only once the next one is drawn
+            n_ticks += int(np.count_nonzero(self.active[m - 1 : m + n - 1]))
+            m += n
+            self.k += n
+        if m > self.m:
+            self.m, self.n_ticks = m, n_ticks
+            self.ticks = np.flatnonzero(self.active[: m - 1])
+        return self.path[:m], self.ticks
 
 
 def _grown(a: np.ndarray, m: int, size: int) -> np.ndarray:
@@ -322,24 +346,21 @@ def _bridge(rng, k1: int, b1: float, dt: float) -> np.ndarray:
     return b
 
 
-def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start, count) -> dict:
+def _head(family, system, read, t1, t2, dt, seed, fixed_start, start, count):
+    """The chunk's paths up to their freeze time t1, all at once.
+
+    read are the grid steps before the freeze step k1 = round(t1 / dt) at
+    which the driver is read.  Returns x0, heads, s and tail: every path's
+    start, its driver at those steps and, last, at k1 (its freeze value
+    x1), its switch time after t1, and tail(r, size=1), which builds path
+    r's tail, ready to draw on from k1, in buffers of size entries.  Every
+    path's start, uniform and Brownian value at t1 come first, so that one
+    driver call and one vectorised switch-time inversion serve the chunk.
+    """
     k1 = int(round(t1 / dt))
-    n_pre = int(np.searchsorted(t_grid, t1))  # the query times before t1
-    # the driver up to t1 is read only at those times' steps and at t1
-    read = np.append(np.round(t_grid[:n_pre] / dt).astype(int), k1)
-    rel = t_grid[n_pre:] - t1
-    # the tick counts of every path busy from t1 on (s = 0, so rel - s is rel)
-    busy_counts = _ticks_within(rel, dt)
-    horizon = float(t_grid.max()) - t1
-    values = np.empty((count, len(t_grid)))
-    frozen = np.zeros((count, len(t_grid)), dtype=bool)
     x0 = np.empty(count)
     u = np.empty(count)
     b1 = np.zeros(count)  # every path's Brownian value at t1, from B_0 = 0
-    busy_start = np.full(count, math.nan)
-
-    # every path's start, uniform and Brownian value at t1 first, so that
-    # one driver call and one vectorised switch-time inversion serve the chunk
     rngs = _substreams(seed, start, count)
     for r, rng in enumerate(rngs):
         x0[r] = family.sample_initial(rng) if fixed_start is None else float(fixed_start)
@@ -348,35 +369,54 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
             u[r] = rng.random()
         if k1:
             b1[r] = rng.standard_normal() * math.sqrt(k1 * dt)
-    heads = np.zeros((count, len(read)))  # every path's Brownian motion at the steps read
+    steps = np.append(read, k1)
+    heads = np.zeros((count, len(steps)))  # every path's Brownian motion at the steps read
     heads[:, -1] = b1
-    if n_pre and k1:  # the times before t1 read the bridge to B_t1
+    if len(read) and k1:  # the times before t1 read the bridge to B_t1
         for r, rng in enumerate(_substreams(seed, start, count, bridge=True)):
-            heads[r, :-1] = _bridge(rng, k1, b1[r], dt)[read[:-1]]
-    family.driver(x0[:, None], heads, read * dt)
-    values[:, :n_pre] = heads[:, :-1]
+            heads[r, :-1] = _bridge(rng, k1, b1[r], dt)[read]
+    family.driver(x0[:, None], heads, steps * dt)
     x1 = heads[:, -1]
     s = np.zeros(count)
     gap = ~system.contains_many(x1)
     s[gap] = family.switch_times(x1[gap], u[gap], t1, t2)
 
+    def tail(r, size=1):
+        # the tail's blocks are counted from the freeze step
+        return _Tail(rngs[r], family, system, x0[r], (b1[r], 0.0, 0), k1, x1[r], dt, size)
+
+    return x0, heads, s, tail
+
+
+def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start, count) -> dict:
+    n_pre = int(np.searchsorted(t_grid, t1))  # the query times before t1
+    # the driver up to t1 is read only at those times' steps and at t1
+    read = np.round(t_grid[:n_pre] / dt).astype(int)
+    x0, heads, s, tail = _head(family, system, read, t1, t2, dt, seed, fixed_start, start, count)
+    rel = t_grid[n_pre:] - t1
+    # the tick counts of every path busy from t1 on (s = 0, so rel - s is rel)
+    busy_counts = _ticks_within(rel, dt)
+    horizon = float(t_grid.max()) - t1
+    values = np.empty((count, len(t_grid)))
+    frozen = np.zeros((count, len(t_grid)), dtype=bool)
+    busy_start = np.full(count, math.nan)
+    values[:, :n_pre] = heads[:, :-1]
+    x1 = heads[:, -1]
+
     # the one owner of the frozen rule: a path holds x1 from t1 until its
     # switch time, so at the query times rel < s, and is busy from then on
     held = n_pre + np.searchsorted(rel, s)
-    for r, rng in enumerate(rngs):
+    for r in range(count):
         k = held[r]
         values[r, n_pre:k] = x1[r]
         frozen[r, n_pre:k] = True
         if math.isinf(s[r]):  # survives the window
             continue
-        # the tail's blocks are counted from the freeze step
-        tail, ticks = _extend(
-            rng, family, system, x0[r], (b1[r], 0.0, 0), k1, x1[r], max(horizon - s[r], 0.0), dt
-        )
+        path, ticks = tail(r).extend(max(horizon - s[r], 0.0))
         # a path busy from t1 on (k = n_pre) reads the shared tick counts
         q, counts = (rel, busy_counts) if s[r] == 0.0 else (rel[k - n_pre:] - s[r], None)
-        _time_change(tail, ticks, q, dt, out=values[r, k:], counts=counts)
-        busy_start[r] = tail[ticks[0]]
+        _time_change(path, ticks, q, dt, out=values[r, k:], counts=counts)
+        busy_start[r] = path[ticks[0]]
     return {
         "start": start,
         "values": values,
@@ -388,13 +428,111 @@ def _simulate_chunk(family, system, t_grid, t1, t2, dt, seed, fixed_start, start
     }
 
 
+def _at(tail, s, x1, t, counts, dt) -> np.ndarray:
+    """A path with freeze time 0 and switch time s at the ascending grid times t.
+
+    It holds x1 while t < s and then reads its tail, drawn only as far as
+    the last of t needs; counts are the tick counts of t, which a path busy
+    from 0 on (s = 0) shares.
+    """
+    values = np.full(len(t), x1)
+    held = int(np.searchsorted(t, s))
+    if held < len(t):
+        path, ticks = tail.extend(t[-1] - s)
+        q, c = (t, counts) if s == 0.0 else (t[held:] - s, None)
+        _time_change(path, ticks, q, dt, out=values[held:], counts=c)
+    return values
+
+
+def _meet_chunk(system, n_grid, offset_steps, dt, seed, start, count) -> list:
+    """Each pair's first meeting in the chunk, in pair order.
+
+    Pair p is paths 2p and 2p + 1 of the Gaussian construction, X and X',
+    on the grid of steps 0 .. n_grid.  Their first crossing is the first
+    step k > 0 at which X - X' reaches zero or changes sign from a nonzero
+    value; only crossings at k <= n_grid - offset_steps count.  A meeting
+    is |X - X'| at k, whether each copy is busy there, and, when exactly
+    one is, whether X sits in the frozen set offset_steps later.
+
+    Each pair is simulated only as far as this test reads: X - X' over
+    grid windows, the first _WINDOW steps long and each next one twice as
+    long, until the first crossing or the last step that counts, and X
+    alone at k + offset_steps.  A window that would leave less than its
+    own length takes the rest, and each starts one step back, to see a
+    sign change across its edge.
+    """
+    _, heads, s, tail = _head(
+        GAUSSIAN, system, np.empty(0, dtype=int), 0.0, math.inf, dt, seed, None, start, count
+    )
+    x1 = heads[:, -1]
+    t_grid = np.arange(n_grid + 1) * dt
+    counts = _ticks_within(t_grid, dt)
+    last_meet = n_grid - offset_steps
+
+    def meeting(p):
+        # the pair's tails, with buffers of the grid's length, which most
+        # tails need; they are let go when the pair is done
+        tails = {r: tail(r, n_grid + 1) for r in (p, p + 1)}
+
+        def at(r, lo, hi):
+            return _at(tails[r], s[r], x1[r], t_grid[lo:hi], counts[lo:hi], dt)
+
+        lo, size = 0, _WINDOW
+        while lo <= last_meet:
+            # a window that would leave less than its own length takes the rest
+            hi = lo + size if lo + 2 * size <= last_meet + 1 else last_meet + 1
+            a = max(lo - 1, 0)
+            d = at(p, a, hi) - at(p + 1, a, hi)
+            crossings = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != 0.0))
+            if len(crossings):
+                k = a + int(crossings[0]) + 1
+                tau = k * dt
+                x_busy = s[p] <= tau
+                y_busy = s[p + 1] <= tau
+                j = k + offset_steps
+                in_frozen = x_busy != y_busy and not system.contains(float(at(p, j, j + 1)[0]))
+                return abs(float(d[k - a])), x_busy, y_busy, in_frozen
+            lo, size = hi, 2 * size
+        return None
+
+    return [m for m in map(meeting, range(0, count - 1, 2)) if m is not None]
+
+
+def _map(work, args, n_paths, rows, workers):
+    """work(*args, start, count) on each chunk of rows paths, in path order."""
+    payloads = [(*args, start, min(rows, n_paths - start)) for start in range(0, n_paths, rows)]
+    if workers <= 1:
+        for p in payloads:
+            yield work(*p)
+    else:
+        # the pool's import loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(work, *zip(*payloads))
+
+
+def _pair_meetings(system, n_grid, offset_steps, n_pairs, seed, dt, workers):
+    """Yield each chunk's list of meetings (see _meet_chunk), in pair order.
+
+    A chunk returns a few numbers a pair, so it holds _CHUNK paths, an even
+    number.  Path i draws from the substream (seed, i), as in the samplers,
+    so a pair's values equal those of paths 2p and 2p + 1 of
+    iter_fake_grid_chunks on the same grid.
+    """
+    rows = max(2, _CHUNK // 2 * 2)
+    yield from _map(_meet_chunk, (system, n_grid, offset_steps, dt, seed), 2 * n_pairs, rows, workers)
+
+
 def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, workers):
-    # the query-time and step checks of both samplers
+    # the query-time, count and step checks of both samplers
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or not np.all(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be a non-empty ascending 1-d array")
     if not 0 <= t_grid[0] <= t_grid[-1] < math.inf:  # NaN fails too
         raise ValueError("query times must be finite and non-negative")
+    if not isinstance(n_paths, numbers.Integral):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if not 0 < dt < math.inf:  # NaN fails too
@@ -403,19 +541,8 @@ def _chunks(family, system, t_grid, t1, t2, n_paths, seed, dt, fixed_start, work
         raise ValueError("fixed_start must be finite")
     # a row is a float64 value and a bool frozen flag per query time
     rows = max(2, min(_CHUNK, _CHUNK_BYTES // (9 * len(t_grid))) // 2 * 2)
-    payloads = [
-        (family, system, t_grid, t1, t2, dt, seed, fixed_start, start, min(rows, n_paths - start))
-        for start in range(0, n_paths, rows)
-    ]
-    if workers <= 1:
-        for p in payloads:
-            yield _simulate_chunk(*p)
-    else:
-        # the pool's import loads multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_simulate_chunk, *zip(*payloads))
+    args = (family, system, t_grid, t1, t2, dt, seed, fixed_start)
+    yield from _map(_simulate_chunk, args, n_paths, rows, workers)
 
 
 def _collect(t_queries: tuple, parts) -> SimulationResult:

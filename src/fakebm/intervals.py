@@ -170,6 +170,8 @@ def fat_cantor_intervals(depth: int) -> list[tuple[float, float]]:
     as closed [a, b] pairs, ordered left to right.  Total removed length is
     (1/2) (1 - 2^-depth), so the kept set stays fat.
     """
+    if not isinstance(depth, numbers.Integral):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > 20:

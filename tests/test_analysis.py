@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,7 +23,8 @@ from fakebm.analysis import (
     wilson_interval,
 )
 from fakebm.densities import GAUSSIAN, LOGNORMAL, gaussian_density
-from fakebm.intervals import build_interval_system
+from fakebm.continuous_sim import simulate_marginal_samples
+from fakebm.intervals import build_interval_system, fat_cantor_intervals
 
 TWO_GAPS = [(0.1, 0.4), (0.6, 0.9)]
 
@@ -317,9 +319,8 @@ def test_coupling_small_run_structure():
 
 
 def test_chunk_consumers_let_go_of_each_chunk(monkeypatch):
-    # a chunk of the coupling run is about 4 MB at the CLI defaults: a
-    # consumer that still holds one while the engine builds the next doubles
-    # the chunk arrays' share of the peak
+    # a consumer that still holds a chunk while the engine builds the next
+    # doubles the chunk arrays' share of the peak
     real = analysis.iter_fake_grid_chunks
     held = []
 
@@ -332,9 +333,123 @@ def test_chunk_consumers_let_go_of_each_chunk(monkeypatch):
             del part
 
     monkeypatch.setattr(analysis, "iter_fake_grid_chunks", watched)
-    coupling_experiment(depth=3, t_offset=0.05, n_pairs=300, seed=5, dt=1e-3, t_horizon=0.2)
     flux_experiment(build_interval_system(TWO_GAPS), 0, 0.3, 0.02, 600, seed=17, dt=1e-3)
-    assert held == [0, 0, 0] * 2
+    assert held == [0, 0, 0]
+
+
+def test_coupling_holds_no_grid_wide_chunk():
+    # on the CLI default grid (dt 1e-4, 16,001 points) a chunk of 28 paths'
+    # values and frozen flags took about 4 MiB, and this run peaked at
+    # 5.2 MiB; the pair search holds one pair's tails, about 0.8 MiB here,
+    # and two grid-long arrays, for a peak of about 1.5 MiB
+    coupling_experiment(depth=6, t_offset=0.1, n_pairs=30, seed=2, dt=1e-4)  # warm the imports
+    tracemalloc.start()
+    try:
+        rep = coupling_experiment(depth=6, t_offset=0.1, n_pairs=30, seed=3, dt=1e-4, min_class=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_meetings > 0
+    assert peak < 2 * 2**20
+
+
+def _full_grid_coupling(depth, t_offset, n_pairs, seed, dt, t_horizon, min_class):
+    """coupling_experiment as a pass over every path's values on the whole
+    grid: the reference the pair search must equal field for field."""
+    system = build_interval_system(fat_cantor_intervals(depth))
+    n_grid = int(round((t_horizon + t_offset) / dt))
+    t_grid = np.arange(n_grid + 1) * dt
+    offset_steps = int(round(t_offset / dt))
+    last_meet = n_grid - offset_steps
+    found = []
+    for part in continuous_sim.iter_fake_grid_chunks(system, t_grid, 2 * n_pairs, seed, dt=dt):
+        vals = part["values"]
+        t_switch = part["switch_times"]
+        for p in range(0, len(vals) - 1, 2):
+            x, y = vals[p], vals[p + 1]
+            d = x - y
+            crossings = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != 0.0))
+            if len(crossings) == 0 or crossings[0] + 1 > last_meet:
+                continue
+            k = int(crossings[0]) + 1
+            tau = k * dt
+            x_busy = t_switch[p] <= tau
+            y_busy = t_switch[p + 1] <= tau
+            in_frozen = x_busy != y_busy and not system.contains(float(x[k + offset_steps]))
+            found.append((abs(float(d[k])), x_busy, y_busy, in_frozen))
+    n_a = sum(1 for _, xb, yb, _ in found if xb and not yb)
+    n_b = sum(1 for _, xb, yb, _ in found if yb and not xb)
+    hits_a = sum(f for _, xb, yb, f in found if xb and not yb)
+    hits_b = sum(f for _, xb, yb, f in found if yb and not xb)
+    gap_sum = 0.0
+    for gap, *_ in found:
+        gap_sum += gap
+    return analysis.CouplingReport(
+        depth=depth,
+        t_offset=float(t_offset),
+        n_pairs=n_pairs,
+        n_meetings=len(found),
+        n_class_a=n_a,
+        n_class_b=n_b,
+        n_both_busy=sum(1 for _, xb, yb, _ in found if xb and yb),
+        n_both_lazy=sum(1 for _, xb, yb, _ in found if not xb and not yb),
+        hits_a=hits_a,
+        hits_b=hits_b,
+        p_hat_a=hits_a / n_a if n_a else math.nan,
+        p_hat_b=hits_b / n_b if n_b else math.nan,
+        ci_a=wilson_interval(hits_a, n_a) if n_a else (math.nan, math.nan),
+        ci_b=wilson_interval(hits_b, n_b) if n_b else (math.nan, math.nan),
+        status="ok" if min(n_a, n_b) >= min_class else "inconclusive",
+        meeting_gap_mean=gap_sum / len(found) if found else math.nan,
+    )
+
+
+@pytest.mark.parametrize(
+    "depth, t_offset, n_pairs, seed, dt, t_horizon, patch, workers",
+    [
+        (3, 0.05, 200, 8, 1e-3, 1.5, {}, 1),
+        (6, 0.0, 150, 3, 1e-3, 1.5, {}, 1),
+        # dt 1e-4: the first crossings straddle the first window's edge
+        (6, 0.05, 40, 4, 1e-4, 0.5, {}, 1),
+        # most pairs never meet before the horizon
+        (3, 0.05, 200, 5, 1e-3, 0.02, {}, 1),
+        # odd chunks would pair across pairs; short windows put many
+        # crossings on a window edge
+        (3, 0.05, 200, 8, 1e-3, 1.5, {"_CHUNK": 17, "_WINDOW": 5}, 1),
+        (6, 0.0, 100, 9, 1e-3, 1.5, {"_WINDOW": 64}, 1),
+        (6, 0.05, 100, 9, 1e-3, 1.5, {}, 2),
+    ],
+    ids=["depth3", "depth6-offset0", "dt1e-4", "short-horizon", "chunk17-window5",
+         "window64", "workers2"],
+)
+def test_pair_search_equals_the_full_grid_pass(
+    monkeypatch, depth, t_offset, n_pairs, seed, dt, t_horizon, patch, workers
+):
+    for name, value in patch.items():
+        monkeypatch.setattr(continuous_sim, name, value)
+    rep = coupling_experiment(
+        depth, t_offset, n_pairs, seed, dt=dt, t_horizon=t_horizon, min_class=1, workers=workers
+    )
+    ref = _full_grid_coupling(depth, t_offset, n_pairs, seed, dt, t_horizon, min_class=1)
+    assert rep.n_meetings > 0
+    if t_horizon < 0.1:
+        assert rep.n_meetings < n_pairs / 2
+    assert repr(rep) == repr(ref)  # repr, so that NaN fields compare equal
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: coupling_experiment(3, 0.05, 2.5, 1, dt=1e-3, t_horizon=0.2), "n_pairs"),
+        (lambda: coupling_experiment(2.5, 0.05, 10, 1, dt=1e-3, t_horizon=0.2), "depth"),
+        (lambda: simulate_marginal_samples(build_interval_system(TWO_GAPS), [0.5], 2.5, 1), "n_paths"),
+        (lambda: fat_cantor_intervals(3.0), "depth"),
+    ],
+    ids=["n_pairs", "depth", "n_paths", "fat_cantor_depth"],
+)
+def test_non_integer_counts_are_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
 
 
 def test_coupling_pairs_paths_whatever_the_chunking(monkeypatch):

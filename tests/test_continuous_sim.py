@@ -17,7 +17,7 @@ from fakebm.continuous_sim import (
     _MIN_DRAW,
     _bridge,
     _brownian,
-    _extend,
+    _Tail,
     _time_change,
     iter_fake_grid_chunks,
     path_rng,
@@ -292,6 +292,11 @@ def test_tick_index_inverse_matches_searchsorted_over_the_clock(dt):
         assert np.array_equal(values, tail[_clock_inverse(clock, rel - s)])
 
 
+def _extend(rng, family, system, x0, state, k, x1, need, dt):
+    # a fresh tail drawn in one call, as the samplers draw it
+    return _Tail(rng, family, system, x0, state, k, x1, dt).extend(need)
+
+
 def test_clock_of_always_active_path_is_identity(sys2):
     # a need under _MIN_DRAW steps' clock still draws _MIN_DRAW steps; every
     # step but the last ticks, so the clock is the grid time itself
@@ -355,6 +360,35 @@ def test_extend_in_place_equals_concatenated_top_ups(family, x0, k, dt):
             ref_row, ref_ticks = _extend_by_concatenation(path_rng(index, 0), *args)
             assert np.array_equal(row, ref_row)
             assert np.array_equal(ticks, ref_ticks)
+
+
+@pytest.mark.parametrize("family, x0, k, dt", [(GAUSSIAN, 0.5, 0, DT), (LOGNORMAL, 1.0, 250, 2e-3)],
+                         ids=["gaussian", "lognormal"])
+def test_tail_resumes_where_it_stopped(family, x0, k, dt):
+    # a tail extended need by need, smaller needs included, and one with
+    # buffers sized up front draw the steps of one call to the last need,
+    # bit for bit, if in other top-ups, so one may draw a few steps more;
+    # each call returns a prefix of the next one's rows and ticks
+    if family is GAUSSIAN:
+        system = build_interval_system(TWO_GAPS)
+    else:
+        system = build_interval_system(EXP_INTERVALS, domain=(0.6, 1.1))
+    for index in range(12):
+        args = (family, system, x0, (0.0, 0.0, 0), k, x0, dt)
+        whole = _Tail(path_rng(index, 0), *args).extend(2.0)
+        for size in (1, 4000):
+            tail = _Tail(path_rng(index, 0), *args, size=size)
+            prev = (np.empty(0), np.empty(0, dtype=np.intp))
+            for need in (0.0, 0.3, 0.1, 1.2, 2.0):
+                row, ticks = tail.extend(need)
+                assert len(ticks) * dt > need
+                assert np.array_equal(row[: len(prev[0])], prev[0])
+                assert np.array_equal(ticks[: len(prev[1])], prev[1])
+                prev = (row.copy(), ticks.copy())
+            n, c = min(len(row), len(whole[0])), min(len(ticks), len(whole[1]))
+            assert np.array_equal(row[:n], whole[0][:n])
+            assert np.array_equal(ticks[:c], whole[1][:c])
+            assert c * dt > 2.0
 
 
 # ---------- switch time ----------
